@@ -1,8 +1,8 @@
-"""Reference implementation of the exact integer predicate core.
+"""The exact integer predicate core.
 
-The compiled twin (_core.pyx) mirrors this module function for function and
-loop for loop; both must produce identical results in identical order, so any
-change here must be copied there verbatim.
+Every exact predicate of the package bottoms out here. Callers reach these
+functions as module attributes (``_k.orient``), never as names bound at
+import, so a profiler or tracer can wrap them from outside.
 
 Representations (plain int tuples, no Fraction objects in these hot paths):
 

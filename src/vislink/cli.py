@@ -113,12 +113,7 @@ def _load_tuples(c, value: str, seed: int) -> List[tuple]:
         if count < 0:
             raise DocumentError("--tuples count must be >= 0")
         return sample_tuples(c.complex, c.k, count, seed)
-    doc = docio.read_doc(value)
-    docio._check_schema(doc, "tuple-input")
-    return [
-        tuple(docio.point_from_doc(p) for p in t)
-        for t in docio._need(doc, "tuples")
-    ]
+    return docio.tuples_from_doc(docio.read_doc(value))
 
 
 def _cmd_verify(args) -> int:
@@ -202,7 +197,7 @@ def _cmd_shutter(args) -> int:
         docio.write_doc(args.out, docio.audit_to_doc(state, args.seed))
     print(
         f"shutter: k={state.k} steps={state.step} |A|={len(state.A)} "
-        f"|B|={len(state.B)} records={len(state.audit)} all invariants held"
+        f"|B|={state.audit[-1].b_size} records={len(state.audit)} all invariants held"
     )
     return 0
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .backend import impl as _k
+from . import _pure as _k
 from .kernel import (
     DegenerateSegment,  # re-exported: normalization is where callers meet it
     GeometryError,

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .backend import impl as _k
+from . import _pure as _k
 from .complexes import SegmentComplex, contains_point, contains_segment, normalize
 from .kernel import (
     GeometryError,
@@ -60,6 +60,10 @@ class NotConvex(GeometryError):
 
 class GammaPlacementFailed(GeometryError):
     """No disjoint tail placement found within the amplitude schedule."""
+
+
+class SideConditionFailed(GeometryError):
+    """A structural side condition that the family's claims rely on fails."""
 
 
 _RETRY_LIMIT = 1000
@@ -233,13 +237,14 @@ def _fan_segments(p: PolygonSpec) -> Tuple[List[Segment], List[List[int]]]:
     return raw, groups
 
 
-def _assert_matching_is_diagonal(p: PolygonSpec) -> None:
+def _check_matching_is_diagonal(p: PolygonSpec) -> None:
     m = len(p.vertices)
     k1 = p.k + 1
     pos = {pt: idx for idx, pt in enumerate(p.vertices)}
     for i in range(k1):
         gap = (pos[p.b(i)] - pos[p.a(i - p.kappa)]) % m
-        assert gap not in (1, m - 1), "matching segment must be a diagonal"
+        if gap in (1, m - 1):
+            raise SideConditionFailed(f"matching segment {i} is not a diagonal")
 
 
 def _outward_normal(p: PolygonSpec, i: int) -> Tuple[Fraction, Fraction]:
@@ -305,13 +310,13 @@ def build_family(p: PolygonSpec, n: int = 2) -> Construction:
 
     n = 2 is the pure fan union; n > 2 additionally grows the tails,
     halving the lateral amplitude until all tails are pairwise disjoint.
-    Structural side conditions that the later claims rely on are asserted
-    after normalization.
+    Structural side conditions that the later claims rely on are checked
+    after normalization (SideConditionFailed).
     """
     if n < 2:
         raise GeometryError(f"n must be >= 2, got {n}")
     k1 = p.k + 1
-    _assert_matching_is_diagonal(p)
+    _check_matching_is_diagonal(p)
     raw, groups = _fan_segments(p)
 
     mids = tuple(_midpoint(p.b(i), p.a(i + 1)) for i in range(k1))
@@ -331,9 +336,10 @@ def build_family(p: PolygonSpec, n: int = 2) -> Construction:
                 raw.append(Segment(t[r], t[r + 1]))
 
     C = normalize(raw)
-    assert len(C.maximal_segments) == len(raw), (
-        "construction segments must survive normalization unmerged"
-    )
+    if len(C.maximal_segments) != len(raw):
+        raise SideConditionFailed(
+            "construction segments must survive normalization unmerged"
+        )
     where = {s: idx for idx, s in enumerate(C.maximal_segments)}
     B = tuple(tuple(sorted(where[raw[r]] for r in g)) for g in groups)
 
@@ -346,13 +352,14 @@ def build_family(p: PolygonSpec, n: int = 2) -> Construction:
             for s in C.maximal_segments
             if _k.on_seg(pk, s.p.key, s.q.key)
         ]
-        assert len(hits) == (1 if n == 2 else 2), (
-            "edge midpoint lies on unexpected segments"
-        )
+        if len(hits) != (1 if n == 2 else 2):
+            raise SideConditionFailed(
+                f"edge midpoint {i} lies on unexpected segments"
+            )
         # removed matching diagonal is genuinely absent
         am, bi = p.a(i - p.kappa), p.b(i)
-        assert not contains_segment(C, am, bi)
-        assert not contains_point(C, _midpoint(am, bi))
+        if contains_segment(C, am, bi) or contains_point(C, _midpoint(am, bi)):
+            raise SideConditionFailed(f"removed diagonal {i} is still covered")
 
     e = tuple(t[-1] for t in gamma) if n > 2 else mids
     return Construction(

@@ -108,6 +108,10 @@ def _check_schema(doc: Any, kind: str) -> Dict[str, Any]:
     return doc
 
 
+def _is_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def construction_from_doc(doc: Any) -> Construction:
     """Rebuild a Construction from its serialized geometry.
 
@@ -128,12 +132,16 @@ def construction_from_doc(doc: Any) -> Construction:
     kappa = _need(doc, "kappa")
     if kappa != k // 2:
         raise DocumentError(f"kappa must be {k // 2}, got {kappa!r}")
+    seed = _need(doc, "seed")
+    if not _is_int(seed):
+        raise DocumentError(f"seed must be an integer, got {seed!r}")
+    retry_count = _need(doc, "retry_count")
+    if not (_is_int(retry_count) and retry_count >= 0):
+        raise DocumentError(
+            f"retry_count must be a non-negative integer, got {retry_count!r}"
+        )
     poly = PolygonSpec(
-        k=k,
-        kappa=kappa,
-        vertices=vertices,
-        seed=_need(doc, "seed"),
-        retry_count=_need(doc, "retry_count"),
+        k=k, kappa=kappa, vertices=vertices, seed=seed, retry_count=retry_count
     )
     listed = [segment_from_doc(v) for v in _need(doc, "segments")]
     if not listed:
@@ -170,6 +178,21 @@ def construction_from_doc(doc: Any) -> Construction:
         n=n, k=k, polygon=poly, complex=complex_, B=tuple(fans),
         c=mids, gamma=gamma, e=e,
     )
+
+
+# ---------------------------------------------------------------------------
+# tuple-input documents
+
+
+def tuples_from_doc(doc: Any) -> List[Tuple[Point, ...]]:
+    """The point tuples of a tuple-input document."""
+    _check_schema(doc, "tuple-input")
+    tuples = _need(doc, "tuples")
+    if not isinstance(tuples, list) or not all(
+        isinstance(t, list) for t in tuples
+    ):
+        raise DocumentError("tuples must be a list of point lists")
+    return [tuple(point_from_doc(v) for v in t) for t in tuples]
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +314,7 @@ def audit_to_doc(s: ShutterState, seed: Optional[int] = None) -> Dict[str, Any]:
         "steps": s.step,
         "b0_size": s.b0_size,
         "a_final": [point_to_doc(p) for p in s.A],
-        "b_size_final": len(s.B),
+        "b_size_final": s.audit[-1].b_size,
         "records": [_step_record_to_doc(r) for r in s.audit],
     }
     if seed is not None:

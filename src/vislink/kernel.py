@@ -2,7 +2,7 @@
 
 Coordinates are arbitrary-precision rationals (fractions.Fraction); every
 operation is exact and deterministic, there is no floating point anywhere.
-The heavy lifting happens in the integer predicate core (see backend); this
+The heavy lifting happens in the integer predicate core (_pure); this
 module provides the typed value classes and thin wrappers.
 """
 
@@ -13,7 +13,7 @@ from enum import IntEnum
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple, Union
 
-from .backend import impl as _k
+from . import _pure as _k
 
 Rat = Fraction
 

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .backend import impl as _k
+from . import _pure as _k
 from .complexes import (
     OneSet,
     PointNotOnComplex,
@@ -30,7 +30,11 @@ from .complexes import (
     make_oneset,
     oneset_intersect,
 )
-from .kernel import Point, point_from_key
+from .kernel import GeometryError, Point, point_from_key
+
+
+class VerificationFailed(GeometryError):
+    """A mathematical claim check came out false."""
 
 
 @dataclass(frozen=True)
@@ -172,7 +176,8 @@ def n_visible(
         vertices.append(_meet_point(C, a, b))
     vertices.append(q)
     cert = PathCertificate(tuple(vertices), len(chain))
-    assert certificate_valid(C, cert, n)
+    if not certificate_valid(C, cert, n):
+        raise VerificationFailed(f"path certificate {p} -> {q} fails its re-check")
     return cert
 
 

@@ -22,7 +22,7 @@ viewer would have to see two distinct K-points via two distinct A-points
 blocked from the start), so it must be an intersection of two candidate
 sight lines; with fewer than k+1 admitted points no viewer exists at all.
 
-All hot loops run on plain integer tuples through the selected backend;
+All hot loops run on plain integer tuples in the predicate core (_pure);
 this module owns state, validation, auditing, and the public Point API.
 """
 
@@ -30,9 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .backend import impl as _k
+from . import _pure as _k
 from .kernel import GeometryError, Point
 from .rng import STREAM_KSET, STREAM_TUPLES, Stream, derive
 
@@ -76,7 +76,6 @@ class ShutterState:
         "k",
         "K",
         "A",
-        "B",
         "b0_size",
         "history",
         "step",
@@ -94,7 +93,6 @@ class ShutterState:
         self.k = k
         self.K = K
         self.A: List[Point] = []
-        self.B: Set[Point] = set()
         self.b0_size = 0
         self.history: List[Tuple[Tuple[Point, ...], Point]] = []
         self.step = 0
@@ -106,6 +104,11 @@ class ShutterState:
         self._zseen: Set[Tuple[int, int, int, int]] = set()
         self._lines: List[Tuple[int, int, int]] = []
         self._danger_done = 0
+
+    @property
+    def B(self) -> FrozenSet[Point]:
+        """The blocked axis points, built on demand from the integer set."""
+        return frozenset(_axis_point(b) for b in self._bset)
 
 
 def _axis_point(scalar: Tuple[int, int]) -> Point:
@@ -217,7 +220,6 @@ def init_state(K: Sequence[Point], first: Sequence[Point]) -> ShutterState:
             if kind == 1:
                 s._bset.add((n, d))
     s.b0_size = len(s._bset)
-    s.B = {_axis_point(b) for b in s._bset}
 
     fkeys = [p.key for p in first]
     z_scalar = None
@@ -244,7 +246,7 @@ def init_state(K: Sequence[Point], first: Sequence[Point]) -> ShutterState:
             step=0,
             tuple=first,
             z_new=0,
-            b_added=tuple(sorted(s.B)),
+            b_added=tuple(sorted(_axis_point(b) for b in s._bset)),
             a_added=tuple(added),
             witness=z,
             a_size=len(s.A),
@@ -279,13 +281,13 @@ def advance(s: ShutterState, tup: Sequence[Point]) -> ShutterState:
             f"step {s.step + 1}: crossing {bad} already sees all of K via A"
         )
     s._danger_done = len(s._lines)
-    s.B.update(_axis_point(b) for b in b_added)
 
     # witness sweep along the line through x = A[0] and the first tuple
     # point; never horizontal since x is on the axis and a_1 strictly below
     x = s.A[0]
     a1 = tup[0]
-    assert x.y == 0 and a1.y < 0
+    if x.y != 0:
+        raise InvariantViolation(f"step {s.step + 1}: A[0] = {x} is off the axis")
     rest_keys = [p.key for p in tup[1:]]
     m = 0
     while True:
@@ -301,7 +303,10 @@ def advance(s: ShutterState, tup: Sequence[Point]) -> ShutterState:
     old_len = len(s._alist)
     for a in rest_keys:
         c = _k.cross_lower(zkey, a)
-        assert c not in s._bset  # the sweep guaranteed this
+        if c in s._bset:  # the sweep rules this out
+            raise InvariantViolation(
+                f"step {s.step + 1}: witness sweep admitted blocked {c}"
+            )
         if _append_a(s, c):
             a_added.append(_axis_point(c))
     _extend_lines(s, old_len)

@@ -31,7 +31,13 @@ from .complexes import (
 )
 from .construct import Construction
 from .kernel import GeometryError, Point, Segment
-from .links import PathCertificate, common_viewer, link_region, n_visible
+from .links import (
+    PathCertificate,
+    VerificationFailed,
+    common_viewer,
+    link_region,
+    n_visible,
+)
 from .rng import STREAM_SAMPLE, STREAM_TUPLES, Stream, derive
 
 
@@ -45,10 +51,6 @@ class TupleNotOnComplex(GeometryError):
 
 class WrongArity(GeometryError):
     """Tuple size differs from k."""
-
-
-class VerificationFailed(GeometryError):
-    """A mathematical claim check came out false."""
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,10 @@ def verify_common_witness(
             f"no common viewer at all for tuple {tuple(pts)}"
         )
     paths = tuple(n_visible(c.complex, fallback, x, c.n) for x in pts)
-    assert all(p is not None for p in paths)
+    if any(p is None for p in paths):
+        raise VerificationFailed(
+            f"fallback viewer {fallback} misses a point of {tuple(pts)}"
+        )
     return WitnessReport(tuple(pts), fallback, paths, "exhaustive")
 
 

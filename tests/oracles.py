@@ -6,7 +6,7 @@ complex, so agreement with the package is a genuine cross-check.
 
 from collections import deque
 
-from vislink.backend import impl as _k
+from vislink import _pure as _k
 from vislink.kernel import on_segment, point_from_key
 
 

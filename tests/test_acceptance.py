@@ -7,17 +7,16 @@ clock on a laptop-class machine.
 """
 
 import time
-from fractions import Fraction
 
 import pytest
 
 from oracles import oracle_link_distances
-from vislink.backend import impl as _k
+from vislink import _pure as _k
 from vislink.cli import main
 from vislink.complexes import normalize
 from vislink.construct import build_family, make_polygon
 from vislink.docio import read_doc
-from vislink.kernel import Point, Segment, point
+from vislink.kernel import Segment, point
 from vislink.links import link_distance
 from vislink.rng import Stream, derive
 from vislink.shutter import (
@@ -138,7 +137,6 @@ def test_criterion_6_planted_common_viewer_is_detected():
             if kind == 1:
                 s._bset.add((n, d))
     s.b0_size = len(s._bset)
-    s.B = {Point(Fraction(n, d), Fraction(0)) for (n, d) in s._bset}
     for y in K:
         _append_a(s, _k.cross_lower(zstar.key, y.key))
     _extend_lines(s, 0)

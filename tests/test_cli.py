@@ -125,6 +125,27 @@ def test_verify_malformed_inputs(s22, tmp_path):
     assert run("verify", "--in", s22, "--tuples", "-3") == 2
 
 
+def test_verify_rejects_non_integer_seed(s22, tmp_path, capsys):
+    doc = read_doc(s22)
+    doc["seed"] = "x"
+    bad = str(tmp_path / "bad-seed.json")
+    write_doc(bad, doc)
+    capsys.readouterr()
+    assert run("verify", "--in", bad, "--tuples", 5) == 2
+    assert "seed must be an integer" in capsys.readouterr().err
+
+
+def test_verify_rejects_malformed_tuple_document(s22, tmp_path, capsys):
+    tpath = str(tmp_path / "tuples.json")
+    for tuples in (5, [5], None):
+        write_doc(tpath, {"schema": "1", "kind": "tuple-input", "tuples": tuples})
+        capsys.readouterr()
+        assert run("verify", "--in", s22, "--tuples", tpath) == 2
+        assert "tuples must be a list of point lists" in capsys.readouterr().err
+    write_doc(tpath, {"schema": "1", "kind": "construction", "tuples": []})
+    assert run("verify", "--in", s22, "--tuples", tpath) == 2
+
+
 # ---------------------------------------------------------------------------
 # shutter
 

@@ -1,5 +1,7 @@
 """Polygon generation, general-position checking, family assembly."""
 
+from dataclasses import replace
+
 import pytest
 
 from vislink import Segment, point
@@ -10,6 +12,7 @@ from vislink.construct import (
     KTooSmall,
     NotConvex,
     PolygonSpec,
+    SideConditionFailed,
     build_family,
     check_strong_general_position,
     make_polygon,
@@ -186,7 +189,7 @@ def test_tails_outside_polygon():
 
 
 def test_tails_pairwise_disjoint():
-    from vislink.backend import impl as _k
+    from vislink import _pure as _k
 
     c = build_family(make_polygon(3, seed=7), 5)
     tails = [
@@ -229,3 +232,11 @@ def test_build_family_deterministic():
 def test_n_too_small():
     with pytest.raises(GeometryError):
         build_family(make_polygon(2, seed=7), 1)
+
+
+def test_side_condition_failure_is_an_explicit_error():
+    # kappa = 0 pairs each b_i with its neighbour a_i: the removed matching
+    # segment would be a polygon edge, not a diagonal
+    p = make_polygon(2, seed=7)
+    with pytest.raises(SideConditionFailed):
+        build_family(replace(p, kappa=0))

@@ -92,6 +92,12 @@ def test_construction_document_validation():
         construction_from_doc(broken(fans=base["fans"][:-1]))
     with pytest.raises(DocumentError):
         construction_from_doc(broken(fans=[[99]] + base["fans"][1:]))
+    for bad in ("x", True, None, 1.5):
+        with pytest.raises(DocumentError):
+            construction_from_doc(broken(seed=bad))
+    for bad in (-1, False, "0"):
+        with pytest.raises(DocumentError):
+            construction_from_doc(broken(retry_count=bad))
     doc = json.loads(doc_bytes(base).decode())
     del doc["segments"]
     with pytest.raises(DocumentError):

@@ -124,7 +124,7 @@ def planted_state(zstar: Point) -> ShutterState:
     """State whose admitted set is exactly the crossings from zstar to K3,
     so zstar is a common viewer the scans must detect."""
     s = ShutterState(2, K3)
-    from vislink.backend import impl as _k
+    from vislink import _pure as _k
 
     for i in range(3):
         for j in range(i + 1, 3):
@@ -133,7 +133,6 @@ def planted_state(zstar: Point) -> ShutterState:
             if kind == 1:
                 s._bset.add((n, d))
     s.b0_size = len(s._bset)
-    s.B = {Point(Fraction(n, d), Fraction(0)) for (n, d) in s._bset}
     for y in K3:
         _append_a(s, _k.cross_lower(zstar.key, y.key))
     _extend_lines(s, 0)

@@ -1,7 +1,12 @@
 """Witness-formula and emptiness verification on generated families."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+
+import vislink
 
 import pytest
 
@@ -191,6 +196,37 @@ def test_corrupted_complex_fails_verification():
     )
     with pytest.raises(VerificationFailed):
         verify_targets_blocked(corrupted)
+
+
+_REJECTED_CERTIFICATE = """
+import sys
+import vislink.links as links
+from vislink.construct import build_family, make_polygon
+from vislink.verify import VerificationFailed, verify_common_witness
+
+assert sys.flags.optimize == 1
+links.certificate_valid = lambda *args, **kwargs: False
+c = build_family(make_polygon(3, 1), 3)
+try:
+    verify_common_witness(c, c.c[:3])
+except VerificationFailed:
+    print("raised")
+else:
+    print("returned")
+"""
+
+
+def test_rejected_certificate_raises_under_python_O():
+    # `python -O` strips assert statements, so the certificate re-check in
+    # n_visible must be an explicit raise to stay in force
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vislink.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _REJECTED_CERTIFICATE],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
 
 
 # ----------------------------------------------------------------- sampling
