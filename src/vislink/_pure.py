@@ -187,52 +187,58 @@ def _cross_zd(xn, yn, d, y):
     return norm2(num, den)
 
 
-def viewer_scan(ys, alist, aset, lines):
+def viewer_scan(ys, aset, lines, start):
     """First upper point seeing every y through admitted axis points.
 
     ys: the forbidden points (all strictly lower), in fixed order.
-    alist: admitted axis abscissae in insertion order; aset: same as a set.
-    lines: flat list, lines[u*len(ys) + i] = canonical line through
-    (alist[u], 0) and ys[i].
+    aset: the admitted axis abscissae as a set of scalars.
+    lines: flat list, lines[u*len(ys) + i] = canonical line through the
+    u-th admitted point and ys[i].
 
-    Scans candidates z = lines[u,i] x lines[v,j] over i < j, u != v in a
-    fixed order; a candidate counts when it is strictly upper and the
-    crossing of [z, ys[m]] is admitted for every other m. Returns the first
-    such z (canonical point) or None. Any point seeing all of ys through
-    the admitted set must see two of them through two distinct admitted
-    points (a shared one would lie on a line through two ys, and those
-    crossings are never admitted), so the scan is exhaustive.
+    Scans candidates z = lines[p] x lines[q] over q < p, p >= start, with
+    different forbidden points, in that order; a candidate counts when it
+    is strictly upper and the crossing of [z, ys[m]] is admitted for every
+    other m. Returns the first such z (canonical point) or None. Any point
+    seeing all of ys through the admitted set must see two of them through
+    two distinct admitted points (a shared one would lie on a line through
+    two ys, and those crossings are never admitted), so with start=0 the
+    scan is exhaustive. A larger start skips every pair of lines below it.
+    That is sound when each upper crossing of such a pair holds a
+    certificate that it is no viewer: the shutter passes the number of
+    lines its last danger_scan saw, and danger_scan gave each upper
+    crossing of those lines a blocked crossing toward some ys[m], which
+    can never be admitted while A and B stay disjoint.
     """
     k1 = len(ys)
-    na = len(alist)
-    if na < k1:
+    n = len(lines)
+    if n < k1 * k1:  # fewer admitted points than ys: no viewer
         return None
-    for i in range(k1):
-        for j in range(i + 1, k1):
-            for u in range(na):
-                a1, b1, c1 = lines[u * k1 + i]
-                for v in range(na):
-                    if v == u:
-                        continue
-                    a2, b2, c2 = lines[v * k1 + j]
-                    det = a1 * b2 - a2 * b1
-                    if det == 0:
-                        continue
-                    yn = a1 * c2 - a2 * c1
-                    if yn == 0 or (yn > 0) != (det > 0):
-                        continue
-                    xn = c1 * b2 - c2 * b1
-                    if det < 0:
-                        xn, yn, det = -xn, -yn, -det
-                    ok = True
-                    for m in range(k1):
-                        if m == i or m == j:
-                            continue
-                        if _cross_zd(xn, yn, det, ys[m]) not in aset:
-                            ok = False
-                            break
-                    if ok:
-                        return norm2(xn, det) + norm2(yn, det)
+    for p in range(start, n):
+        i = p % k1
+        a1, b1, c1 = lines[p]
+        for q in range(p):
+            j = q % k1
+            if j == i:
+                continue
+            a2, b2, c2 = lines[q]
+            det = a1 * b2 - a2 * b1
+            if det == 0:
+                continue
+            yn = a1 * c2 - a2 * c1
+            if yn == 0 or (yn > 0) != (det > 0):
+                continue
+            xn = c1 * b2 - c2 * b1
+            if det < 0:
+                xn, yn, det = -xn, -yn, -det
+            ok = True
+            for m in range(k1):
+                if m == i or m == j:
+                    continue
+                if _cross_zd(xn, yn, det, ys[m]) not in aset:
+                    ok = False
+                    break
+            if ok:
+                return norm2(xn, det) + norm2(yn, det)
     return None
 
 

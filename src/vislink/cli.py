@@ -23,6 +23,7 @@ from .render import render_construction
 from .shutter import (
     DegenerateK,
     InvariantViolation,
+    find_common_viewer,
     gen_kset,
     gen_tuples,
     run_schedule,
@@ -192,6 +193,14 @@ def _cmd_shutter(args) -> int:
     state = run_schedule(K, tuples)  # raises InvariantViolation on failure
     if not verify_history(state):
         print("shutter: a historical witness no longer verifies", file=sys.stderr)
+        return 1
+    # the steps scan only new sight-line pairs; re-check all pairs once
+    viewer = find_common_viewer(state)
+    if viewer is not None:
+        print(
+            f"shutter: final full scan found {viewer} seeing all of K via A",
+            file=sys.stderr,
+        )
         return 1
     if args.out:
         docio.write_doc(args.out, docio.audit_to_doc(state, args.seed))

@@ -112,6 +112,20 @@ def _is_int(v: Any) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _list_field(doc: Dict[str, Any], key: str) -> List[Any]:
+    v = _need(doc, key)
+    if not isinstance(v, list):
+        raise DocumentError(f"{key} must be a list, got {type(v).__name__}")
+    return v
+
+
+def _nested_list_field(doc: Dict[str, Any], key: str, what: str) -> List[List[Any]]:
+    v = _need(doc, key)
+    if not isinstance(v, list) or not all(isinstance(t, list) for t in v):
+        raise DocumentError(f"{key} must be a list of {what}")
+    return v
+
+
 def construction_from_doc(doc: Any) -> Construction:
     """Rebuild a Construction from its serialized geometry.
 
@@ -122,9 +136,9 @@ def construction_from_doc(doc: Any) -> Construction:
     _check_schema(doc, "construction")
     k = _need(doc, "k")
     n = _need(doc, "n")
-    if not (isinstance(k, int) and k >= 2 and isinstance(n, int) and n >= 2):
+    if not (_is_int(k) and k >= 2 and _is_int(n) and n >= 2):
         raise DocumentError(f"bad parameters k={k!r} n={n!r}")
-    vertices = tuple(point_from_doc(v) for v in _need(doc, "polygon"))
+    vertices = tuple(point_from_doc(v) for v in _list_field(doc, "polygon"))
     if len(vertices) != 2 * (k + 1):
         raise DocumentError(
             f"polygon needs {2 * (k + 1)} vertices, got {len(vertices)}"
@@ -143,19 +157,19 @@ def construction_from_doc(doc: Any) -> Construction:
     poly = PolygonSpec(
         k=k, kappa=kappa, vertices=vertices, seed=seed, retry_count=retry_count
     )
-    listed = [segment_from_doc(v) for v in _need(doc, "segments")]
+    listed = [segment_from_doc(v) for v in _list_field(doc, "segments")]
     if not listed:
         raise DocumentError("construction document lists no segments")
     complex_ = normalize(listed)
     where = {s: i for i, s in enumerate(complex_.maximal_segments)}
-    fans_doc = _need(doc, "fans")
+    fans_doc = _nested_list_field(doc, "fans", "index lists")
     if len(fans_doc) != k + 1:
         raise DocumentError(f"need {k + 1} fans, got {len(fans_doc)}")
     fans: List[Tuple[int, ...]] = []
     for g in fans_doc:
         idxs = []
         for j in g:
-            if not isinstance(j, int) or not 0 <= j < len(listed):
+            if not _is_int(j) or not 0 <= j < len(listed):
                 raise DocumentError(f"fan index {j!r} out of range")
             s = listed[j]
             if s not in where:
@@ -165,15 +179,23 @@ def construction_from_doc(doc: Any) -> Construction:
                 )
             idxs.append(where[s])
         fans.append(tuple(sorted(idxs)))
-    mids = tuple(point_from_doc(v) for v in _need(doc, "c"))
+    mids = tuple(point_from_doc(v) for v in _list_field(doc, "c"))
     gamma = tuple(
-        tuple(point_from_doc(v) for v in t) for t in _need(doc, "gamma")
+        tuple(point_from_doc(v) for v in t)
+        for t in _nested_list_field(doc, "gamma", "point lists")
     )
-    e = tuple(point_from_doc(v) for v in _need(doc, "e"))
+    e = tuple(point_from_doc(v) for v in _list_field(doc, "e"))
     if len(mids) != k + 1 or len(e) != k + 1:
         raise DocumentError("need k+1 marked points and k+1 targets")
     if gamma and len(gamma) != k + 1:
         raise DocumentError("tails must be absent or one per fan")
+    for t in gamma:
+        for p, q in zip(t, t[1:]):
+            if p == q or Segment(p, q) not in where:
+                raise DocumentError(
+                    f"tail segment {point_to_doc(p)}-{point_to_doc(q)} is "
+                    "not maximal in the listed complex"
+                )
     return Construction(
         n=n, k=k, polygon=poly, complex=complex_, B=tuple(fans),
         c=mids, gamma=gamma, e=e,
@@ -187,11 +209,7 @@ def construction_from_doc(doc: Any) -> Construction:
 def tuples_from_doc(doc: Any) -> List[Tuple[Point, ...]]:
     """The point tuples of a tuple-input document."""
     _check_schema(doc, "tuple-input")
-    tuples = _need(doc, "tuples")
-    if not isinstance(tuples, list) or not all(
-        isinstance(t, list) for t in tuples
-    ):
-        raise DocumentError("tuples must be a list of point lists")
+    tuples = _nested_list_field(doc, "tuples", "point lists")
     return [tuple(point_from_doc(v) for v in t) for t in tuples]
 
 
@@ -279,14 +297,15 @@ def shutter_input_from_doc(
     doc: Any,
 ) -> Tuple[Tuple[Point, ...], Optional[List[Tuple[Point, ...]]]]:
     _check_schema(doc, "shutter-input")
-    K = tuple(point_from_doc(v) for v in _need(doc, "K"))
+    K = tuple(point_from_doc(v) for v in _list_field(doc, "K"))
     k = _need(doc, "k")
-    if not isinstance(k, int) or len(K) != k + 1:
+    if not _is_int(k) or len(K) != k + 1:
         raise DocumentError(f"K size {len(K)} does not match k={k!r}")
     tuples = None
     if "tuples" in doc:
         tuples = [
-            tuple(point_from_doc(v) for v in t) for t in doc["tuples"]
+            tuple(point_from_doc(v) for v in t)
+            for t in _nested_list_field(doc, "tuples", "point lists")
         ]
     return K, tuples
 

@@ -22,6 +22,17 @@ viewer would have to see two distinct K-points via two distinct A-points
 blocked from the start), so it must be an intersection of two candidate
 sight lines; with fewer than k+1 admitted points no viewer exists at all.
 
+After the basis, each step scans only the pairs of sight lines that
+involve a line added in that step. The other pairs carry a certificate:
+the step's danger scan processed every upper crossing of two older lines
+and gave it a blocked crossing toward some K-point, and A and B are
+checked disjoint after every step, so that crossing is never admitted and
+the point never sees all of K. A viewer therefore lies on a new sight
+line, either because it was never processed or because its blocked
+crossing was admitted in this step (which the disjointness check also
+catches). find_common_viewer stays the full scan over all pairs; the CLI
+runs it once on the final state as an independent cross-check.
+
 All hot loops run on plain integer tuples in the predicate core (_pure);
 this module owns state, validation, auditing, and the public Point API.
 """
@@ -168,7 +179,10 @@ def find_common_viewer(s: ShutterState) -> Optional[Point]:
     outright (k+1 sight crossings over fewer admitted points would
     force a shared one). Returns the first viewer found, else None.
     """
-    got = _k.viewer_scan(s._ys, s._alist, s._aset, s._lines)
+    return _viewer_point(_k.viewer_scan(s._ys, s._aset, s._lines, 0))
+
+
+def _viewer_point(got: Optional[Tuple[int, int, int, int]]) -> Optional[Point]:
     if got is None:
         return None
     return Point(Fraction(got[0], got[1]), Fraction(got[2], got[3]))
@@ -184,7 +198,11 @@ def _check_invariants(s: ShutterState, context: str) -> bool:
         raise InvariantViolation(
             f"{context}: |A|={len(s.A)} exceeds bound {bound}"
         )
-    viewer = find_common_viewer(s)
+    # only pairs with a line added since the last danger scan (see the
+    # module docstring); the basis has _danger_done == 0, a full scan
+    viewer = _viewer_point(
+        _k.viewer_scan(s._ys, s._aset, s._lines, s._danger_done)
+    )
     if viewer is not None:
         raise InvariantViolation(
             f"{context}: upper point {viewer} sees all of K via A"
@@ -264,7 +282,8 @@ def advance(s: ShutterState, tup: Sequence[Point]) -> ShutterState:
     blocking one unadmitted crossing toward K for each; (3) sweep for a
     generic witness z on the line through the first admitted point and
     the tuple's first point; (4) admit the crossings of [z, a_i] for the
-    remaining tuple points. The full invariant suite runs before return.
+    remaining tuple points. The invariant suite runs before return, its
+    viewer scan over the pairs that involve the sight lines of phase (4).
     """
     tup = tuple(tup)
     if len(tup) != s.k:

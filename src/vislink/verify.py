@@ -53,6 +53,11 @@ class WrongArity(GeometryError):
     """Tuple size differs from k."""
 
 
+class PointOnNoPiece(GeometryError):
+    """A tuple point lies only on segments that no piece claims (the
+    construction's fans and tails do not cover its complex)."""
+
+
 @dataclass(frozen=True)
 class WitnessReport:
     """Common-viewer verification result for one k-tuple."""
@@ -119,7 +124,7 @@ def verify_common_witness(
                 assigned.add(i)
                 break
         else:
-            raise AssertionError("every maximal segment belongs to a piece")
+            raise PointOnNoPiece(f"{x} lies on no piece of the construction")
     j0 = min(i for i in range(c.k + 1) if i not in assigned)
     witness = c.polygon.a(witness_vertex_index(c.k, j0))
     paths = []

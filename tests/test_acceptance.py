@@ -6,10 +6,15 @@ checks are exact (rational arithmetic, zero tolerance). Budgets are wall
 clock on a laptop-class machine.
 """
 
+import hashlib
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import vislink
 from oracles import oracle_link_distances
 from vislink import _pure as _k
 from vislink.cli import main
@@ -160,3 +165,28 @@ def test_criterion_7_identical_seeds_give_byte_identical_artifacts(tmp_path):
     # sanity: the audit log really is a full record
     doc = read_doc(outs[0][2])
     assert len(doc["records"]) == 31
+
+
+def test_criterion_7_artifacts_are_identical_under_python_O(tmp_path):
+    # `python -O` strips assert statements; no artifact may depend on them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vislink.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    digests = []
+    for flags in ([], ["-O"]):
+        d = tmp_path / ("O" if flags else "plain")
+        d.mkdir()
+        doc, rep, audit = (str(d / f) for f in ("c.json", "r.json", "a.json"))
+        for argv in (
+            ["gen", "--k", "4", "--n", "3", "--seed", "42", "--out", doc],
+            ["verify", "--in", doc, "--tuples", "40", "--out", rep],
+            ["shutter", "--k", "2", "--steps", "30", "--seed", "42", "--out", audit],
+        ):
+            out = subprocess.run(
+                [sys.executable, *flags, "-m", "vislink", *argv],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert out.returncode == 0, out.stderr
+        digests.append(
+            [hashlib.sha256(open(f, "rb").read()).hexdigest() for f in (doc, rep, audit)]
+        )
+    assert digests[0] == digests[1]

@@ -5,12 +5,25 @@ Exit-code contract: 0 all checks pass, 1 a mathematical claim failed,
 gen writes a document, verify reads only that document.
 """
 
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vislink.cli import main
-from vislink.docio import read_doc, shutter_input_to_doc, write_doc
+from vislink.construct import build_family, make_polygon
+from vislink.docio import (
+    construction_to_doc,
+    read_doc,
+    shutter_input_to_doc,
+    write_doc,
+)
 from vislink.kernel import point
 
 K3 = (point(-1, -1), point(0, -2), point(1, -1))
@@ -146,6 +159,58 @@ def test_verify_rejects_malformed_tuple_document(s22, tmp_path, capsys):
     assert run("verify", "--in", s22, "--tuples", tpath) == 2
 
 
+@pytest.fixture()
+def s12(tmp_path):
+    path = str(tmp_path / "s12.json")
+    assert run("gen", "--k", 2, "--n", 2, "--seed", 1, "--out", path) == 0
+    return path
+
+
+def _edited(path, tmp_path, key, value):
+    doc = read_doc(path)
+    doc[key] = value
+    bad = str(tmp_path / f"bad-{key}.json")
+    write_doc(bad, doc)
+    return bad
+
+
+def _one_line_usage_error(capsys, *argv):
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    return err
+
+
+def test_verify_rejects_non_list_fans(s12, tmp_path, capsys):
+    bad = _edited(s12, tmp_path, "fans", 5)
+    assert "fans must be a list" in _one_line_usage_error(
+        capsys, "verify", "--in", bad, "--tuples", 5
+    )
+
+
+def test_verify_rejects_null_polygon(s12, tmp_path, capsys):
+    bad = _edited(s12, tmp_path, "polygon", None)
+    assert "polygon must be a list" in _one_line_usage_error(
+        capsys, "verify", "--in", bad, "--tuples", 5
+    )
+
+
+def test_verify_rejects_non_list_gamma(s12, tmp_path, capsys):
+    bad = _edited(s12, tmp_path, "gamma", 3)
+    assert "gamma must be a list" in _one_line_usage_error(
+        capsys, "verify", "--in", bad, "--tuples", 5
+    )
+
+
+def test_verify_rejects_non_list_marked_points(s12, tmp_path, capsys):
+    bad = _edited(s12, tmp_path, "c", 7)
+    assert "c must be a list" in _one_line_usage_error(
+        capsys, "verify", "--in", bad, "--tuples", 5
+    )
+
+
 # ---------------------------------------------------------------------------
 # shutter
 
@@ -175,6 +240,24 @@ def test_shutter_upper_point_is_usage_error(tmp_path):
     bad = (point(-1, -1), point(0, -2), point(1, 1))
     write_doc(path, shutter_input_to_doc(bad))
     assert run("shutter", "--in", path) == 2
+
+
+def test_shutter_rejects_non_list_k_set(tmp_path, capsys):
+    path = str(tmp_path / "input.json")
+    write_doc(path, shutter_input_to_doc(K3))
+    bad = _edited(path, tmp_path, "K", 5)
+    assert "K must be a list" in _one_line_usage_error(
+        capsys, "shutter", "--in", bad
+    )
+
+
+def test_shutter_rejects_non_list_tuples(tmp_path, capsys):
+    path = str(tmp_path / "input.json")
+    write_doc(path, shutter_input_to_doc(K3, [(point(-1, -3), point(2, -1))]))
+    bad = _edited(path, tmp_path, "tuples", 5)
+    assert "tuples must be a list of point lists" in _one_line_usage_error(
+        capsys, "shutter", "--in", bad
+    )
 
 
 def test_shutter_requires_k_or_input():
@@ -222,3 +305,70 @@ def test_byte_determinism(tmp_path):
         pairs.append((doc, svg, rep, audit))
     for a, b in zip(*pairs):
         assert open(a, "rb").read() == open(b, "rb").read()
+
+
+# ---------------------------------------------------------------------------
+# mutated input documents: a usage error or a verdict, never a crash
+
+# what `gen --k 2 --n 2 --seed 1` writes, and a two-tuple shutter input
+CONSTRUCTION_DOC = construction_to_doc(build_family(make_polygon(2, 1), 2))
+SHUTTER_DOC = shutter_input_to_doc(
+    K3, [(point(-1, -3), point(2, -1)), (point(3, -2), point(-2, -5))]
+)
+OTHER_VALUES = (None, 5, -1, True, 2.5, "x", "1/0", [], {})
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc with one node deleted, swapped for another type, nested in a
+    list, or (for a list) truncated. The node is found by a random walk
+    from the root; the root itself only loses a key."""
+    doc = copy.deepcopy(doc)
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node:
+        if parent is not None and draw(st.booleans()):
+            break
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, draw(st.sampled_from(keys))
+        node = parent[key]
+    op = draw(st.sampled_from(("delete", "swap", "nest", "truncate")))
+    if op == "delete":
+        del parent[key]
+    elif op == "swap":
+        parent[key] = draw(
+            st.sampled_from([v for v in OTHER_VALUES if type(v) is not type(node)])
+        )
+    elif op == "nest":
+        parent[key] = [node]
+    elif isinstance(node, list) and node:
+        parent[key] = node[: draw(st.integers(0, len(node) - 1))]
+    else:
+        del parent[key]
+    return doc
+
+
+def _run_on(doc, *argv):
+    """Exit code and stderr of one in-process command on doc as --in."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "in.json")
+        write_doc(path, doc)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([argv[0], "--in", path, *argv[1:]])
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated(CONSTRUCTION_DOC))
+def test_verify_survives_mutated_documents(doc):
+    code, err = _run_on(doc, "verify", "--tuples", "2")
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated(SHUTTER_DOC))
+def test_shutter_survives_mutated_documents(doc):
+    code, err = _run_on(doc, "shutter", "--steps", "3")
+    assert code in (0, 2), err
+    assert "Traceback" not in err

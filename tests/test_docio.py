@@ -98,6 +98,11 @@ def test_construction_document_validation():
     for bad in (-1, False, "0"):
         with pytest.raises(DocumentError):
             construction_from_doc(broken(retry_count=bad))
+    # a tail that leaves the listed complex
+    doc = construction_to_doc(small(n=3))
+    doc["gamma"][0][1] = doc["polygon"][3]
+    with pytest.raises(DocumentError, match="tail segment"):
+        construction_from_doc(doc)
     doc = json.loads(doc_bytes(base).decode())
     del doc["segments"]
     with pytest.raises(DocumentError):

@@ -4,6 +4,8 @@ four-way visibility case analysis."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vislink.kernel import Point, point
 from vislink.shutter import (
@@ -13,6 +15,7 @@ from vislink.shutter import (
     SameSideInput,
     ShutterState,
     _append_a,
+    _check_invariants,
     _extend_lines,
     advance,
     find_common_viewer,
@@ -149,6 +152,74 @@ def test_planted_viewer_trips_step_invariant():
     s = planted_state(point(0, 2))
     with pytest.raises(InvariantViolation):
         advance(s, (point(-3, -1), point(3, -1)))
+
+
+# ---------------------------------------------------------------------------
+# incremental step check against the full scan
+
+# small grid points, so schedules hit parallel and concurrent sight lines
+lower_points = st.builds(point, st.integers(-6, 6), st.integers(-6, -1))
+
+
+@st.composite
+def schedules(draw):
+    """(K, tuples): a (k+1)-set and 2-7 k-tuples of distinct lower points."""
+    k = draw(st.sampled_from((2, 3)))
+    K = draw(st.lists(lower_points, min_size=k + 1, max_size=k + 1, unique=True))
+    tuples = draw(
+        st.lists(
+            st.lists(lower_points, min_size=k, max_size=k, unique=True),
+            min_size=2,
+            max_size=7,
+        )
+    )
+    return tuple(K), tuples
+
+
+def run_checked(K, tuples):
+    """Run the schedule, asserting after every step that passed the
+    incremental check that the full scan finds no viewer either; returns
+    None at the first step that raises."""
+    try:
+        s = init_state(K, tuples[0])
+    except InvariantViolation:
+        return None
+    assert find_common_viewer(s) is None
+    for t in tuples[1:]:
+        try:
+            advance(s, t)
+        except InvariantViolation:
+            return None
+        assert find_common_viewer(s) is None
+    return s
+
+
+@settings(max_examples=100, deadline=None)
+@given(schedules())
+def test_incremental_check_agrees_with_full_scan(sched):
+    run_checked(*sched)
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedules(), st.integers(0, 10**6))
+def test_incremental_check_catches_an_admitted_blocked_crossing(sched, pick):
+    # corrupt a mid-run state: move one blocked crossing from B into A (one
+    # more step allowed, so only the viewer scan can object)
+    s = run_checked(*sched)
+    if s is None or not s._bset:
+        return
+    blocked = sorted(s._bset)
+    c = blocked[pick % len(blocked)]
+    s._bset.discard(c)
+    old_len = len(s._alist)
+    _append_a(s, c)
+    _extend_lines(s, old_len)
+    s.step += 1
+    if find_common_viewer(s) is None:
+        assert _check_invariants(s, "corrupt")
+    else:
+        with pytest.raises(InvariantViolation, match="sees all of K via A"):
+            _check_invariants(s, "corrupt")
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from vislink.links import certificate_valid
 from vislink.verify import (
     EmptinessReport,
     IndexOutOfRange,
+    PointOnNoPiece,
     TupleNotOnComplex,
     VerificationFailed,
     WrongArity,
@@ -124,6 +125,16 @@ def test_tuple_not_on_complex():
     c = build_family(make_polygon(2, seed=7))
     with pytest.raises(TupleNotOnComplex):
         verify_common_witness(c, [c.polygon.a(0), point(50, 50)])
+
+
+def test_point_on_no_piece_is_an_input_error():
+    # a construction whose fans do not cover its complex (as read from an
+    # edited document) is rejected, not certified
+    c = build_family(make_polygon(2, seed=7))
+    seg = c.complex.maximal_segments[c.B[1][0]]
+    uncovered = replace(c, B=(c.B[0], (), c.B[2]))
+    with pytest.raises(PointOnNoPiece):
+        verify_common_witness(uncovered, [c.polygon.a(0), lerp(seg, Fraction(1, 2))])
 
 
 def test_sampled_tuples_use_formula_witness():
