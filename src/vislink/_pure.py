@@ -30,12 +30,6 @@ def norm2(n, d):
     return (n // g, d // g)
 
 
-def cmp2(a, b):
-    """Sign of a - b for canonical scalars."""
-    t = a[0] * b[1] - b[0] * a[1]
-    return (t > 0) - (t < 0)
-
-
 def pt_cmp(p, q):
     """Lexicographic (x, then y) comparison of two points."""
     t = p[0] * q[1] - q[0] * p[1]

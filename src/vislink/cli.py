@@ -21,7 +21,6 @@ from .docio import DocumentError
 from .kernel import GeometryError
 from .render import render_construction
 from .shutter import (
-    DegenerateK,
     InvariantViolation,
     find_common_viewer,
     gen_kset,
@@ -35,12 +34,6 @@ from .verify import (
     verify_common_witness,
     verify_targets_blocked,
 )
-
-_USAGE_ERRORS = (
-    DocumentError,
-    DegenerateK,
-)
-
 
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -126,16 +119,7 @@ def _cmd_verify(args) -> int:
         ok = not rep.final.is_empty()
         if args.out:
             docio.write_doc(
-                args.out,
-                {
-                    "schema": docio.SCHEMA_VERSION,
-                    "kind": "drop-control-report",
-                    "k": c.k,
-                    "n": c.n,
-                    "dropped_target": args.drop_target,
-                    "report": docio.emptiness_report_to_doc(rep),
-                    "nonempty": ok,
-                },
+                args.out, docio.drop_control_doc(c.k, c.n, args.drop_target, rep)
             )
         if not ok:
             print(
@@ -240,11 +224,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (VerificationFailed, InvariantViolation) as e:
         print(f"{args.command}: claim failed: {e}", file=sys.stderr)
         return 1
-    except _USAGE_ERRORS as e:
-        print(f"{args.command}: {e}", file=sys.stderr)
-        return 2
-    except GeometryError as e:
-        # remaining domain errors (bad parameters, failed construction)
+    except (GeometryError, OSError) as e:
+        # bad input documents or parameters, a failed construction, or an
+        # output file that cannot be written
         print(f"{args.command}: {e}", file=sys.stderr)
         return 2
 

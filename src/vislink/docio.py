@@ -206,11 +206,17 @@ def construction_from_doc(doc: Any) -> Construction:
 # tuple-input documents
 
 
+def _tuples_field(doc: Dict[str, Any]) -> List[Tuple[Point, ...]]:
+    return [
+        tuple(point_from_doc(v) for v in t)
+        for t in _nested_list_field(doc, "tuples", "point lists")
+    ]
+
+
 def tuples_from_doc(doc: Any) -> List[Tuple[Point, ...]]:
     """The point tuples of a tuple-input document."""
     _check_schema(doc, "tuple-input")
-    tuples = _nested_list_field(doc, "tuples", "point lists")
-    return [tuple(point_from_doc(v) for v in t) for t in tuples]
+    return _tuples_field(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +256,8 @@ def verify_report_doc(
     seed: int,
     emptiness: EmptinessReport,
     witnesses: Sequence[WitnessReport],
-    drop_report: Optional[EmptinessReport] = None,
-    drop_index: Optional[int] = None,
 ) -> Dict[str, Any]:
-    doc: Dict[str, Any] = {
+    return {
         "schema": SCHEMA_VERSION,
         "kind": "verify-report",
         "k": k,
@@ -266,13 +270,21 @@ def verify_report_doc(
         ),
         "witnesses": [witness_report_to_doc(w) for w in witnesses],
     }
-    if drop_report is not None:
-        doc["drop_control"] = {
-            "dropped_target": drop_index,
-            "report": emptiness_report_to_doc(drop_report),
-            "nonempty": not drop_report.final.is_empty(),
-        }
-    return doc
+
+
+def drop_control_doc(
+    k: int, n: int, dropped: int, report: EmptinessReport
+) -> Dict[str, Any]:
+    """The positive control: the fold of every target but `dropped`."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "kind": "drop-control-report",
+        "k": k,
+        "n": n,
+        "dropped_target": dropped,
+        "report": emptiness_report_to_doc(report),
+        "nonempty": not report.final.is_empty(),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +313,7 @@ def shutter_input_from_doc(
     k = _need(doc, "k")
     if not _is_int(k) or len(K) != k + 1:
         raise DocumentError(f"K size {len(K)} does not match k={k!r}")
-    tuples = None
-    if "tuples" in doc:
-        tuples = [
-            tuple(point_from_doc(v) for v in t)
-            for t in _nested_list_field(doc, "tuples", "point lists")
-        ]
-    return K, tuples
+    return K, _tuples_field(doc) if "tuples" in doc else None
 
 
 def _step_record_to_doc(r: StepRecord) -> Dict[str, Any]:

@@ -112,15 +112,6 @@ class Line:
     def key(self) -> Tuple[int, int, int]:
         return (self.a, self.b, self.c)
 
-    def side(self, p: Point) -> int:
-        """Sign of a*x + b*y - c at p."""
-        t = (
-            self.a * p.x.numerator * p.y.denominator
-            + self.b * p.y.numerator * p.x.denominator
-            - self.c * p.x.denominator * p.y.denominator
-        )
-        return (t > 0) - (t < 0)
-
 
 def orientation(p: Point, q: Point, r: Point) -> Orientation:
     return Orientation(_k.orient(p.key, q.key, r.key))

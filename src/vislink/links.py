@@ -114,23 +114,33 @@ def link_region(C: SegmentComplex, p: Point, j: int) -> LinkRegion:
     return LinkRegion(p, j, region, idx)
 
 
-def link_distance(C: SegmentComplex, p: Point, q: Point) -> Optional[int]:
-    """Least number of links joining p to q inside the union; None when they
-    lie in different connected components."""
+def _search(C: SegmentComplex, p: Point, q: Point):
+    """The search behind link_distance and n_visible.
+
+    Returns (links, last, parent): the link distance from p to q (None
+    when disconnected) and, for paths of two or more links, the nearest
+    maximal segment through q (least index among ties) and the BFS
+    parents that lead from it back to a segment through p.
+    """
     sp = incident_segments(C, p)
     sq = incident_segments(C, q)
     if p == q:
-        return 0
-    qset = set(sq)
-    if any(i in qset for i in sp):
-        return 1
-    dist, _ = _bfs(C, sp)
-    best = None
-    for t in sq:
+        return 0, None, None
+    if not set(sp).isdisjoint(sq):
+        return 1, None, None
+    dist, parent = _bfs(C, sp)
+    links = last = None
+    for t in sq:  # ascending, so ties keep the least index
         d = dist[t]
-        if d is not None and (best is None or d < best):
-            best = d
-    return None if best is None else 1 + best
+        if d is not None and (links is None or d + 1 < links):
+            links, last = d + 1, t
+    return links, last, parent
+
+
+def link_distance(C: SegmentComplex, p: Point, q: Point) -> Optional[int]:
+    """Least number of links joining p to q inside the union; None when they
+    lie in different connected components."""
+    return _search(C, p, q)[0]
 
 
 def _meet_point(C: SegmentComplex, i: int, j: int) -> Point:
@@ -152,22 +162,14 @@ def n_visible(
     distance exceeds n (or the points are disconnected)."""
     if n < 1:
         raise ValueError("link bound must be >= 1")
-    sp = incident_segments(C, p)
-    sq = incident_segments(C, q)
-    if p == q:
-        return PathCertificate((p,), 0)
-    qset = set(sq)
-    if any(i in qset for i in sp):
-        return PathCertificate((p, q), 1)
-    dist, parent = _bfs(C, sp)
-    best = None
-    for t in sq:
-        d = dist[t]
-        if d is not None and (best is None or (d, t) < best):
-            best = (d, t)
-    if best is None or 1 + best[0] > n:
+    links, last, parent = _search(C, p, q)
+    if links is None or links > n:
         return None
-    chain = [best[1]]
+    if links == 0:
+        return PathCertificate((p,), 0)
+    if links == 1:
+        return PathCertificate((p, q), 1)
+    chain = [last]
     while parent[chain[-1]] is not None:
         chain.append(parent[chain[-1]])
     chain.reverse()  # segment through p first

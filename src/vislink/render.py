@@ -2,11 +2,12 @@
 
 Purely presentational: coordinates are rounded for drawing only and carry
 no verification weight. Each fan (with its outward tail, when present)
-gets one color from a fixed 16-entry palette, cycling when k + 1 > 16;
-polygon vertices are labeled a_i / b_i, edge midpoints are marked with
-crosses and outer tail endpoints with rings, matching the family's role
-assignments. Output depends only on the construction, so re-rendering the
-same document is byte-identical.
+gets one color from a fixed 16-entry palette, cycling when k + 1 > 16; a
+segment that no piece claims (only a hand-edited document has one) is
+drawn in neutral gray. Polygon vertices are labeled a_i / b_i, edge
+midpoints are marked with crosses and outer tail endpoints with rings,
+matching the family's role assignments. Output depends only on the
+construction, so re-rendering the same document is byte-identical.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ PALETTE = (
     "#c5b0d5",
     "#c49c94",
 )
+
+_NO_PIECE = "#999999"
 
 _SIZE = 720.0
 
@@ -76,7 +79,7 @@ def render_construction(c: Construction) -> str:
     out.append(f'<rect width="{int(_SIZE)}" height="{int(_SIZE)}" fill="white"/>')
 
     for j, s in enumerate(c.complex.maximal_segments):
-        color = PALETTE[piece_of[j] % len(PALETTE)]
+        color = PALETTE[piece_of[j] % len(PALETTE)] if j in piece_of else _NO_PIECE
         out.append(
             f'<line x1="{_fmt(sx(s.p.x))}" y1="{_fmt(sy(s.p.y))}" '
             f'x2="{_fmt(sx(s.q.x))}" y2="{_fmt(sy(s.q.y))}" '

@@ -30,21 +30,27 @@ checked disjoint after every step, so that crossing is never admitted and
 the point never sees all of K. A viewer therefore lies on a new sight
 line, either because it was never processed or because its blocked
 crossing was admitted in this step (which the disjointness check also
-catches). find_common_viewer stays the full scan over all pairs; the CLI
+catches). find_common_viewer is the full scan over all pairs; the CLI
 runs it once on the final state as an independent cross-check.
+
+The basis (init_state) and every step (advance) choose their witness by
+one sweep, each over its own candidate sequence, and admit its crossings
+by one path that also checks the invariants and writes the audit record.
 
 All hot loops run on plain integer tuples in the predicate core (_pure);
 this module owns state, validation, auditing, and the public Point API.
+The integer sets are the state; the Point views A and B are built from
+them on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import _pure as _k
-from .kernel import GeometryError, Point
+from .kernel import GeometryError, Point, point_from_key
 from .rng import STREAM_KSET, STREAM_TUPLES, Stream, derive
 
 
@@ -81,12 +87,16 @@ class StepRecord:
 
 
 class ShutterState:
-    """Mutable process state; modified in place by advance()."""
+    """Mutable process state; modified in place by advance().
+
+    ShutterState(K) validates the (k+1)-set K and blocks every axis
+    crossing of a line through two K-points (B0); A starts empty. The
+    integer sets are the only state; A and B are views built from them.
+    """
 
     __slots__ = (
         "k",
         "K",
-        "A",
         "b0_size",
         "history",
         "step",
@@ -100,11 +110,13 @@ class ShutterState:
         "_danger_done",
     )
 
-    def __init__(self, k: int, K: Tuple[Point, ...]):
-        self.k = k
+    def __init__(self, K: Sequence[Point]):
+        K = tuple(K)
+        if len(K) < 3:
+            raise DegenerateK("K needs at least 3 points (k >= 2)")
+        _check_lower_distinct(K, "K")
+        self.k = len(K) - 1
         self.K = K
-        self.A: List[Point] = []
-        self.b0_size = 0
         self.history: List[Tuple[Tuple[Point, ...], Point]] = []
         self.step = 0
         self.audit: List[StepRecord] = []
@@ -115,15 +127,23 @@ class ShutterState:
         self._zseen: Set[Tuple[int, int, int, int]] = set()
         self._lines: List[Tuple[int, int, int]] = []
         self._danger_done = 0
+        for i, yi in enumerate(self._ys):
+            for yj in self._ys[i + 1 :]:
+                kind, n, d = _k.axis_cross(_k.line3(yi, yj))
+                if kind == 1:
+                    self._bset.add((n, d))
+        self.b0_size = len(self._bset)
+
+    @property
+    def A(self) -> List[Point]:
+        """The admitted axis points in admission order, built on demand
+        from the integer list (a fresh list on every access)."""
+        return [point_from_key(a + (0, 1)) for a in self._alist]
 
     @property
     def B(self) -> FrozenSet[Point]:
         """The blocked axis points, built on demand from the integer set."""
-        return frozenset(_axis_point(b) for b in self._bset)
-
-
-def _axis_point(scalar: Tuple[int, int]) -> Point:
-    return Point(Fraction(scalar[0], scalar[1]), Fraction(0))
+        return frozenset(point_from_key(b + (0, 1)) for b in self._bset)
 
 
 def _scalar(x: Fraction) -> Tuple[int, int]:
@@ -144,17 +164,16 @@ def sees_via(z: Point, y: Point, A: Sequence[Point]) -> Optional[Point]:
         raise SameSideInput("need z strictly above and y strictly below")
     c = _k.cross_lower(z.key, y.key)
     admitted = {_scalar(p.x) for p in A if p.y == 0}
-    return _axis_point(c) if c in admitted else None
+    return point_from_key(c + (0, 1)) if c in admitted else None
 
 
 def _append_a(s: ShutterState, scalar: Tuple[int, int]) -> bool:
-    """Admit an axis point unless already present. Keeps mirrors in sync;
-    sight-line rows for it are appended by the caller."""
+    """Admit an axis point unless already present; sight-line rows for it
+    are appended by the caller."""
     if scalar in s._aset:
         return False
     s._aset.add(scalar)
     s._alist.append(scalar)
-    s.A.append(_axis_point(scalar))
     return True
 
 
@@ -168,24 +187,11 @@ def _extend_lines(s: ShutterState, from_index: int) -> None:
 
 
 def find_common_viewer(s: ShutterState) -> Optional[Point]:
-    """Exact finite search for an upper point seeing all of K via A.
-
-    Any such point must see two distinct K-points via two distinct
-    admitted points (a shared admitted point would lie on the line
-    through the two K-points, whose axis crossing was blocked at
-    initialization), so it is an intersection of two sight lines; the
-    scan enumerates those in a fixed order and checks the remaining
-    crossings by hash lookup. With |A| < k+1 a viewer is impossible
-    outright (k+1 sight crossings over fewer admitted points would
-    force a shared one). Returns the first viewer found, else None.
-    """
-    return _viewer_point(_k.viewer_scan(s._ys, s._aset, s._lines, 0))
-
-
-def _viewer_point(got: Optional[Tuple[int, int, int, int]]) -> Optional[Point]:
-    if got is None:
-        return None
-    return Point(Fraction(got[0], got[1]), Fraction(got[2], got[3]))
+    """Full exact scan for an upper point seeing all of K via A, over all
+    pairs of sight lines (why that suffices: see the module docstring).
+    Returns the first viewer found, else None."""
+    got = _k.viewer_scan(s._ys, s._aset, s._lines, 0)
+    return None if got is None else point_from_key(got)
 
 
 def _check_invariants(s: ShutterState, context: str) -> bool:
@@ -194,85 +200,111 @@ def _check_invariants(s: ShutterState, context: str) -> bool:
             f"{context}: A and B intersect at {sorted(s._aset & s._bset)[:3]}"
         )
     bound = s.k + s.step * (s.k - 1)
-    if len(s.A) > bound:
+    if len(s._alist) > bound:
         raise InvariantViolation(
-            f"{context}: |A|={len(s.A)} exceeds bound {bound}"
+            f"{context}: |A|={len(s._alist)} exceeds bound {bound}"
         )
     # only pairs with a line added since the last danger scan (see the
     # module docstring); the basis has _danger_done == 0, a full scan
-    viewer = _viewer_point(
-        _k.viewer_scan(s._ys, s._aset, s._lines, s._danger_done)
-    )
-    if viewer is not None:
+    got = _k.viewer_scan(s._ys, s._aset, s._lines, s._danger_done)
+    if got is not None:
         raise InvariantViolation(
-            f"{context}: upper point {viewer} sees all of K via A"
+            f"{context}: upper point {point_from_key(got)} sees all of K via A"
         )
     return True
 
 
-def init_state(K: Sequence[Point], first: Sequence[Point]) -> ShutterState:
-    """Induction basis: block all K-pair-line crossings, then admit the
-    crossings of one generic upper point's sight segments to `first`.
+def _check_tuple(
+    s: ShutterState, tup: Sequence[Point], what: str
+) -> Tuple[Point, ...]:
+    tup = tuple(tup)
+    if len(tup) != s.k:
+        raise DegenerateK(f"{what} must have k={s.k} points")
+    _check_lower_distinct(tup, what)
+    return tup
 
-    The witness z is the first sweep candidate (q, 1) for
-    q = 0, 1, -1, 2, -2, ... that avoids every line through a point of
-    `first` and a blocked point; avoidance is equivalent to the crossing
-    of [z, a] being unblocked for every tuple point a, which is one hash
-    lookup per point.
-    """
-    K = tuple(K)
-    if len(K) < 3:
-        raise DegenerateK("K needs at least 3 points (k >= 2)")
-    _check_lower_distinct(K, "K")
-    k = len(K) - 1
-    first = tuple(first)
-    if len(first) != k:
-        raise DegenerateK(f"first tuple must have k={k} points")
-    _check_lower_distinct(first, "first tuple")
 
-    s = ShutterState(k, K)
-    for i in range(k + 1):
-        for j in range(i + 1, k + 1):
-            l = _k.line3(s._ys[i], s._ys[j])
-            kind, n, d = _k.axis_cross(l)
-            if kind == 1:
-                s._bset.add((n, d))
-    s.b0_size = len(s._bset)
+def _sweep(
+    s: ShutterState,
+    candidates: Iterator[Tuple[int, int, int, int]],
+    keys: Sequence[Tuple[int, int, int, int]],
+) -> Tuple[int, int, int, int]:
+    """The first candidate witness z whose segments [z, a], for every a
+    in keys, cross the axis outside B (one hash lookup per point)."""
+    return next(
+        z
+        for z in candidates
+        if all(_k.cross_lower(z, a) not in s._bset for a in keys)
+    )
 
-    fkeys = [p.key for p in first]
-    z_scalar = None
-    q = 0
-    while True:
-        zkey = (q, 1, 1, 1)
-        if all(_k.cross_lower(zkey, a) not in s._bset for a in fkeys):
-            z_scalar = q
-            break
-        q = -q if q > 0 else -q + 1
-    z = Point(Fraction(z_scalar), Fraction(1))
-    zkey = z.key
 
-    added: List[Point] = []
-    for a in fkeys:
+def _admit(
+    s: ShutterState,
+    tup: Tuple[Point, ...],
+    zkey: Tuple[int, int, int, int],
+    keys: Sequence[Tuple[int, int, int, int]],
+    z_new: int,
+    b_added: Sequence[Tuple[int, int]],
+) -> ShutterState:
+    """Admit the crossings of [z, a] for a in keys, extend the sight lines,
+    check the invariants and append the audit record for s.step."""
+    context = f"step {s.step}" if s.step else "init"
+    old_len = len(s._alist)
+    a_added: List[Tuple[int, int]] = []
+    for a in keys:
         c = _k.cross_lower(zkey, a)
+        if c in s._bset:  # the sweep rules this out
+            raise InvariantViolation(f"{context}: witness sweep admitted blocked {c}")
         if _append_a(s, c):
-            added.append(_axis_point(c))
-    _extend_lines(s, 0)
-    s.history.append((first, z))
-    ok = _check_invariants(s, "init")
+            a_added.append(c)
+    _extend_lines(s, old_len)
+    z = point_from_key(zkey)
+    s.history.append((tup, z))
+    ok = _check_invariants(s, context)
     s.audit.append(
         StepRecord(
-            step=0,
-            tuple=first,
-            z_new=0,
-            b_added=tuple(sorted(_axis_point(b) for b in s._bset)),
-            a_added=tuple(added),
+            step=s.step,
+            tuple=tup,
+            z_new=z_new,
+            b_added=tuple(point_from_key(b + (0, 1)) for b in b_added),
+            a_added=tuple(point_from_key(c + (0, 1)) for c in a_added),
             witness=z,
-            a_size=len(s.A),
+            a_size=len(s._alist),
             b_size=len(s._bset),
             viewer_absent=ok,
         )
     )
     return s
+
+
+def _basis_candidates() -> Iterator[Tuple[int, int, int, int]]:
+    q = 0
+    while True:
+        yield (q, 1, 1, 1)
+        q = -q if q > 0 else -q + 1
+
+
+def _step_candidates(x: Fraction, a1: Point) -> Iterator[Tuple[int, int, int, int]]:
+    m = 1
+    while True:
+        yield Point(x + m * (x - a1.x), -m * a1.y).key
+        m += 1
+
+
+def init_state(K: Sequence[Point], first: Sequence[Point]) -> ShutterState:
+    """Induction basis: ShutterState(K) blocks all K-pair-line crossings,
+    then the crossings of one generic upper point's sight segments to
+    `first` are admitted.
+
+    The witness z is the first sweep candidate (q, 1) for
+    q = 0, 1, -1, 2, -2, ... whose sight segments to `first` all cross
+    the axis outside B.
+    """
+    s = ShutterState(K)
+    first = _check_tuple(s, first, "first tuple")
+    keys = [p.key for p in first]
+    blocked = sorted(s._bset, key=lambda b: Fraction(*b))
+    return _admit(s, first, _sweep(s, _basis_candidates(), keys), keys, 0, blocked)
 
 
 def advance(s: ShutterState, tup: Sequence[Point]) -> ShutterState:
@@ -281,15 +313,13 @@ def advance(s: ShutterState, tup: Sequence[Point]) -> ShutterState:
     Phases: (1)+(2) process every new upper crossing of two sight lines,
     blocking one unadmitted crossing toward K for each; (3) sweep for a
     generic witness z on the line through the first admitted point and
-    the tuple's first point; (4) admit the crossings of [z, a_i] for the
-    remaining tuple points. The invariant suite runs before return, its
-    viewer scan over the pairs that involve the sight lines of phase (4).
+    the tuple's first point (never horizontal, since that admitted point
+    is on the axis and the tuple point strictly below it); (4) admit the
+    crossings of [z, a_i] for the remaining tuple points. The invariant
+    suite runs before return, its viewer scan over the pairs that involve
+    the sight lines of phase (4).
     """
-    tup = tuple(tup)
-    if len(tup) != s.k:
-        raise DegenerateK(f"tuple must have k={s.k} points")
-    _check_lower_distinct(tup, "tuple")
-
+    tup = _check_tuple(s, tup, "tuple")
     zseen_before = len(s._zseen)
     b_added: List[Tuple[int, int]] = []
     bad = _k.danger_scan(
@@ -300,53 +330,10 @@ def advance(s: ShutterState, tup: Sequence[Point]) -> ShutterState:
             f"step {s.step + 1}: crossing {bad} already sees all of K via A"
         )
     s._danger_done = len(s._lines)
-
-    # witness sweep along the line through x = A[0] and the first tuple
-    # point; never horizontal since x is on the axis and a_1 strictly below
-    x = s.A[0]
-    a1 = tup[0]
-    if x.y != 0:
-        raise InvariantViolation(f"step {s.step + 1}: A[0] = {x} is off the axis")
-    rest_keys = [p.key for p in tup[1:]]
-    m = 0
-    while True:
-        zx = x.x + (m + 1) * (x.x - a1.x)
-        zy = (m + 1) * (0 - a1.y)
-        z = Point(zx, zy)
-        zkey = z.key
-        if all(_k.cross_lower(zkey, a) not in s._bset for a in rest_keys):
-            break
-        m += 1
-
-    a_added: List[Point] = []
-    old_len = len(s._alist)
-    for a in rest_keys:
-        c = _k.cross_lower(zkey, a)
-        if c in s._bset:  # the sweep rules this out
-            raise InvariantViolation(
-                f"step {s.step + 1}: witness sweep admitted blocked {c}"
-            )
-        if _append_a(s, c):
-            a_added.append(_axis_point(c))
-    _extend_lines(s, old_len)
-
+    keys = [p.key for p in tup[1:]]
+    zkey = _sweep(s, _step_candidates(Fraction(*s._alist[0]), tup[0]), keys)
     s.step += 1
-    s.history.append((tup, z))
-    ok = _check_invariants(s, f"step {s.step}")
-    s.audit.append(
-        StepRecord(
-            step=s.step,
-            tuple=tup,
-            z_new=len(s._zseen) - zseen_before,
-            b_added=tuple(_axis_point(b) for b in b_added),
-            a_added=tuple(a_added),
-            witness=z,
-            a_size=len(s.A),
-            b_size=len(s._bset),
-            viewer_absent=ok,
-        )
-    )
-    return s
+    return _admit(s, tup, zkey, keys, len(s._zseen) - zseen_before, b_added)
 
 
 def run_schedule(
@@ -370,9 +357,10 @@ def verify_history(s: ShutterState) -> bool:
     sees_via certificates are monotone in A, so all of them must still
     hold; used by the acceptance suite at end of run.
     """
+    A = s.A
     for tup, z in s.history:
         for a in tup:
-            if sees_via(z, a, s.A) is None:
+            if sees_via(z, a, A) is None:
                 return False
     return True
 
@@ -408,34 +396,25 @@ def sees_through_screen(x: Point, y: Point, A: Sequence[Point]) -> bool:
     return _k.cross_lower(upper.key, lower.key) in admitted
 
 
+def _draw_lower(stream: Stream, count: int) -> Tuple[Point, ...]:
+    """count distinct points strictly below the axis on the 1/16 grid."""
+    pts: List[Point] = []
+    while len(pts) < count:
+        x = Fraction(stream.below(4001) - 2000, 16)
+        p = Point(x, -Fraction(1 + stream.below(2000), 16))
+        if p not in pts:
+            pts.append(p)
+    return tuple(pts)
+
+
 def gen_kset(k: int, seed: int) -> Tuple[Point, ...]:
     """Deterministic distinguished (k+1)-set strictly below the axis."""
     if k < 2:
         raise DegenerateK(f"k must be >= 2, got {k}")
-    stream = Stream(derive(seed, STREAM_KSET))
-    pts: List[Point] = []
-    seen = set()
-    while len(pts) < k + 1:
-        x = Fraction(stream.below(4001) - 2000, 16)
-        y = -Fraction(1 + stream.below(2000), 16)
-        if (x, y) not in seen:
-            seen.add((x, y))
-            pts.append(Point(x, y))
-    return tuple(pts)
+    return _draw_lower(Stream(derive(seed, STREAM_KSET)), k + 1)
 
 
 def gen_tuples(k: int, count: int, seed: int) -> List[Tuple[Point, ...]]:
     """Deterministic stream of k-tuples of distinct lower points."""
     stream = Stream(derive(seed, STREAM_TUPLES))
-    out: List[Tuple[Point, ...]] = []
-    for _ in range(count):
-        pts: List[Point] = []
-        seen = set()
-        while len(pts) < k:
-            x = Fraction(stream.below(4001) - 2000, 16)
-            y = -Fraction(1 + stream.below(2000), 16)
-            if (x, y) not in seen:
-                seen.add((x, y))
-                pts.append(Point(x, y))
-        out.append(tuple(pts))
-    return out
+    return [_draw_lower(stream, k) for _ in range(count)]

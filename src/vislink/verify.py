@@ -24,8 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import (
     OneSet,
+    PointNotOnComplex,
     SegmentComplex,
-    contains_point,
     incident_segments,
     oneset_intersect,
 )
@@ -116,9 +116,10 @@ def verify_common_witness(
     pieces = piece_segment_indices(c)
     assigned = set()
     for x in pts:
-        if not contains_point(c.complex, x):
-            raise TupleNotOnComplex(f"{x} is not on the complex")
-        incident = set(incident_segments(c.complex, x))
+        try:
+            incident = set(incident_segments(c.complex, x))
+        except PointNotOnComplex:
+            raise TupleNotOnComplex(f"{x} is not on the complex") from None
         for i in range(c.k + 1):
             if pieces[i] & incident:
                 assigned.add(i)
@@ -175,21 +176,21 @@ def verify_targets_blocked(
     return EmptinessReport(tuple(targets), c.n, regions, tuple(trace), final)
 
 
+def _draw_on_complex(C: SegmentComplex, stream: Stream) -> Point:
+    """One on-complex point: a segment index and a rational parameter in
+    [0,1] drawn from the stream, in that order."""
+    s = C.maximal_segments[stream.below(len(C.maximal_segments))]
+    t = Fraction(stream.below(65537), 65536)
+    return Point(s.p.x + t * (s.q.x - s.p.x), s.p.y + t * (s.q.y - s.p.y))
+
+
 def sample_on_complex(
     C: SegmentComplex, count: int, seed: int
 ) -> List[Point]:
-    """Deterministic on-complex points: segment index and a rational
-    parameter in [0,1] drawn from the seeded mixing generator."""
+    """Deterministic on-complex points drawn from the seeded mixing
+    generator."""
     stream = Stream(derive(seed, STREAM_SAMPLE))
-    m = len(C.maximal_segments)
-    out: List[Point] = []
-    for _ in range(count):
-        s = C.maximal_segments[stream.below(m)]
-        t = Fraction(stream.below(65537), 65536)
-        out.append(
-            Point(s.p.x + t * (s.q.x - s.p.x), s.p.y + t * (s.q.y - s.p.y))
-        )
-    return out
+    return [_draw_on_complex(C, stream) for _ in range(count)]
 
 
 def sample_tuples(
@@ -197,15 +198,6 @@ def sample_tuples(
 ) -> List[Tuple[Point, ...]]:
     """Deterministic stream of k-tuples of on-complex points."""
     stream = Stream(derive(seed, STREAM_TUPLES))
-    m = len(C.maximal_segments)
-    out: List[Tuple[Point, ...]] = []
-    for _ in range(count):
-        pts = []
-        for _ in range(k):
-            s = C.maximal_segments[stream.below(m)]
-            t = Fraction(stream.below(65537), 65536)
-            pts.append(
-                Point(s.p.x + t * (s.q.x - s.p.x), s.p.y + t * (s.q.y - s.p.y))
-            )
-        out.append(tuple(pts))
-    return out
+    return [
+        tuple(_draw_on_complex(C, stream) for _ in range(k)) for _ in range(count)
+    ]

@@ -6,6 +6,7 @@ checks are exact (rational arithmetic, zero tolerance). Budgets are wall
 clock on a laptop-class machine.
 """
 
+import ast
 import hashlib
 import os
 import subprocess
@@ -41,13 +42,17 @@ K_VALUES = (2, 3, 4, 5, 6)
 GRID_SEED = 20260822
 
 
-@pytest.fixture(scope="module")
-def grid():
+def build_grid():
     return {
         (n, k): build_family(make_polygon(k, GRID_SEED), n)
         for n in N_VALUES
         for k in K_VALUES
     }
+
+
+@pytest.fixture(scope="module")
+def grid():
+    return build_grid()
 
 
 def test_criterion_1_grid_gen_verify_500_tuples_under_60s(tmp_path):
@@ -132,20 +137,49 @@ def test_criterion_5_shutter_200_steps_three_seeds_all_invariants():
             )
 
 
-def test_criterion_6_planted_common_viewer_is_detected():
-    K = (point(-1, -1), point(0, -2), point(1, -1))
-    zstar = point(0, 2)
-    s = ShutterState(2, K)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            kind, n, d = _k.axis_cross(_k.line3(s._ys[i], s._ys[j]))
-            if kind == 1:
-                s._bset.add((n, d))
-    s.b0_size = len(s._bset)
+def planted_state(K, zstar):
+    """State whose admitted set is exactly the crossings from zstar to K."""
+    s = ShutterState(K)
     for y in K:
         _append_a(s, _k.cross_lower(zstar.key, y.key))
     _extend_lines(s, 0)
+    return s
+
+
+def test_criterion_6_planted_common_viewer_is_detected():
+    K = (point(-1, -1), point(0, -2), point(1, -1))
+    zstar = point(0, 2)
+    s = planted_state(K, zstar)
     assert find_common_viewer(s) == zstar
+
+
+def test_criteria_3_and_6_hold_under_python_O():
+    # `python -O` strips assert statements, so the library code runs in a
+    # -O subprocess and its results are checked here, with asserts intact
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vislink.__file__)))
+    script = (
+        "import sys\n"
+        "import test_acceptance as t\n"
+        "from vislink.kernel import point\n"
+        "print(sys.flags.optimize)\n"
+        "grid = t.build_grid()\n"
+        "print({nk: len(c.complex.maximal_segments) for nk, c in grid.items()})\n"
+        "K = (point(-1, -1), point(0, -2), point(1, -1))\n"
+        "print(repr(t.find_common_viewer(t.planted_state(K, point(0, 2)))))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join((src, here))),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    optimize, counts, viewer = out.stdout.splitlines()
+    assert optimize == "1"
+    assert ast.literal_eval(counts) == {
+        (n, k): (k + 1) * k + (k + 1) * (n - 2) for n in N_VALUES for k in K_VALUES
+    }
+    assert viewer == repr(point(0, 2))
 
 
 def test_criterion_7_identical_seeds_give_byte_identical_artifacts(tmp_path):

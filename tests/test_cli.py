@@ -278,12 +278,44 @@ def test_render_from_document(s22, tmp_path):
     assert ">a0<" in text and ">b2<" in text
 
 
+def test_render_draws_a_segment_on_no_piece(s22, tmp_path):
+    doc = read_doc(s22)
+    a2, b0 = doc["polygon"][4], doc["polygon"][1]
+    doc["segments"].append(sorted([a2, b0]))  # as in the corruption control
+    bad = str(tmp_path / "corrupt.json")
+    write_doc(bad, doc)
+    svg = str(tmp_path / "fig.svg")
+    assert run("render", "--in", bad, "--svg-out", svg) == 0
+    assert open(svg).read().count("<line") == len(doc["segments"]) == 7
+
+
 def test_render_malformed_input(tmp_path):
     assert run("render", "--in", str(tmp_path / "nope.json"), "--svg-out", str(tmp_path / "x.svg")) == 2
 
 
 # ---------------------------------------------------------------------------
 # usage and determinism
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--k", 2, "--seed", 1, "--out", "{bad}"),
+        ("gen", "--k", 2, "--seed", 1, "--out", "{ok}", "--svg-out", "{bad}"),
+        ("verify", "--in", "{s12}", "--tuples", 3, "--out", "{bad}"),
+        ("verify", "--in", "{s12}", "--drop-target", 0, "--out", "{bad}"),
+        ("shutter", "--k", 2, "--steps", 2, "--out", "{bad}"),
+        ("render", "--in", "{s12}", "--svg-out", "{bad}"),
+    ],
+)
+def test_unwritable_output_is_a_usage_error(argv, s12, tmp_path, capsys):
+    paths = {
+        "bad": str(tmp_path / "no-such-dir" / "out"),
+        "ok": str(tmp_path / "ok.json"),
+        "s12": s12,
+    }
+    argv = [str(a).format(**paths) for a in argv]
+    assert paths["bad"] in _one_line_usage_error(capsys, *argv)
 
 
 def test_usage_errors():

@@ -86,8 +86,8 @@ def test_line_through_contains_both(p, q):
     if p == q:
         return
     l = line_through(p, q)
-    assert l.side(p) == 0
-    assert l.side(q) == 0
+    assert l.a * p.x + l.b * p.y == l.c
+    assert l.a * q.x + l.b * q.y == l.c
 
 
 def test_line_rejects_non_canonical():

@@ -2,12 +2,13 @@
 four-way visibility case analysis."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vislink.kernel import Point, point
+from vislink.kernel import Point, line_through, point, x_axis_crossing
 from vislink.shutter import (
     DegenerateK,
     InvariantViolation,
@@ -102,6 +103,40 @@ def test_init_validates_k_set():
         init_state(K3, (point(0, -5), point(0, 5)))
 
 
+def test_state_blocks_exactly_the_k_pair_crossings():
+    for K in (K3, gen_kset(3, seed=2), gen_kset(5, seed=8)):
+        s = ShutterState(K)
+        crossings = {
+            x_axis_crossing(line_through(p, q))[0] for p, q in combinations(K, 2)
+        }
+        assert s.B == crossings - {None}
+        assert s.b0_size == len(s.B)
+        assert s.k == len(K) - 1 and s.A == []
+    # K3's outer pair is horizontal and has no crossing
+    assert ShutterState(K3).B == {axis(-2), axis(2)}
+
+
+def test_state_rejects_degenerate_k_set():
+    with pytest.raises(DegenerateK):
+        ShutterState((point(0, -1), point(1, -1)))
+    with pytest.raises(DegenerateK):
+        ShutterState((point(0, -1), point(1, -1), point(0, -1)))
+    with pytest.raises(DegenerateK):
+        ShutterState((point(0, -1), point(1, -1), point(2, 1)))
+    with pytest.raises(DegenerateK):
+        ShutterState((point(0, -1), point(1, -1), point(2, 0)))
+
+
+def test_a_is_a_read_only_view():
+    s = init_state(K3, FIRST)
+    view = s.A
+    view.append(axis(5))
+    view.clear()
+    assert s.A == [axis(Fraction(-1, 4)), axis(1)]
+    assert s._alist == [(-1, 4), (1, 1)]
+    assert find_common_viewer(s) is None
+
+
 def test_init_audit_record():
     s = init_state(K3, FIRST)
     rec = s.audit[0]
@@ -126,16 +161,9 @@ def test_no_viewer_with_fewer_admitted_than_forbidden():
 def planted_state(zstar: Point) -> ShutterState:
     """State whose admitted set is exactly the crossings from zstar to K3,
     so zstar is a common viewer the scans must detect."""
-    s = ShutterState(2, K3)
+    s = ShutterState(K3)
     from vislink import _pure as _k
 
-    for i in range(3):
-        for j in range(i + 1, 3):
-            l = _k.line3(s._ys[i], s._ys[j])
-            kind, n, d = _k.axis_cross(l)
-            if kind == 1:
-                s._bset.add((n, d))
-    s.b0_size = len(s._bset)
     for y in K3:
         _append_a(s, _k.cross_lower(zstar.key, y.key))
     _extend_lines(s, 0)
