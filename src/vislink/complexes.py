@@ -7,6 +7,15 @@ segment. That reduction is what makes 1-link visibility a common-maximal-
 segment test, and it is why the intersection graph over maximal segments is
 the whole story for link distances.
 
+Point location runs on integers. Next to its maximal segments a complex
+keeps their endpoint keys (the predicate core's (xn, xd, yn, yd) tuples)
+and canonical lines, plus an index from each line to the segments on it.
+A point t lies on segment i exactly when it satisfies the integer line
+equation a*xn*yd + b*yn*xd == c*xd*yd of lines[i] and falls inside the
+segment's bounding box. A segment [p, q] lies in the union exactly when
+one maximal segment on the line through p and q contains both endpoints,
+so the line index leaves only the few segments on that line to check.
+
 OneSet is the small algebra of viewer regions: finitely many segments plus
 isolated points, closed under exact pairwise intersection. Canonical form
 is non-redundant rather than disjoint: no two collinear components touch or
@@ -17,7 +26,7 @@ regions routinely contain whole pencils of segments through one point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _pure as _k
@@ -65,16 +74,27 @@ def _merge_collinear(segs: Iterable[Segment]) -> List[Segment]:
     return out
 
 
+Key = Tuple[int, int, int, int]
+LineKey = Tuple[int, int, int]
+
+
 @dataclass(frozen=True)
 class SegmentComplex:
     """Normalized union of segments plus its intersection graph.
 
     adjacency[i] holds the indices of maximal segments whose closed hulls
-    meet maximal_segments[i] (i itself excluded).
+    meet maximal_segments[i] (i itself excluded). keys[i] is the integer
+    endpoint pair and lines[i] the canonical line of maximal_segments[i];
+    by_line maps each line to the ascending indices of the maximal
+    segments on it. These three are derived from maximal_segments, so
+    equality ignores them.
     """
 
     maximal_segments: Tuple[Segment, ...]
     adjacency: Tuple[frozenset, ...]
+    keys: Tuple[Tuple[Key, Key], ...] = field(compare=False, repr=False)
+    lines: Tuple[LineKey, ...] = field(compare=False, repr=False)
+    by_line: Dict[LineKey, Tuple[int, ...]] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.maximal_segments)
@@ -91,33 +111,61 @@ def normalize(raw: Sequence[Segment]) -> SegmentComplex:
         raise EmptyInput("no segments")
     maximal = _merge_collinear(segs)
     m = len(maximal)
+    keys = tuple((s.p.key, s.q.key) for s in maximal)
+    lines = tuple(_k.line3(p, q) for p, q in keys)
+    # Maximal segments on one line never touch (they would have merged),
+    # so two of them meet exactly when their lines cross at a point inside
+    # both bounding boxes. That point is (xn/det, yn/det) with det > 0,
+    # unreduced, which in_box accepts.
     adj: List[set] = [set() for _ in range(m)]
-    keys = [(s.p.key, s.q.key) for s in maximal]
+    in_box = _k.in_box
     for i in range(m):
+        a1, b1, c1 = lines[i]
         pi, qi = keys[i]
         for j in range(i + 1, m):
-            pj, qj = keys[j]
-            if _k.seg_meet(pi, qi, pj, qj)[0] != 0:
+            a2, b2, c2 = lines[j]
+            det = a1 * b2 - a2 * b1
+            if det == 0:
+                continue
+            xn = c1 * b2 - c2 * b1
+            yn = a1 * c2 - a2 * c1
+            if det < 0:
+                xn, yn, det = -xn, -yn, -det
+            t = (xn, det, yn, det)
+            if in_box(t, pi, qi) and in_box(t, *keys[j]):
                 adj[i].add(j)
                 adj[j].add(i)
-    return SegmentComplex(tuple(maximal), tuple(frozenset(a) for a in adj))
+    by_line: Dict[LineKey, List[int]] = {}
+    for i, line in enumerate(lines):
+        by_line.setdefault(line, []).append(i)
+    return SegmentComplex(
+        tuple(maximal),
+        tuple(frozenset(a) for a in adj),
+        keys,
+        lines,
+        {line: tuple(idx) for line, idx in by_line.items()},
+    )
+
+
+def _through(C: SegmentComplex, t: Key) -> List[int]:
+    """Ascending indices of the maximal segments through the point t."""
+    xn, xd, yn, yd = t
+    u, v, w = xn * yd, yn * xd, xd * yd
+    in_box = _k.in_box
+    return [
+        i
+        for i, ((a, b, c), (p, q)) in enumerate(zip(C.lines, C.keys))
+        if a * u + b * v == c * w and in_box(t, p, q)
+    ]
 
 
 def contains_point(C: SegmentComplex, p: Point) -> bool:
-    pk = p.key
-    return any(
-        _k.on_seg(pk, s.p.key, s.q.key) for s in C.maximal_segments
-    )
+    return bool(_through(C, p.key))
 
 
 def incident_segments(C: SegmentComplex, p: Point) -> List[int]:
     """Indices of all maximal segments through p; error if there are none."""
-    pk = p.key
-    found = [
-        i
-        for i, s in enumerate(C.maximal_segments)
-        if _k.on_seg(pk, s.p.key, s.q.key)
-    ]
+    found = _through(C, p.key)
     if not found:
         raise PointNotOnComplex(f"{p} is not on the complex")
     return found
@@ -129,14 +177,16 @@ def contains_segment(C: SegmentComplex, p: Point, q: Point) -> bool:
     After normalization this is exactly "some single maximal segment
     contains both": a straight in-union segment cannot bridge the gap
     between two distinct collinear maximal segments, and transversal
-    segments cover only isolated points of its line.
+    segments cover only isolated points of its line. Such a segment lies
+    on the line through p and q, so only the segments the line index
+    lists for that line need the interval check.
     """
-    pk, qk = p.key, q.key
     if p == q:
         return contains_point(C, p)
-    for s in C.maximal_segments:
-        a, b = s.p.key, s.q.key
-        if _k.on_seg(pk, a, b) and _k.on_seg(qk, a, b):
+    pk, qk = p.key, q.key
+    for i in C.by_line.get(_k.line3(pk, qk), ()):
+        a, b = C.keys[i]
+        if _k.in_box(pk, a, b) and _k.in_box(qk, a, b):
             return True
     return False
 
@@ -164,16 +214,21 @@ class OneSet:
         return p in self.points or any(on_segment(p, s) for s in self.segments)
 
 
+def _segment_keys(segs: Iterable[Segment]) -> List[Tuple[Key, Key]]:
+    return [(s.p.key, s.q.key) for s in segs]
+
+
 def make_oneset(
     segments: Iterable[Segment] = (), points: Iterable[Point] = ()
 ) -> OneSet:
     """Canonicalize: merge collinear touching segments, drop points lying
     on kept segments, deduplicate, sort."""
     segs = _merge_collinear(segments) if segments else []
+    keys = _segment_keys(segs)
     kept: List[Point] = []
     for p in sorted(set(points)):
         pk = p.key
-        if not any(_k.on_seg(pk, s.p.key, s.q.key) for s in segs):
+        if not any(_k.on_seg(pk, a, b) for a, b in keys):
             kept.append(p)
     return OneSet(tuple(segs), tuple(kept))
 
@@ -186,21 +241,23 @@ def oneset_intersect(X: OneSet, Y: OneSet) -> OneSet:
     """Exact point-set intersection of two canonical OneSets."""
     segs: List[Segment] = []
     pts: List[Point] = []
-    for sx in X.segments:
-        a, b = sx.p.key, sx.q.key
-        for sy in Y.segments:
-            kind, payload = _k.seg_meet(a, b, sy.p.key, sy.q.key)
+    xkeys = _segment_keys(X.segments)
+    ykeys = _segment_keys(Y.segments)
+    for a, b in xkeys:
+        for c, d in ykeys:
+            kind, payload = _k.seg_meet(a, b, c, d)
             if kind == 1:
                 pts.append(point_from_key(payload))
             elif kind == 2:
                 lo, hi = payload
                 segs.append(Segment(point_from_key(lo), point_from_key(hi)))
-    for sx in X.segments:
+    for a, b in xkeys:
         for py in Y.points:
-            if on_segment(py, sx):
+            if _k.on_seg(py.key, a, b):
                 pts.append(py)
     for px in X.points:
-        if any(on_segment(px, sy) for sy in Y.segments):
+        pk = px.key
+        if any(_k.on_seg(pk, c, d) for c, d in ykeys):
             pts.append(px)
         if px in Y.points:
             pts.append(px)

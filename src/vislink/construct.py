@@ -30,10 +30,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _pure as _k
-from .complexes import SegmentComplex, contains_point, contains_segment, normalize
+from .complexes import (
+    OneSet,
+    PointNotOnComplex,
+    SegmentComplex,
+    contains_point,
+    contains_segment,
+    incident_segments,
+    normalize,
+)
 from .kernel import (
     GeometryError,
     Orientation,
@@ -41,8 +50,8 @@ from .kernel import (
     Segment,
     on_segment,
     orientation,
-    point_from_key,
 )
+from .links import SearchTree, link_region, search_tree
 from .rng import STREAM_POLYGON, Stream, derive
 
 
@@ -92,7 +101,12 @@ class PolygonSpec:
 
 @dataclass(frozen=True)
 class Construction:
-    """A generated family member with all features indexed."""
+    """A generated family member with all features indexed.
+
+    What verification and rendering derive from the geometry is built once
+    per construction, on first use, and kept on it: the pieces, one search
+    tree per formula witness and the targets' link regions.
+    """
 
     n: int
     k: int
@@ -102,6 +116,35 @@ class Construction:
     c: Tuple[Point, ...]
     gamma: Tuple[Tuple[Point, ...], ...]
     e: Tuple[Point, ...]
+
+    @cached_property
+    def pieces(self) -> Tuple[frozenset, ...]:
+        """Maximal-segment indices of each piece C_i = B_i plus its tail."""
+        where: Dict[Segment, int] = {
+            s: idx for idx, s in enumerate(self.complex.maximal_segments)
+        }
+        out = []
+        for i in range(self.k + 1):
+            idxs = set(self.B[i])
+            if self.gamma:
+                t = self.gamma[i]
+                for r in range(len(t) - 1):
+                    idxs.add(where[Segment(t[r], t[r + 1])])
+            out.append(frozenset(idxs))
+        return tuple(out)
+
+    @cached_property
+    def witness_trees(self) -> Tuple[SearchTree, ...]:
+        """The search tree from each polygon vertex a_m, m = 0..k: the
+        candidates for the formula witness of a tuple."""
+        return tuple(
+            search_tree(self.complex, self.polygon.a(m)) for m in range(self.k + 1)
+        )
+
+    @cached_property
+    def target_regions(self) -> Tuple[OneSet, ...]:
+        """The n-link region of each distinguished target e_i."""
+        return tuple(link_region(self.complex, t, self.n).region for t in self.e)
 
 
 def _diagonal_index_pairs(m: int) -> List[Tuple[int, int]]:
@@ -133,23 +176,22 @@ def check_strong_general_position(
         if o != Orientation.CW:
             raise NotConvex(f"vertex triple at index {i} does not turn clockwise")
     diags = _diagonal_index_pairs(m)
-    vertex_set = set(verts)
-    hits: Dict[Point, List[Tuple[int, int]]] = {}
+    keys = [v.key for v in verts]
+    vertex_keys = set(keys)
+    # crossing point key -> diagonals through it, in order of discovery;
+    # keys of canonical scalars are equal exactly when the points are
+    hits: Dict[Tuple[int, int, int, int], List[Tuple[int, int]]] = {}
     for di in range(len(diags)):
         i1, j1 = diags[di]
-        s1 = Segment(verts[i1], verts[j1])
+        p1, q1 = keys[i1], keys[j1]
         for dj in range(di + 1, len(diags)):
             i2, j2 = diags[dj]
             if len({i1, j1, i2, j2}) < 4:
                 continue  # shared vertex: contact is on the boundary
-            s2 = Segment(verts[i2], verts[j2])
-            kind, payload = _k.seg_meet(s1.p.key, s1.q.key, s2.p.key, s2.q.key)
+            kind, z = _k.seg_meet(p1, q1, keys[i2], keys[j2])
             if kind == 2:
                 raise NotConvex("collinear overlapping diagonals")
-            if kind != 1:
-                continue
-            z = point_from_key(payload)
-            if z in vertex_set:
+            if kind != 1 or z in vertex_keys:
                 continue
             bucket = hits.setdefault(z, [])
             for d in (diags[di], diags[dj]):
@@ -346,12 +388,10 @@ def build_family(p: PolygonSpec, n: int = 2) -> Construction:
     for i in range(k1):
         # midpoint of each kept boundary edge lies on exactly that edge,
         # plus the base tail edge when tails are present
-        pk = mids[i].key
-        hits = [
-            s
-            for s in C.maximal_segments
-            if _k.on_seg(pk, s.p.key, s.q.key)
-        ]
+        try:
+            hits = incident_segments(C, mids[i])
+        except PointNotOnComplex:
+            hits = []
         if len(hits) != (1 if n == 2 else 2):
             raise SideConditionFailed(
                 f"edge midpoint {i} lies on unexpected segments"

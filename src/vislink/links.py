@@ -11,18 +11,26 @@ intersection graph of maximal segments:
 
 Minimal paths bend only where two maximal segments meet, which keeps all
 certificates exact and rational.
+
+Every path comes from one search in two parts. search_tree builds the BFS
+tree from the maximal segments through a source point; tree_path looks a
+target up in it (the p == q exit, then the nearest segment through the
+target, least index among ties, and the parent chain back to the source)
+and re-checks the certificate it builds. n_visible and link_distance pair
+the two for one query; a caller that certifies many targets from one
+source (the verifier's formula witnesses) builds the tree once and looks
+every target up in it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import _pure as _k
 from .complexes import (
     OneSet,
-    PointNotOnComplex,
     SegmentComplex,
     contains_point,
     contains_segment,
@@ -74,6 +82,28 @@ def certificate_valid(
     return len(set(inner)) == len(inner)
 
 
+class SearchTree:
+    """BFS over the intersection graph from the maximal segments through
+    source: dist[i] is the graph distance of segment i from them and
+    parent[i] its predecessor (None for the seeds and unreached segments).
+
+    A plain class because the package builds it at every import, where a
+    NamedTuple costs about 17 times as much and a dataclass about 100.
+    """
+
+    __slots__ = ("source", "dist", "parent")
+
+    def __init__(
+        self,
+        source: Point,
+        dist: Tuple[Optional[int], ...],
+        parent: Tuple[Optional[int], ...],
+    ):
+        self.source = source
+        self.dist = dist
+        self.parent = parent
+
+
 def _bfs(C: SegmentComplex, seeds: Sequence[int]):
     """Deterministic multi-source BFS over the intersection graph.
 
@@ -97,81 +127,85 @@ def _bfs(C: SegmentComplex, seeds: Sequence[int]):
     return dist, parent
 
 
+def search_tree(C: SegmentComplex, p: Point) -> SearchTree:
+    """The search tree from p; PointNotOnComplex when p is off the union."""
+    dist, parent = _bfs(C, incident_segments(C, p))
+    return SearchTree(p, tuple(dist), tuple(parent))
+
+
+def _lookup(tree: SearchTree, q: Point, through_q: Sequence[int]):
+    """Link distance from the tree's source to q (None when disconnected)
+    and the nearest segment through q, least index among ties.
+
+    through_q lists the segments through q in ascending order. A segment
+    at distance 0 contains the source too, so one link suffices.
+    """
+    if tree.source == q:
+        return 0, None
+    links = last = None
+    for t in through_q:  # ascending, so ties keep the least index
+        d = tree.dist[t]
+        if d is not None and (links is None or d + 1 < links):
+            links, last = d + 1, t
+    return links, last
+
+
 def link_region(C: SegmentComplex, p: Point, j: int) -> LinkRegion:
     """Exact region R_j(p); R_0 = {p}, R_j for j >= 1 is a union of full
     maximal segments (those within graph distance j-1 of a segment
     through p)."""
     if j < 0:
         raise ValueError("radius must be >= 0")
-    seeds = incident_segments(C, p)  # raises PointNotOnComplex
+    tree = search_tree(C, p)  # raises PointNotOnComplex
     if j == 0:
         return LinkRegion(p, 0, OneSet((), (p,)), frozenset())
-    dist, _ = _bfs(C, seeds)
     idx = frozenset(
-        i for i, d in enumerate(dist) if d is not None and d <= j - 1
+        i for i, d in enumerate(tree.dist) if d is not None and d <= j - 1
     )
     region = make_oneset([C.maximal_segments[i] for i in sorted(idx)])
     return LinkRegion(p, j, region, idx)
 
 
-def _search(C: SegmentComplex, p: Point, q: Point):
-    """The search behind link_distance and n_visible.
-
-    Returns (links, last, parent): the link distance from p to q (None
-    when disconnected) and, for paths of two or more links, the nearest
-    maximal segment through q (least index among ties) and the BFS
-    parents that lead from it back to a segment through p.
-    """
-    sp = incident_segments(C, p)
-    sq = incident_segments(C, q)
-    if p == q:
-        return 0, None, None
-    if not set(sp).isdisjoint(sq):
-        return 1, None, None
-    dist, parent = _bfs(C, sp)
-    links = last = None
-    for t in sq:  # ascending, so ties keep the least index
-        d = dist[t]
-        if d is not None and (links is None or d + 1 < links):
-            links, last = d + 1, t
-    return links, last, parent
-
-
 def link_distance(C: SegmentComplex, p: Point, q: Point) -> Optional[int]:
     """Least number of links joining p to q inside the union; None when they
     lie in different connected components."""
-    return _search(C, p, q)[0]
+    return _lookup(search_tree(C, p), q, incident_segments(C, q))[0]
 
 
 def _meet_point(C: SegmentComplex, i: int, j: int) -> Point:
     """The single point where two distinct maximal segments meet."""
-    a = C.maximal_segments[i]
-    b = C.maximal_segments[j]
-    kind, payload = _k.seg_meet(a.p.key, a.q.key, b.p.key, b.q.key)
+    (a, b), (c, d) = C.keys[i], C.keys[j]
+    kind, payload = _k.seg_meet(a, b, c, d)
     if kind != 1:
-        raise AssertionError(
-            "normalized maximal segments must meet in at most one point"
+        raise VerificationFailed(
+            f"maximal segments {i} and {j} do not meet in a single point"
         )
     return point_from_key(payload)
 
 
-def n_visible(
-    C: SegmentComplex, p: Point, q: Point, n: int
+def tree_path(
+    C: SegmentComplex,
+    tree: SearchTree,
+    q: Point,
+    n: int,
+    through_q: Optional[Sequence[int]] = None,
 ) -> Optional[PathCertificate]:
-    """A verified certificate with at most n links, or None when the link
-    distance exceeds n (or the points are disconnected)."""
-    if n < 1:
-        raise ValueError("link bound must be >= 1")
-    links, last, parent = _search(C, p, q)
+    """A verified certificate from the tree's source to q with at most n
+    links, or None when the link distance exceeds n (or the points are
+    disconnected). through_q, when given, must be incident_segments(C, q)."""
+    if through_q is None:
+        through_q = incident_segments(C, q)
+    links, last = _lookup(tree, q, through_q)
     if links is None or links > n:
         return None
+    p = tree.source
     if links == 0:
         return PathCertificate((p,), 0)
     if links == 1:
         return PathCertificate((p, q), 1)
     chain = [last]
-    while parent[chain[-1]] is not None:
-        chain.append(parent[chain[-1]])
+    while tree.parent[chain[-1]] is not None:
+        chain.append(tree.parent[chain[-1]])
     chain.reverse()  # segment through p first
     vertices = [p]
     for a, b in zip(chain, chain[1:]):
@@ -181,6 +215,16 @@ def n_visible(
     if not certificate_valid(C, cert, n):
         raise VerificationFailed(f"path certificate {p} -> {q} fails its re-check")
     return cert
+
+
+def n_visible(
+    C: SegmentComplex, p: Point, q: Point, n: int
+) -> Optional[PathCertificate]:
+    """A verified certificate with at most n links, or None when the link
+    distance exceeds n (or the points are disconnected)."""
+    if n < 1:
+        raise ValueError("link bound must be >= 1")
+    return tree_path(C, search_tree(C, p), q, n)
 
 
 def common_viewer(

@@ -158,13 +158,23 @@ def _check_lower_distinct(pts: Sequence[Point], what: str) -> None:
             raise DegenerateK(f"{what} point {p} is not strictly below the axis")
 
 
-def sees_via(z: Point, y: Point, A: Sequence[Point]) -> Optional[Point]:
-    """Axis crossing of [z, y] if it is an admitted point, else None."""
+def _admitted(A: Iterable[Point]) -> Set[Tuple[int, int]]:
+    """Abscissae of the axis points of A, as canonical scalars."""
+    return {_scalar(p.x) for p in A if p.y == 0}
+
+
+def _crossing(z: Point, y: Point) -> Tuple[int, int]:
+    """Axis crossing abscissa of [z, y] for z strictly upper, y strictly
+    lower."""
     if z.y <= 0 or y.y >= 0:
         raise SameSideInput("need z strictly above and y strictly below")
-    c = _k.cross_lower(z.key, y.key)
-    admitted = {_scalar(p.x) for p in A if p.y == 0}
-    return point_from_key(c + (0, 1)) if c in admitted else None
+    return _k.cross_lower(z.key, y.key)
+
+
+def sees_via(z: Point, y: Point, A: Sequence[Point]) -> Optional[Point]:
+    """Axis crossing of [z, y] if it is an admitted point, else None."""
+    c = _crossing(z, y)
+    return point_from_key(c + (0, 1)) if c in _admitted(A) else None
 
 
 def _append_a(s: ShutterState, scalar: Tuple[int, int]) -> bool:
@@ -355,14 +365,11 @@ def verify_history(s: ShutterState) -> bool:
     """Re-check every stored witness against the final A.
 
     sees_via certificates are monotone in A, so all of them must still
-    hold; used by the acceptance suite at end of run.
+    hold; used by the acceptance suite at end of run. The admitted set is
+    built once from the Point view A and serves every check.
     """
-    A = s.A
-    for tup, z in s.history:
-        for a in tup:
-            if sees_via(z, a, A) is None:
-                return False
-    return True
+    admitted = _admitted(s.A)
+    return all(_crossing(z, a) in admitted for tup, z in s.history for a in tup)
 
 
 def sees_through_screen(x: Point, y: Point, A: Sequence[Point]) -> bool:
@@ -375,7 +382,7 @@ def sees_through_screen(x: Point, y: Point, A: Sequence[Point]) -> bool:
     Two axis points: true iff they are equal (the screen is finite, so it
     contains no axis segment).
     """
-    admitted = {_scalar(p.x) for p in A if p.y == 0}
+    admitted = _admitted(A)
 
     def on_axis(p: Point) -> bool:
         if p.y != 0:

@@ -8,6 +8,12 @@ link budget. The verifier computes that witness and certifies every path;
 an exhaustive region-intersection search exists only as a fallback and its
 use is reported as a failure of the formula.
 
+The k+1 possible witnesses are fixed by the construction, so each gets one
+search tree per construction (Construction.witness_trees), as do the pieces
+and the targets' regions. Certifying a tuple point is then a lookup in the
+witness's tree plus a walk up its parent chain, and every multi-link path
+still passes the independent certificate_valid re-check.
+
 Negative claim: the k+1 distinguished targets (edge midpoints c_i when
 n = 2, outer tail endpoints otherwise) have no common viewer. This is
 checked by exact emptiness of the fold of their n-link regions, with the
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .complexes import (
     OneSet,
@@ -30,13 +36,13 @@ from .complexes import (
     oneset_intersect,
 )
 from .construct import Construction
-from .kernel import GeometryError, Point, Segment
+from .kernel import GeometryError, Point
 from .links import (
     PathCertificate,
     VerificationFailed,
     common_viewer,
-    link_region,
     n_visible,
+    tree_path,
 )
 from .rng import STREAM_SAMPLE, STREAM_TUPLES, Stream, derive
 
@@ -86,20 +92,9 @@ def witness_vertex_index(k: int, untouched: int) -> int:
     return (untouched - k // 2) % (k + 1)
 
 
-def piece_segment_indices(c: Construction) -> List[frozenset]:
+def piece_segment_indices(c: Construction) -> Tuple[frozenset, ...]:
     """Maximal-segment indices of each piece C_i = B_i plus its tail."""
-    where: Dict[Segment, int] = {
-        s: idx for idx, s in enumerate(c.complex.maximal_segments)
-    }
-    out: List[frozenset] = []
-    for i in range(c.k + 1):
-        idxs = set(c.B[i])
-        if c.gamma:
-            t = c.gamma[i]
-            for r in range(len(t) - 1):
-                idxs.add(where[Segment(t[r], t[r + 1])])
-        out.append(frozenset(idxs))
-    return out
+    return c.pieces
 
 
 def verify_common_witness(
@@ -113,29 +108,31 @@ def verify_common_witness(
     """
     if len(pts) != c.k:
         raise WrongArity(f"need exactly k={c.k} points, got {len(pts)}")
-    pieces = piece_segment_indices(c)
+    pieces = c.pieces
     assigned = set()
+    through = []
     for x in pts:
         try:
-            incident = set(incident_segments(c.complex, x))
+            incident = incident_segments(c.complex, x)
         except PointNotOnComplex:
             raise TupleNotOnComplex(f"{x} is not on the complex") from None
         for i in range(c.k + 1):
-            if pieces[i] & incident:
+            if not pieces[i].isdisjoint(incident):
                 assigned.add(i)
                 break
         else:
             raise PointOnNoPiece(f"{x} lies on no piece of the construction")
+        through.append(incident)
     j0 = min(i for i in range(c.k + 1) if i not in assigned)
-    witness = c.polygon.a(witness_vertex_index(c.k, j0))
+    tree = c.witness_trees[witness_vertex_index(c.k, j0)]
     paths = []
-    for x in pts:
-        cert = n_visible(c.complex, witness, x, c.n)
+    for x, incident in zip(pts, through):
+        cert = tree_path(c.complex, tree, x, c.n, incident)
         if cert is None:
             break
         paths.append(cert)
     if len(paths) == len(pts):
-        return WitnessReport(tuple(pts), witness, tuple(paths), "proof-formula")
+        return WitnessReport(tuple(pts), tree.source, tuple(paths), "proof-formula")
     fallback = common_viewer(c.complex, list(pts), c.n)
     if fallback is None:
         raise VerificationFailed(
@@ -159,12 +156,13 @@ def verify_targets_blocked(
     the fold is returned as-is; by the positive claim it should then be
     non-empty, which callers assert as the adversarial control.
     """
+    if drop_index is not None and not 0 <= drop_index <= c.k:
+        raise IndexOutOfRange(f"drop index {drop_index} outside 0..{c.k}")
     targets = list(c.e)
+    regions = list(c.target_regions)
     if drop_index is not None:
-        if not 0 <= drop_index <= c.k:
-            raise IndexOutOfRange(f"drop index {drop_index} outside 0..{c.k}")
         targets.pop(drop_index)
-    regions = tuple(link_region(c.complex, t, c.n).region for t in targets)
+        regions.pop(drop_index)
     trace: List[OneSet] = []
     for r in regions:
         trace.append(r if not trace else oneset_intersect(trace[-1], r))
@@ -173,7 +171,9 @@ def verify_targets_blocked(
         raise VerificationFailed(
             f"targets have a common {c.n}-link viewer: {final.least_point()}"
         )
-    return EmptinessReport(tuple(targets), c.n, regions, tuple(trace), final)
+    return EmptinessReport(
+        tuple(targets), c.n, tuple(regions), tuple(trace), final
+    )
 
 
 def _draw_on_complex(C: SegmentComplex, stream: Stream) -> Point:

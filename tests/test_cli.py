@@ -126,6 +126,28 @@ def test_verify_corrupted_document_fails(s22, tmp_path):
     assert run("verify", "--in", bad, "--tuples", 5) == 1
 
 
+def test_path_through_overlapping_segments_is_a_claim_failure(
+    s12, monkeypatch, capsys
+):
+    # two maximal segments of a normalized complex meet in at most one
+    # point; a kernel reporting an overlap where a path bends must fail the
+    # claim with one line, not escape as a traceback
+    from types import SimpleNamespace
+
+    from vislink import _pure, links
+
+    overlapping = SimpleNamespace(**vars(_pure))
+    overlapping.seg_meet = lambda p1, q1, p2, q2: (2, (p1, q1))
+    monkeypatch.setattr(links, "_k", overlapping)
+    capsys.readouterr()
+    assert run("verify", "--in", s12, "--tuples", 20) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert "claim failed" in lines[0] and "single point" in lines[0]
+
+
 def test_verify_malformed_inputs(s22, tmp_path):
     assert run("verify", "--in", str(tmp_path / "missing.json")) == 2
     doc = read_doc(s22)

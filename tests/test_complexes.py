@@ -279,3 +279,102 @@ def test_normalize_preserves_membership(pairs, probe):
     C = normalize(raws)
     p = point(probe[0], probe[1])
     assert contains_point(C, p) == any(on_segment(p, r) for r in raws)
+
+
+# ------------------------------------------- fast paths against brute force
+#
+# Point location reads the integer keys, lines and line index kept on the
+# complex, and normalize finds adjacency from the lines. Each is checked
+# against the exact Point/Segment predicates over maximal_segments.
+
+_small = st.integers(min_value=-3, max_value=3)
+_vertical = st.tuples(_small, _small, _small).filter(lambda t: t[1] != t[2]).map(
+    lambda t: [((t[0], t[1]), (t[0], t[2]))]
+)
+_horizontal = st.tuples(_small, _small, _small).filter(lambda t: t[1] != t[2]).map(
+    lambda t: [((t[1], t[0]), (t[2], t[0]))]
+)
+# two or three collinear pieces, each starting where the last one ends
+_touching = st.tuples(
+    st.tuples(_small, _small),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(lambda d: d != (0, 0)),
+    st.integers(min_value=2, max_value=3),
+).map(
+    lambda t: [
+        (
+            (t[0][0] + r * t[1][0], t[0][1] + r * t[1][1]),
+            (t[0][0] + (r + 1) * t[1][0], t[0][1] + (r + 1) * t[1][1]),
+        )
+        for r in range(t[2])
+    ]
+)
+_general = st.tuples(st.tuples(_small, _small), st.tuples(_small, _small)).filter(
+    lambda t: t[0] != t[1]
+).map(lambda t: [t])
+_complex_raws = st.lists(
+    st.one_of(_vertical, _horizontal, _touching, _general), min_size=1, max_size=6
+).map(lambda groups: [seg(*a, *b) for g in groups for a, b in g])
+# probes on the half-integer grid hit endpoints, interiors and crossings
+_probe = st.tuples(
+    st.integers(min_value=-16, max_value=16), st.integers(min_value=-16, max_value=16)
+).map(lambda t: point(Fraction(t[0], 2), Fraction(t[1], 2)))
+
+
+def _brute_through(C, p):
+    return [i for i, s in enumerate(C.maximal_segments) if on_segment(p, s)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complex_raws, st.lists(_probe, min_size=1, max_size=8))
+def test_point_location_matches_brute_scan(raws, probes):
+    C = normalize(raws)
+    for s in C.maximal_segments:
+        probes += [s.p, s.q, _lerp(s, Fraction(1, 3))]
+    for p in probes:
+        want = _brute_through(C, p)
+        assert contains_point(C, p) == bool(want)
+        if want:
+            assert incident_segments(C, p) == want
+        else:
+            with pytest.raises(PointNotOnComplex):
+                incident_segments(C, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complex_raws, st.lists(st.tuples(_probe, _probe), min_size=1, max_size=8))
+def test_contains_segment_matches_brute_scan(raws, pairs):
+    C = normalize(raws)
+    for s in C.maximal_segments:
+        # inside, then running past either end along the segment's line
+        pairs += [
+            (s.p, s.q),
+            (s.q, _lerp(s, Fraction(1, 2))),
+            (s.p, _lerp(s, Fraction(3, 2))),
+            (_lerp(s, -1), s.q),
+        ]
+    for p, q in pairs:
+        if p == q:
+            want = bool(_brute_through(C, p))
+        else:
+            want = any(
+                on_segment(p, s) and on_segment(q, s) for s in C.maximal_segments
+            )
+        assert contains_segment(C, p, q) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complex_raws)
+def test_adjacency_matches_segment_intersection(raws):
+    from vislink.kernel import segments_intersection
+
+    C = normalize(raws)
+    segs = C.maximal_segments
+    want = tuple(
+        frozenset(
+            j
+            for j in range(len(segs))
+            if j != i and segments_intersection(segs[i], segs[j]) is not None
+        )
+        for i in range(len(segs))
+    )
+    assert C.adjacency == want

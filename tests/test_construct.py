@@ -1,8 +1,12 @@
 """Polygon generation, general-position checking, family assembly."""
 
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vislink import Segment, point
 from vislink.complexes import contains_point, contains_segment, incident_segments
@@ -17,7 +21,12 @@ from vislink.construct import (
     check_strong_general_position,
     make_polygon,
 )
-from vislink.kernel import GeometryError, Orientation, orientation
+from vislink.kernel import (
+    GeometryError,
+    Orientation,
+    orientation,
+    segments_intersection,
+)
 
 
 def hand_spec(coords, k):
@@ -103,6 +112,82 @@ def test_quadrilateral_precondition():
     spec = hand_spec([(1, 1), (1, -1), (-1, -1), (-1, 1)], k=1)
     with pytest.raises(KTooSmall):
         check_strong_general_position(spec)
+
+
+def _reference_general_position(spec):
+    """The concurrency scan on Segment and Point values: pairs of
+    diagonals in order, crossing points bucketed by Point."""
+    verts = spec.vertices
+    m = len(verts)
+    diags = [
+        (i, j)
+        for i in range(m)
+        for j in range(i + 1, m)
+        if (j - i) % m not in (1, m - 1)
+    ]
+    hits = {}
+    for di, (i1, j1) in enumerate(diags):
+        for i2, j2 in diags[di + 1:]:
+            if len({i1, j1, i2, j2}) < 4:
+                continue
+            z = segments_intersection(
+                Segment(verts[i1], verts[j1]), Segment(verts[i2], verts[j2])
+            )
+            if z is None or z in verts:
+                continue
+            bucket = hits.setdefault(z, [])
+            for d in ((i1, j1), (i2, j2)):
+                if d not in bucket:
+                    bucket.append(d)
+            if len(bucket) >= 3:
+                return False, tuple(sorted(bucket[:3]))
+    return True, None
+
+
+def _on_circle(t):
+    return point((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+
+
+def _through_center(p, o):
+    """The second point where the line from p (on the unit circle)
+    through o meets the circle."""
+    dx, dy = o.x - p.x, o.y - p.y
+    s = -2 * (p.x * dx + p.y * dy) / (dx * dx + dy * dy)
+    return point(p.x + s * dx, p.y + s * dy)
+
+
+_param = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_param, min_size=3, max_size=4, unique=True),
+    st.lists(_param, min_size=0, max_size=2, unique=True),
+    st.tuples(
+        st.fractions(min_value=-Fraction(1, 3), max_value=Fraction(1, 3),
+                     max_denominator=7),
+        st.fractions(min_value=-Fraction(1, 3), max_value=Fraction(1, 3),
+                     max_denominator=7),
+    ),
+)
+def test_general_position_matches_reference_on_planted_concurrency(
+    chords, extra, center
+):
+    # chords of the unit circle through one inner point o: at least three
+    # diagonals of the inscribed polygon are concurrent at o
+    o = point(*center)
+    pts = []
+    for t in chords:
+        p = _on_circle(t)
+        pts += [p, _through_center(p, o)]
+    pts += [_on_circle(t) for t in extra]
+    assume(len(set(pts)) == len(pts) and len(pts) % 2 == 0)
+    # clockwise around the origin, which lies inside the polygon
+    pts.sort(key=lambda p: -math.atan2(p.y, p.x))
+    spec = hand_spec([(p.x, p.y) for p in pts], k=len(pts) // 2 - 1)
+    got = check_strong_general_position(spec)
+    assert got == _reference_general_position(spec)
+    assert not got[0]
 
 
 # ------------------------------------------------------------ build_family

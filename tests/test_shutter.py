@@ -290,6 +290,20 @@ def test_witnesses_remain_valid():
             assert sees_via(z, a, s.A) is not None
 
 
+def test_verify_history_rejects_a_moved_witness():
+    s = init_state(K3, FIRST)
+    for t in gen_tuples(2, 8, seed=3):
+        advance(s, t)
+    tup, z = s.history[-1]
+    moved = point(z.x + Fraction(1, 7), z.y)
+    assert any(sees_via(moved, a, s.A) is None for a in tup)
+    s.history[-1] = (tup, moved)
+    assert not verify_history(s)
+    s.history[-1] = (tup, point(z.x, -z.y))  # a witness below the axis
+    with pytest.raises(SameSideInput):
+        verify_history(s)
+
+
 def test_advance_rejects_bad_tuples():
     s = init_state(K3, FIRST)
     with pytest.raises(DegenerateK):

@@ -13,7 +13,7 @@ import pytest
 from vislink import Segment, point
 from vislink.complexes import contains_point, normalize, oneset_intersect
 from vislink.construct import build_family, make_polygon
-from vislink.links import certificate_valid
+from vislink.links import certificate_valid, n_visible
 from vislink.verify import (
     EmptinessReport,
     IndexOutOfRange,
@@ -146,6 +146,23 @@ def test_sampled_tuples_use_formula_witness():
                 assert report.method == "proof-formula"
                 for cert in report.paths:
                     assert certificate_valid(c.complex, cert, c.n)
+
+
+def test_witness_tree_certificates_match_fresh_searches():
+    # verify_common_witness looks tuple points up in one search tree per
+    # formula witness, kept on the construction; each certificate must be
+    # the one a fresh n_visible search from the same witness returns
+    for n in (2, 3, 4, 5):
+        for k in (2, 3, 4, 5, 6):
+            c = build_family(make_polygon(k, 20260822), n)
+            for pts in sample_tuples(c.complex, k, 8, seed=10 * n + k):
+                report = verify_common_witness(c, pts)
+                assert report.method == "proof-formula"
+                for x, cert in zip(pts, report.paths):
+                    assert cert == n_visible(c.complex, report.witness, x, c.n)
+            assert [t.source for t in c.witness_trees] == [
+                c.polygon.a(m) for m in range(k + 1)
+            ]
 
 
 # -------------------------------------------------------- targets blocked
