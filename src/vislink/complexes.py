@@ -262,3 +262,15 @@ def oneset_intersect(X: OneSet, Y: OneSet) -> OneSet:
         if px in Y.points:
             pts.append(px)
     return make_oneset(segs, pts)
+
+
+def intersection_fold(
+    regions: Sequence[OneSet], trace: Sequence[OneSet] = ()
+) -> Tuple[OneSet, ...]:
+    """Extend the left fold `trace` over `regions`: every new entry is the
+    last entry intersected with the next region (the region itself when
+    the fold is empty), so entry i is the intersection of regions 0..i."""
+    out = list(trace)
+    for r in regions:
+        out.append(oneset_intersect(out[-1], r) if out else r)
+    return tuple(out)

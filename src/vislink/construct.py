@@ -41,6 +41,7 @@ from .complexes import (
     contains_point,
     contains_segment,
     incident_segments,
+    intersection_fold,
     normalize,
 )
 from .kernel import (
@@ -105,7 +106,7 @@ class Construction:
 
     What verification and rendering derive from the geometry is built once
     per construction, on first use, and kept on it: the pieces, one search
-    tree per formula witness and the targets' link regions.
+    tree per formula witness, the targets' link regions and their fold.
     """
 
     n: int
@@ -145,6 +146,12 @@ class Construction:
     def target_regions(self) -> Tuple[OneSet, ...]:
         """The n-link region of each distinguished target e_i."""
         return tuple(link_region(self.complex, t, self.n).region for t in self.e)
+
+    @cached_property
+    def target_trace(self) -> Tuple[OneSet, ...]:
+        """The intersection fold of target_regions: entry i is the common
+        region of targets 0..i, and the last entry must be empty."""
+        return intersection_fold(self.target_regions)
 
 
 def _diagonal_index_pairs(m: int) -> List[Tuple[int, int]]:

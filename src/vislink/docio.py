@@ -5,6 +5,18 @@ coordinates as canonical rational strings "p/q". Serialization is
 canonical (sorted keys, fixed separators, trailing newline), so identical
 inputs produce byte-identical files; the determinism tests rely on this.
 
+doc_bytes is one hand-written writer with a byte contract: for every
+document of dicts with str keys, lists, tuples, str, int, bool and None
+it returns exactly
+json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+encoded as ASCII (strings escaped by json's encode_basestring_ascii,
+empty containers as [] and {}), and it raises TypeError on a float, a
+non-str key or any other type. With indent set, json.dumps runs the
+pure-Python encoder; this writer joins whole lists of strings in one call
+instead. Audit logs are written from the shutter's integer scalars: the
+axis point with canonical abscissa (n, d) is ["n/d", "0/1"], the strings
+rat_str gives for it.
+
 Readers validate shape and reconstruct full domain objects from the
 serialized geometry alone. A construction document carries its complex
 explicitly, so a reader never re-derives geometry from the embedded seed;
@@ -15,13 +27,14 @@ verify round-trip proves the format is complete.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .complexes import OneSet, SegmentComplex, normalize
 from .construct import Construction, PolygonSpec
 from .kernel import GeometryError, Point, Segment, parse_rat, rat_str
 from .links import PathCertificate
-from .shutter import ShutterState, StepRecord
+from .shutter import Scalar, ShutterState, StepRecord
 from .verify import EmptinessReport, WitnessReport
 
 SCHEMA_VERSION = "1"
@@ -316,14 +329,22 @@ def shutter_input_from_doc(
     return K, _tuples_field(doc) if "tuples" in doc else None
 
 
+def _axis_doc(scalars: Sequence[Scalar]) -> List[Tuple[str, str]]:
+    """point_to_doc of the axis points with these canonical abscissae, as
+    pairs: doc_bytes writes them as lists, and a tuple of strings leaves the
+    garbage collector's tracking, where 400k lists made the collector walk
+    them again and again (0.6 s of a 200-step k=3 log)."""
+    return [(f"{n}/{d}", "0/1") for n, d in scalars]
+
+
 def _step_record_to_doc(r: StepRecord) -> Dict[str, Any]:
     return {
         "step": r.step,
         "tuple": [point_to_doc(p) for p in r.tuple],
         "witness": point_to_doc(r.witness),
         "z_new": r.z_new,
-        "b_added": [point_to_doc(p) for p in r.b_added],
-        "a_added": [point_to_doc(p) for p in r.a_added],
+        "b_added": _axis_doc(r.b_scalars),
+        "a_added": _axis_doc(r.a_scalars),
         "a_size": r.a_size,
         "b_size": r.b_size,
         "viewer_absent": r.viewer_absent,
@@ -338,7 +359,7 @@ def audit_to_doc(s: ShutterState, seed: Optional[int] = None) -> Dict[str, Any]:
         "K": [point_to_doc(p) for p in s.K],
         "steps": s.step,
         "b0_size": s.b0_size,
-        "a_final": [point_to_doc(p) for p in s.A],
+        "a_final": _axis_doc(s.a_scalars),
         "b_size_final": s.audit[-1].b_size,
         "records": [_step_record_to_doc(r) for r in s.audit],
     }
@@ -351,11 +372,59 @@ def audit_to_doc(s: ShutterState, seed: Optional[int] = None) -> Dict[str, Any]:
 # canonical bytes
 
 
+def _json(o: Any, indent: str) -> str:
+    """The indent=1 JSON text of o; `indent` is the newline and indentation
+    that precede o's closing bracket."""
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = indent + " "
+        sep = "," + inner
+        try:  # a list of strings: one join, no call per item
+            return "[" + inner + sep.join(map(_quote, o)) + indent + "]"
+        except TypeError:
+            pass
+        # items that are lists of strings (the points of a document) are
+        # written in place; _quote raises TypeError on anything but a str
+        deeper = inner + " "
+        head, comma, tail = "[" + deeper, "," + deeper, inner + "]"
+        parts = []
+        for x in o:
+            if x and (x.__class__ is tuple or x.__class__ is list):
+                try:
+                    parts.append(head + comma.join(map(_quote, x)) + tail)
+                    continue
+                except TypeError:
+                    pass
+            parts.append(_json(x, inner))
+        return "[" + inner + sep.join(parts) + indent + "]"
+    if isinstance(o, str):
+        return _quote(o)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = indent + " "
+        return (  # _quote raises TypeError on a key that is not a str
+            "{" + inner
+            + ("," + inner).join(
+                [_quote(key) + ": " + _json(o[key], inner) for key in sorted(o)]
+            )
+            + indent + "}"
+        )
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    raise TypeError(f"cannot write a {type(o).__name__} into a document")
+
+
 def doc_bytes(doc: Dict[str, Any]) -> bytes:
-    return (
-        json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)
-        + "\n"
-    ).encode("ascii")
+    """Canonical bytes of a document (the contract: module docstring)."""
+    return (_json(doc, "\n") + "\n").encode("ascii")
 
 
 def write_doc(path: str, doc: Dict[str, Any]) -> None:

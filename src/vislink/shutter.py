@@ -40,7 +40,10 @@ by one path that also checks the invariants and writes the audit record.
 All hot loops run on plain integer tuples in the predicate core (_pure);
 this module owns state, validation, auditing, and the public Point API.
 The integer sets are the state; the Point views A and B are built from
-them on demand.
+them on demand. The audit records hold their admitted and blocked
+crossings the same way, as canonical (n, d) abscissae (d > 0,
+gcd(n, d) = 1), and build Points only when a caller reads a_added or
+b_added; the audit document is written from the scalars.
 """
 
 from __future__ import annotations
@@ -71,19 +74,39 @@ class PointNotInT(GeometryError):
     is required."""
 
 
+Scalar = Tuple[int, int]  # canonical abscissa (n, d) of an axis point
+
+
+def _axis_points(scalars: Iterable[Scalar]) -> Tuple[Point, ...]:
+    return tuple(point_from_key(c + (0, 1)) for c in scalars)
+
+
 @dataclass(frozen=True)
 class StepRecord:
-    """One audit-log entry (step 0 is initialization)."""
+    """One audit-log entry (step 0 is initialization).
+
+    The crossings the step blocked and admitted are kept as canonical
+    scalars; b_added and a_added are their Point views."""
 
     step: int
     tuple: Tuple[Point, ...]
     z_new: int  # newly seen upper crossings of sight lines (|Z| increment)
-    b_added: Tuple[Point, ...]
-    a_added: Tuple[Point, ...]
+    b_scalars: Tuple[Scalar, ...]
+    a_scalars: Tuple[Scalar, ...]
     witness: Point
     a_size: int
     b_size: int
     viewer_absent: bool
+
+    @property
+    def b_added(self) -> Tuple[Point, ...]:
+        """The axis points this step blocked, built on demand."""
+        return _axis_points(self.b_scalars)
+
+    @property
+    def a_added(self) -> Tuple[Point, ...]:
+        """The axis points this step admitted, built on demand."""
+        return _axis_points(self.a_scalars)
 
 
 class ShutterState:
@@ -121,9 +144,9 @@ class ShutterState:
         self.step = 0
         self.audit: List[StepRecord] = []
         self._ys = [p.key for p in K]
-        self._alist: List[Tuple[int, int]] = []
-        self._aset: Set[Tuple[int, int]] = set()
-        self._bset: Set[Tuple[int, int]] = set()
+        self._alist: List[Scalar] = []
+        self._aset: Set[Scalar] = set()
+        self._bset: Set[Scalar] = set()
         self._zseen: Set[Tuple[int, int, int, int]] = set()
         self._lines: List[Tuple[int, int, int]] = []
         self._danger_done = 0
@@ -138,15 +161,20 @@ class ShutterState:
     def A(self) -> List[Point]:
         """The admitted axis points in admission order, built on demand
         from the integer list (a fresh list on every access)."""
-        return [point_from_key(a + (0, 1)) for a in self._alist]
+        return list(_axis_points(self._alist))
+
+    @property
+    def a_scalars(self) -> Tuple[Scalar, ...]:
+        """The admitted abscissae in admission order, as canonical scalars."""
+        return tuple(self._alist)
 
     @property
     def B(self) -> FrozenSet[Point]:
         """The blocked axis points, built on demand from the integer set."""
-        return frozenset(point_from_key(b + (0, 1)) for b in self._bset)
+        return frozenset(_axis_points(self._bset))
 
 
-def _scalar(x: Fraction) -> Tuple[int, int]:
+def _scalar(x: Fraction) -> Scalar:
     return (x.numerator, x.denominator)
 
 
@@ -158,12 +186,12 @@ def _check_lower_distinct(pts: Sequence[Point], what: str) -> None:
             raise DegenerateK(f"{what} point {p} is not strictly below the axis")
 
 
-def _admitted(A: Iterable[Point]) -> Set[Tuple[int, int]]:
+def _admitted(A: Iterable[Point]) -> Set[Scalar]:
     """Abscissae of the axis points of A, as canonical scalars."""
     return {_scalar(p.x) for p in A if p.y == 0}
 
 
-def _crossing(z: Point, y: Point) -> Tuple[int, int]:
+def _crossing(z: Point, y: Point) -> Scalar:
     """Axis crossing abscissa of [z, y] for z strictly upper, y strictly
     lower."""
     if z.y <= 0 or y.y >= 0:
@@ -177,7 +205,7 @@ def sees_via(z: Point, y: Point, A: Sequence[Point]) -> Optional[Point]:
     return point_from_key(c + (0, 1)) if c in _admitted(A) else None
 
 
-def _append_a(s: ShutterState, scalar: Tuple[int, int]) -> bool:
+def _append_a(s: ShutterState, scalar: Scalar) -> bool:
     """Admit an axis point unless already present; sight-line rows for it
     are appended by the caller."""
     if scalar in s._aset:
@@ -254,13 +282,13 @@ def _admit(
     zkey: Tuple[int, int, int, int],
     keys: Sequence[Tuple[int, int, int, int]],
     z_new: int,
-    b_added: Sequence[Tuple[int, int]],
+    b_added: Sequence[Scalar],
 ) -> ShutterState:
     """Admit the crossings of [z, a] for a in keys, extend the sight lines,
     check the invariants and append the audit record for s.step."""
     context = f"step {s.step}" if s.step else "init"
     old_len = len(s._alist)
-    a_added: List[Tuple[int, int]] = []
+    a_added: List[Scalar] = []
     for a in keys:
         c = _k.cross_lower(zkey, a)
         if c in s._bset:  # the sweep rules this out
@@ -276,8 +304,8 @@ def _admit(
             step=s.step,
             tuple=tup,
             z_new=z_new,
-            b_added=tuple(point_from_key(b + (0, 1)) for b in b_added),
-            a_added=tuple(point_from_key(c + (0, 1)) for c in a_added),
+            b_scalars=tuple(b_added),
+            a_scalars=tuple(a_added),
             witness=z,
             a_size=len(s._alist),
             b_size=len(s._bset),
@@ -331,7 +359,7 @@ def advance(s: ShutterState, tup: Sequence[Point]) -> ShutterState:
     """
     tup = _check_tuple(s, tup, "tuple")
     zseen_before = len(s._zseen)
-    b_added: List[Tuple[int, int]] = []
+    b_added: List[Scalar] = []
     bad = _k.danger_scan(
         s._lines, s._danger_done, s._ys, s._aset, s._bset, s._zseen, b_added
     )

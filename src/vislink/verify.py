@@ -33,7 +33,7 @@ from .complexes import (
     PointNotOnComplex,
     SegmentComplex,
     incident_segments,
-    oneset_intersect,
+    intersection_fold,
 )
 from .construct import Construction
 from .kernel import GeometryError, Point
@@ -160,20 +160,20 @@ def verify_targets_blocked(
         raise IndexOutOfRange(f"drop index {drop_index} outside 0..{c.k}")
     targets = list(c.e)
     regions = list(c.target_regions)
-    if drop_index is not None:
-        targets.pop(drop_index)
-        regions.pop(drop_index)
-    trace: List[OneSet] = []
-    for r in regions:
-        trace.append(r if not trace else oneset_intersect(trace[-1], r))
+    if drop_index is None:
+        trace = c.target_trace
+    else:
+        del targets[drop_index], regions[drop_index]
+        # the fold's entries before the dropped target are the full fold's;
+        # dropping target 0 shares none, so it leaves the full fold unbuilt
+        shared = c.target_trace[:drop_index] if drop_index else ()
+        trace = intersection_fold(regions[drop_index:], shared)
     final = trace[-1]
     if drop_index is None and not final.is_empty():
         raise VerificationFailed(
             f"targets have a common {c.n}-link viewer: {final.least_point()}"
         )
-    return EmptinessReport(
-        tuple(targets), c.n, tuple(regions), tuple(trace), final
-    )
+    return EmptinessReport(tuple(targets), c.n, tuple(regions), trace, final)
 
 
 def _draw_on_complex(C: SegmentComplex, stream: Stream) -> Point:

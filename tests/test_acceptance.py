@@ -201,6 +201,32 @@ def test_criterion_7_identical_seeds_give_byte_identical_artifacts(tmp_path):
     assert len(doc["records"]) == 31
 
 
+# sha256 of the criterion-7 artifacts as json.dumps wrote them before the
+# hand-written writer: a change that alters every artifact the same way
+# passes the rerun comparison above but fails here
+PINNED_ARTIFACTS = (
+    (["gen", "--k", "4", "--n", "3", "--seed", "42", "--out", "c.json"],
+     "56edf41696c7bf8a0ba21668be6982df55cf9d92529392b609d8744efa0127ff"),
+    (["verify", "--in", "c.json", "--tuples", "40", "--out", "r.json"],
+     "9a45deb733276172adaee31d9b519f8b8a79d50e9ce7890ce2acb0aab0721841"),
+    (["verify", "--in", "c.json", "--tuples", "40", "--drop-target", "0",
+      "--out", "d.json"],
+     "b281f8f548c6c945cf8d370d5d380da5120065ea15d7ab513a0e36c7e92c9808"),
+    (["shutter", "--k", "2", "--steps", "30", "--seed", "42", "--out", "a2.json"],
+     "359bd744b7f51d7cbbc91e27b7cfb1b8c5778c08d3ed4ba20574d86fa2a9410b"),
+    (["shutter", "--k", "3", "--steps", "30", "--seed", "7", "--out", "a3.json"],
+     "484876240d14b70c458b1e2eada5c3be307229e9221f7e9392b7d467ba4af85d"),
+)
+
+
+def test_criterion_7_artifacts_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv, want in PINNED_ARTIFACTS:
+        assert main(argv) == 0, argv
+        got = hashlib.sha256(open(argv[-1], "rb").read()).hexdigest()
+        assert got == want, argv
+
+
 def test_criterion_7_artifacts_are_identical_under_python_O(tmp_path):
     # `python -O` strips assert statements; no artifact may depend on them
     src = os.path.dirname(os.path.dirname(os.path.abspath(vislink.__file__)))

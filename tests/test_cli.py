@@ -402,11 +402,14 @@ def mutated(draw, doc):
 
 
 def _run_on(doc, *argv):
-    """Exit code and stderr of one in-process command on doc as --in."""
+    """Exit code and stderr of one in-process command on doc as --in.
+    json.dump writes the file, since a mutation can put a float into doc,
+    which vislink's own writer refuses."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "in.json")
-        write_doc(path, doc)
+        with open(path, "w") as f:
+            json.dump(doc, f)
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main([argv[0], "--in", path, *argv[1:]])
     return code, err.getvalue()

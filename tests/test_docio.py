@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vislink.construct import build_family, make_polygon
 from vislink.docio import (
@@ -42,6 +44,76 @@ def test_doc_bytes_canonical():
     assert b1 == b2
     assert b1.endswith(b"\n")
     b1.decode("ascii")  # raises if not ASCII
+
+
+# ---------------------------------------------------------------------------
+# the canonical writer against the json.dumps call it replaced
+
+
+def reference_bytes(doc) -> bytes:
+    return (
+        json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    ).encode("ascii")
+
+
+STRINGS = st.text() | st.sampled_from(
+    ["", "0/1", '"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é€", "\U0001f600", "\ud800"]
+)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=-(10**18))
+    | STRINGS
+)
+# lists of strings, pairs of strings and mixed lists reach the writer's
+# fast paths and their fallbacks
+TREES = st.recursive(
+    SCALARS | st.lists(STRINGS, max_size=3) | st.tuples(STRINGS, STRINGS),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(STRINGS, kids, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TREES)
+@example({})
+@example([])
+@example({"a": [], "b": {}, "c": [[]], "d": [{}], "e": [[], ["x"], "y", ("0/1",)]})
+@example([["x", "y"], "ab", ["x", 1], [], ("p", "q"), {"k": ["v"]}])
+def test_doc_bytes_matches_json_dumps(doc):
+    assert doc_bytes(doc) == reference_bytes(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(STRINGS, max_size=4),
+    st.floats(),
+    st.integers(0, 4),
+)
+def test_doc_bytes_rejects_floats(strings, x, at):
+    items = list(strings)
+    items.insert(min(at, len(items)), x)
+    for doc in ({"a": items}, [items], [[items]], {"a": {"b": tuple(items)}}):
+        with pytest.raises(TypeError):
+            doc_bytes(doc)
+
+
+@pytest.mark.parametrize(
+    "doc", [{1: "x"}, {"a": {2: []}}, {"a": 1, None: 2}, [{True: 0}], {(1,): 0}]
+)
+def test_doc_bytes_rejects_non_str_keys(doc):
+    with pytest.raises(TypeError):
+        doc_bytes(doc)
+
+
+def test_real_documents_match_json_dumps():
+    c = small(3, 3, seed=5)
+    s = run_schedule(K3, gen_tuples(2, 6, seed=2))
+    for doc in (construction_to_doc(c), audit_to_doc(s, seed=2), shutter_input_to_doc(K3)):
+        assert doc_bytes(doc) == reference_bytes(doc)
 
 
 def test_write_read_round_trip(tmp_path):

@@ -3,12 +3,13 @@ four-way visibility case analysis."""
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vislink.kernel import Point, line_through, point, x_axis_crossing
+from vislink.kernel import Point, line_through, point, point_from_key, x_axis_crossing
 from vislink.shutter import (
     DegenerateK,
     InvariantViolation,
@@ -146,6 +147,31 @@ def test_init_audit_record():
     assert rec.a_size == 2 and rec.b_size == 2
     assert rec.viewer_absent is True
     assert rec.a_added == (axis(Fraction(-1, 4)), axis(1))
+
+
+def test_records_hold_canonical_scalars():
+    # the records keep integer abscissae; a_added and b_added are views
+    s = run_schedule(gen_kset(3, seed=7), gen_tuples(3, 9, seed=7))
+    admitted = []
+    blocked = 0
+    for rec in s.audit:
+        for scalars, points in (
+            (rec.a_scalars, rec.a_added),
+            (rec.b_scalars, rec.b_added),
+        ):
+            assert type(scalars) is tuple
+            for c in scalars:
+                assert type(c) is tuple and len(c) == 2
+                n, d = c
+                assert type(n) is int and type(d) is int
+                assert d > 0 and gcd(n, d) == 1
+            assert points == tuple(point_from_key((n, d, 0, 1)) for n, d in scalars)
+        admitted += rec.a_added
+        blocked += len(rec.b_scalars)
+        assert rec.a_size == len(admitted) and rec.b_size == blocked
+    assert admitted == s.A
+    assert s.a_scalars == tuple(s._alist)
+    assert {b for rec in s.audit for b in rec.b_added} == s.B
 
 
 def test_no_viewer_with_fewer_admitted_than_forbidden():

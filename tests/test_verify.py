@@ -200,6 +200,27 @@ def test_trace_is_left_fold():
     assert report.final == report.intersection_trace[-1]
 
 
+def test_drop_controls_equal_unshared_folds():
+    # a drop control reuses the full fold's entries before the dropped
+    # target; the report must be the fold computed from scratch
+    for n in (2, 3, 4, 5):
+        for k in (2, 3, 4, 5, 6):
+            c = build_family(make_polygon(k, 20260822), n)
+            for d in range(k + 1):
+                report = verify_targets_blocked(c, drop_index=d)
+                regions = c.target_regions[:d] + c.target_regions[d + 1 :]
+                trace = [regions[0]]
+                for r in regions[1:]:
+                    trace.append(oneset_intersect(trace[-1], r))
+                assert report.targets == c.e[:d] + c.e[d + 1 :]
+                assert report.per_target_regions == regions
+                assert report.intersection_trace == tuple(trace), (n, k, d)
+                assert report.final == trace[-1]
+            full = verify_targets_blocked(c)
+            assert full.intersection_trace == c.target_trace
+            assert full.final.is_empty()
+
+
 def test_drop_one_target_restores_viewer():
     c = build_family(make_polygon(3, seed=7))
     for drop in range(4):
