@@ -181,7 +181,7 @@ def _cross_zd(xn, yn, d, y):
     return norm2(num, den)
 
 
-def viewer_scan(ys, aset, lines, start):
+def viewer_scan(ys, aset, lines):
     """First upper point seeing every y through admitted axis points.
 
     ys: the forbidden points (all strictly lower), in fixed order.
@@ -189,25 +189,21 @@ def viewer_scan(ys, aset, lines, start):
     lines: flat list, lines[u*len(ys) + i] = canonical line through the
     u-th admitted point and ys[i].
 
-    Scans candidates z = lines[p] x lines[q] over q < p, p >= start, with
+    Scans candidates z = lines[p] x lines[q] over every q < p with
     different forbidden points, in that order; a candidate counts when it
     is strictly upper and the crossing of [z, ys[m]] is admitted for every
     other m. Returns the first such z (canonical point) or None. Any point
     seeing all of ys through the admitted set must see two of them through
     two distinct admitted points (a shared one would lie on a line through
-    two ys, and those crossings are never admitted), so with start=0 the
-    scan is exhaustive. A larger start skips every pair of lines below it.
-    That is sound when each upper crossing of such a pair holds a
-    certificate that it is no viewer: the shutter passes the number of
-    lines its last danger_scan saw, and danger_scan gave each upper
-    crossing of those lines a blocked crossing toward some ys[m], which
-    can never be admitted while A and B stay disjoint.
+    two ys, and those crossings are never admitted), so the scan is
+    exhaustive. It is the full scan the shutter's final cross-check runs;
+    the per-step check is danger_scan.
     """
     k1 = len(ys)
     n = len(lines)
     if n < k1 * k1:  # fewer admitted points than ys: no viewer
         return None
-    for p in range(start, n):
+    for p in range(n):
         i = p % k1
         a1, b1, c1 = lines[p]
         for q in range(p):
@@ -236,23 +232,35 @@ def viewer_scan(ys, aset, lines, start):
     return None
 
 
-def danger_scan(lines, old_count, ys, aset, bset, zseen, badd):
-    """Process dangerous upper crossings of the admitted-line family.
+def danger_scan(lines, start, ys, aset, zseen, pending):
+    """The shutter's one scan per step: find a viewer, or block each new
+    dangerous crossing.
 
-    lines: flat family as in viewer_scan; entries from old_count on are new
-    since the last scan. Every unordered pair involving a new line is
-    intersected; a strictly upper crossing z not seen before is processed:
-    the crossing of [z, ys[i]] for the least i with that crossing not
-    admitted is added to the blocked set (bset, with badd recording fresh
-    additions). If no such i exists, z already sees every forbidden point,
-    which the caller treats as an invariant violation: z is returned.
-    Returns None when all dangerous points were neutralized.
+    lines: flat family as in viewer_scan; entries from start on are the
+    ones added since the last scan. Every pair of a new line with an
+    earlier line through a different forbidden point is intersected, in
+    viewer_scan's order. For a strictly upper crossing z the scan finds
+    the least m whose crossing of [z, ys[m]] is not admitted (the two
+    forbidden points of z's own lines are skipped: their crossings are
+    the lines' admitted points). If there is none, z sees every forbidden
+    point and is returned as a canonical point. Otherwise, when z is not
+    in zseen, it is added and that crossing is appended to pending, the
+    caller's list of blocks still to commit. The viewer test runs before
+    the zseen test, so a crossing seen in an earlier scan is still checked
+    as a viewer. zseen keys z by the primitive triple (xn, yn, d) of
+    z = (xn/d, yn/d), d > 0, unique per point. Returns None when no
+    viewer was found.
     """
+    k1 = len(ys)
     n = len(lines)
-    for i in range(old_count, n):
-        a1, b1, c1 = lines[i]
-        for j in range(i):
-            a2, b2, c2 = lines[j]
+    for p in range(start, n):
+        i = p % k1
+        a1, b1, c1 = lines[p]
+        for q in range(p):
+            j = q % k1
+            if j == i:
+                continue
+            a2, b2, c2 = lines[q]
             det = a1 * b2 - a2 * b1
             if det == 0:
                 continue
@@ -262,19 +270,23 @@ def danger_scan(lines, old_count, ys, aset, bset, zseen, badd):
             xn = c1 * b2 - c2 * b1
             if det < 0:
                 xn, yn, det = -xn, -yn, -det
-            z = norm2(xn, det) + norm2(yn, det)
-            if z in zseen:
-                continue
-            zseen.add(z)
-            blocked = False
-            for y in ys:
-                c = _cross_zd(xn, yn, det, y)
+            for m in range(k1):
+                if m == i or m == j:
+                    continue
+                # cross_lower of z = (xn/det, yn/det); den > 0 since z is
+                # strictly upper and ys[m] strictly lower
+                yxn, yxd, yyn, yyd = ys[m]
+                num = yxn * yn * yyd - xn * yyn * yxd
+                den = yxd * (yn * yyd - yyn * det)
+                g = gcd(num, den)
+                c = (num // g, den // g)
                 if c not in aset:
-                    if c not in bset:
-                        bset.add(c)
-                        badd.append(c)
-                    blocked = True
                     break
-            if not blocked:
-                return z
+            else:
+                return norm2(xn, det) + norm2(yn, det)
+            g = gcd(xn, yn, det)
+            z = (xn // g, yn // g, det // g)
+            if z not in zseen:
+                zseen.add(z)
+                pending.append(c)
     return None

@@ -46,7 +46,6 @@ from .complexes import (
 )
 from .kernel import (
     GeometryError,
-    Orientation,
     Point,
     Segment,
     on_segment,
@@ -172,34 +171,36 @@ def check_strong_general_position(
 
     Returns (True, None) or (False, first violating triple of diagonals),
     each diagonal given as a pair of vertex indices. Raises NotConvex
-    unless every consecutive vertex triple turns strictly clockwise.
+    unless the polygon is strictly convex with its vertices in clockwise
+    order: every vertex lies strictly to the right of every edge.
     """
     verts = p.vertices
     m = len(verts)
     if m < 6:
         raise KTooSmall("need k >= 2, i.e. at least 6 vertices")
-    for i in range(m):
-        o = orientation(verts[i], verts[(i + 1) % m], verts[(i + 2) % m])
-        if o != Orientation.CW:
-            raise NotConvex(f"vertex triple at index {i} does not turn clockwise")
-    diags = _diagonal_index_pairs(m)
     keys = [v.key for v in verts]
-    vertex_keys = set(keys)
+    for i in range(m):
+        a, b = keys[i], keys[(i + 1) % m]
+        for j in range(m):
+            if j != i and j != (i + 1) % m and _k.orient(a, b, keys[j]) != -1:
+                raise NotConvex(f"vertex {j} is not strictly right of edge {i}")
+    diags = _diagonal_index_pairs(m)
+    lines = [_k.line3(keys[i], keys[j]) for i, j in diags]
     # crossing point key -> diagonals through it, in order of discovery;
     # keys of canonical scalars are equal exactly when the points are
     hits: Dict[Tuple[int, int, int, int], List[Tuple[int, int]]] = {}
     for di in range(len(diags)):
         i1, j1 = diags[di]
-        p1, q1 = keys[i1], keys[j1]
         for dj in range(di + 1, len(diags)):
             i2, j2 = diags[dj]
-            if len({i1, j1, i2, j2}) < 4:
-                continue  # shared vertex: contact is on the boundary
-            kind, z = _k.seg_meet(p1, q1, keys[i2], keys[j2])
-            if kind == 2:
-                raise NotConvex("collinear overlapping diagonals")
-            if kind != 1 or z in vertex_keys:
+            # in a convex polygon two diagonals cross, at a point inside
+            # it, exactly when their endpoints interleave; diags is sorted,
+            # so i1 <= i2, and none from i2 = j1 on crosses this one
+            if i2 >= j1:
+                break
+            if i2 == i1 or j2 <= j1:
                 continue
+            z = _k.line_meet(lines[di], lines[dj])[1]
             bucket = hits.setdefault(z, [])
             for d in (diags[di], diags[dj]):
                 if d not in bucket:

@@ -13,7 +13,9 @@ encoded as ASCII (strings escaped by json's encode_basestring_ascii,
 empty containers as [] and {}), and it raises TypeError on a float, a
 non-str key or any other type. With indent set, json.dumps runs the
 pure-Python encoder; this writer joins whole lists of strings in one call
-instead. Audit logs are written from the shutter's integer scalars: the
+instead. It yields the text in pieces: doc_bytes joins them, and
+write_doc writes them as they come, so a file never needs the whole text
+in memory (a 200-step k=3 audit log is about 32 MB). Audit logs are written from the shutter's integer scalars: the
 axis point with canonical abscissa (n, d) is ["n/d", "0/1"], the strings
 rat_str gives for it.
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .complexes import OneSet, SegmentComplex, normalize
 from .construct import Construction, PolygonSpec
@@ -372,64 +374,82 @@ def audit_to_doc(s: ShutterState, seed: Optional[int] = None) -> Dict[str, Any]:
 # canonical bytes
 
 
-def _json(o: Any, indent: str) -> str:
-    """The indent=1 JSON text of o; `indent` is the newline and indentation
-    that precede o's closing bracket."""
+def _parts(o: Any, indent: str) -> Iterator[str]:
+    """The indent=1 JSON text of o, in pieces; `indent` is the newline and
+    indentation that precede o's closing bracket. A list of strings, and
+    each run of list items that are lists of strings, is one piece."""
+    if isinstance(o, dict):
+        if not o:
+            yield "{}"
+            return
+        inner = indent + " "
+        lead = "{" + inner
+        for key in sorted(o):  # _quote raises TypeError on a non-str key
+            yield lead + _quote(key) + ": "
+            yield from _parts(o[key], inner)
+            lead = "," + inner
+        yield indent + "}"
+        return
     if isinstance(o, (list, tuple)):
         if not o:
-            return "[]"
+            yield "[]"
+            return
         inner = indent + " "
         sep = "," + inner
         try:  # a list of strings: one join, no call per item
-            return "[" + inner + sep.join(map(_quote, o)) + indent + "]"
+            yield "[" + inner + sep.join(map(_quote, o)) + indent + "]"
+            return
         except TypeError:
             pass
         # items that are lists of strings (the points of a document) are
         # written in place; _quote raises TypeError on anything but a str
         deeper = inner + " "
         head, comma, tail = "[" + deeper, "," + deeper, inner + "]"
-        parts = []
+        lead = "[" + inner
+        run: List[str] = []
         for x in o:
             if x and (x.__class__ is tuple or x.__class__ is list):
                 try:
-                    parts.append(head + comma.join(map(_quote, x)) + tail)
+                    run.append(head + comma.join(map(_quote, x)) + tail)
                     continue
                 except TypeError:
                     pass
-            parts.append(_json(x, inner))
-        return "[" + inner + sep.join(parts) + indent + "]"
+            if run:
+                yield lead + sep.join(run)
+                run = []
+                lead = sep
+            yield lead
+            yield from _parts(x, inner)
+            lead = sep
+        if run:
+            yield lead + sep.join(run)
+        yield indent + "]"
+        return
     if isinstance(o, str):
-        return _quote(o)
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        inner = indent + " "
-        return (  # _quote raises TypeError on a key that is not a str
-            "{" + inner
-            + ("," + inner).join(
-                [_quote(key) + ": " + _json(o[key], inner) for key in sorted(o)]
-            )
-            + indent + "}"
-        )
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    raise TypeError(f"cannot write a {type(o).__name__} into a document")
+        yield _quote(o)
+    elif o is None:
+        yield "null"
+    elif o is True:
+        yield "true"
+    elif o is False:
+        yield "false"
+    elif isinstance(o, int):
+        yield int.__repr__(o)
+    else:
+        raise TypeError(f"cannot write a {type(o).__name__} into a document")
 
 
 def doc_bytes(doc: Dict[str, Any]) -> bytes:
     """Canonical bytes of a document (the contract: module docstring)."""
-    return (_json(doc, "\n") + "\n").encode("ascii")
+    return ("".join(_parts(doc, "\n")) + "\n").encode("ascii")
 
 
 def write_doc(path: str, doc: Dict[str, Any]) -> None:
-    with open(path, "wb") as f:
-        f.write(doc_bytes(doc))
+    """Write doc_bytes(doc) to path piece by piece, never holding the
+    whole text."""
+    with open(path, "w", encoding="ascii", newline="\n") as f:
+        f.writelines(_parts(doc, "\n"))
+        f.write("\n")
 
 
 def read_doc(path: str) -> Dict[str, Any]:

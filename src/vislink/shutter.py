@@ -22,16 +22,24 @@ viewer would have to see two distinct K-points via two distinct A-points
 blocked from the start), so it must be an intersection of two candidate
 sight lines; with fewer than k+1 admitted points no viewer exists at all.
 
-After the basis, each step scans only the pairs of sight lines that
-involve a line added in that step. The other pairs carry a certificate:
-the step's danger scan processed every upper crossing of two older lines
-and gave it a blocked crossing toward some K-point, and A and B are
-checked disjoint after every step, so that crossing is never admitted and
-the point never sees all of K. A viewer therefore lies on a new sight
-line, either because it was never processed or because its blocked
-crossing was admitted in this step (which the disjointness check also
-catches). find_common_viewer is the full scan over all pairs; the CLI
-runs it once on the final state as an independent cross-check.
+Each step runs that scan once, at the end of its admission, over the
+pairs of sight lines that involve a line the step added (the basis scans
+every pair). For each strictly upper crossing z it finds the least K-point
+whose crossing from z is not admitted. If there is none, z sees all of K
+and the step fails. Otherwise, if no earlier scan saw z, that crossing
+becomes a pending block: the next step commits it to B before its sweep
+and lists it in its record, and the last step's pending blocks are never
+committed. Pairs of two older lines need no scan: the state before the
+step had no viewer, and a viewer after it sees some K-point through a
+crossing the step admitted, so it lies on a line the step added. A
+crossing an earlier scan saw still gets the viewer test, which runs
+before the skip of seen crossings, so a corrupted state whose block was
+admitted is caught. Skipping it for blocking is sound because it carries
+a certificate: the block found when it was first seen was not admitted
+then, enters B before anything else is admitted, and A and B are checked
+disjoint after every step, so that crossing is never admitted and z
+never sees all of K. find_common_viewer is the full scan over all pairs;
+the CLI runs it once on the final state as an independent cross-check.
 
 The basis (init_state) and every step (advance) choose their witness by
 one sweep, each over its own candidate sequence, and admit its crossings
@@ -115,6 +123,8 @@ class ShutterState:
     ShutterState(K) validates the (k+1)-set K and blocks every axis
     crossing of a line through two K-points (B0); A starts empty. The
     integer sets are the only state; A and B are views built from them.
+    B holds committed blocks only, so after the last step |B| is the last
+    record's b_size; the blocks its scan found stay pending.
     """
 
     __slots__ = (
@@ -130,7 +140,9 @@ class ShutterState:
         "_bset",
         "_zseen",
         "_lines",
-        "_danger_done",
+        "_scanned",
+        "_pending",
+        "_pending_z",
     )
 
     def __init__(self, K: Sequence[Point]):
@@ -147,9 +159,13 @@ class ShutterState:
         self._alist: List[Scalar] = []
         self._aset: Set[Scalar] = set()
         self._bset: Set[Scalar] = set()
-        self._zseen: Set[Tuple[int, int, int, int]] = set()
+        self._zseen: Set[Tuple[int, int, int]] = set()
         self._lines: List[Tuple[int, int, int]] = []
-        self._danger_done = 0
+        self._scanned = 0
+        # the last scan's blocks and its count of new crossings, committed
+        # and recorded by the next step
+        self._pending: List[Scalar] = []
+        self._pending_z = 0
         for i, yi in enumerate(self._ys):
             for yj in self._ys[i + 1 :]:
                 kind, n, d = _k.axis_cross(_k.line3(yi, yj))
@@ -228,8 +244,24 @@ def find_common_viewer(s: ShutterState) -> Optional[Point]:
     """Full exact scan for an upper point seeing all of K via A, over all
     pairs of sight lines (why that suffices: see the module docstring).
     Returns the first viewer found, else None."""
-    got = _k.viewer_scan(s._ys, s._aset, s._lines, 0)
+    got = _k.viewer_scan(s._ys, s._aset, s._lines)
     return None if got is None else point_from_key(got)
+
+
+def _scan(s: ShutterState, context: str) -> None:
+    """The one scan of a step, over the sight-line pairs that involve a
+    line added since the last scan: raise if an upper crossing sees all
+    of K via A, else queue a pending block for each new crossing."""
+    zseen_before = len(s._zseen)
+    got = _k.danger_scan(
+        s._lines, s._scanned, s._ys, s._aset, s._zseen, s._pending
+    )
+    if got is not None:
+        raise InvariantViolation(
+            f"{context}: upper point {point_from_key(got)} sees all of K via A"
+        )
+    s._pending_z += len(s._zseen) - zseen_before
+    s._scanned = len(s._lines)
 
 
 def _check_invariants(s: ShutterState, context: str) -> bool:
@@ -242,13 +274,9 @@ def _check_invariants(s: ShutterState, context: str) -> bool:
         raise InvariantViolation(
             f"{context}: |A|={len(s._alist)} exceeds bound {bound}"
         )
-    # only pairs with a line added since the last danger scan (see the
-    # module docstring); the basis has _danger_done == 0, a full scan
-    got = _k.viewer_scan(s._ys, s._aset, s._lines, s._danger_done)
-    if got is not None:
-        raise InvariantViolation(
-            f"{context}: upper point {point_from_key(got)} sees all of K via A"
-        )
+    # only pairs with a line added since the last scan (see the module
+    # docstring); the basis has _scanned == 0, a full scan
+    _scan(s, context)
     return True
 
 
@@ -348,30 +376,32 @@ def init_state(K: Sequence[Point], first: Sequence[Point]) -> ShutterState:
 def advance(s: ShutterState, tup: Sequence[Point]) -> ShutterState:
     """One induction step; mutates s in place and returns it.
 
-    Phases: (1)+(2) process every new upper crossing of two sight lines,
-    blocking one unadmitted crossing toward K for each; (3) sweep for a
-    generic witness z on the line through the first admitted point and
-    the tuple's first point (never horizontal, since that admitted point
-    is on the axis and the tuple point strictly below it); (4) admit the
-    crossings of [z, a_i] for the remaining tuple points. The invariant
-    suite runs before return, its viewer scan over the pairs that involve
-    the sight lines of phase (4).
+    Phases: (1)+(2) commit to B the pending blocks of the last step's
+    scan, one unadmitted crossing toward K for every new upper crossing
+    of two sight lines; (3) sweep for a generic witness z on the line
+    through the first admitted point and the tuple's first point (never
+    horizontal, since that admitted point is on the axis and the tuple
+    point strictly below it); (4) admit the crossings of [z, a_i] for the
+    remaining tuple points. The invariant suite runs before return, its
+    scan over the pairs that involve the sight lines of phase (4). Sight
+    lines that no scan has seen (a state built by hand) are scanned
+    first.
     """
     tup = _check_tuple(s, tup, "tuple")
-    zseen_before = len(s._zseen)
+    if s._scanned < len(s._lines):
+        _scan(s, f"step {s.step + 1}")
     b_added: List[Scalar] = []
-    bad = _k.danger_scan(
-        s._lines, s._danger_done, s._ys, s._aset, s._bset, s._zseen, b_added
-    )
-    if bad is not None:
-        raise InvariantViolation(
-            f"step {s.step + 1}: crossing {bad} already sees all of K via A"
-        )
-    s._danger_done = len(s._lines)
+    for c in s._pending:
+        if c not in s._bset:
+            s._bset.add(c)
+            b_added.append(c)
+    z_new = s._pending_z
+    s._pending = []
+    s._pending_z = 0
     keys = [p.key for p in tup[1:]]
     zkey = _sweep(s, _step_candidates(Fraction(*s._alist[0]), tup[0]), keys)
     s.step += 1
-    return _admit(s, tup, zkey, keys, len(s._zseen) - zseen_before, b_added)
+    return _admit(s, tup, zkey, keys, z_new, b_added)
 
 
 def run_schedule(

@@ -5,6 +5,7 @@ complex, so agreement with the package is a genuine cross-check.
 """
 
 from collections import deque
+from fractions import Fraction
 
 from vislink import _pure as _k
 from vislink.kernel import on_segment, point_from_key
@@ -89,3 +90,129 @@ def oracle_link_distances(raws):
                     queue.append(w)
         dmat.append(dist)
     return vs, dmat
+
+
+# ---------------------------------------------------------------------------
+# the axis-screen process with two scans per step
+
+
+class ReferenceViolation(Exception):
+    """The reference process found an upper point seeing all of K."""
+
+
+def _meet(p1, q1, p2, q2):
+    """Crossing of the lines p1q1 and p2q2 (Fraction pairs), None when
+    they are parallel or equal."""
+    d1x, d1y = q1[0] - p1[0], q1[1] - p1[1]
+    d2x, d2y = q2[0] - p2[0], q2[1] - p2[1]
+    det = d1x * d2y - d1y * d2x
+    if det == 0:
+        return None
+    t = ((p2[0] - p1[0]) * d2y - (p2[1] - p1[1]) * d2x) / det
+    return (p1[0] + t * d1x, p1[1] + t * d1y)
+
+
+def _cross(z, y):
+    """Axis abscissa of [z, y] for z strictly upper, y strictly lower."""
+    return z[0] + (y[0] - z[0]) * z[1] / (z[1] - y[1])
+
+
+class ReferenceShutter:
+    """The shutter process on Fraction pairs, with the design it had
+    before the one-scan step: each step first runs a danger scan over the
+    pairs of sight lines that involve a line the previous step added,
+    committing a block for each new upper crossing, and after admitting
+    its crossings runs a separate viewer scan over the pairs that involve
+    a line it added. records holds (step, witness, z_new, b_added,
+    a_added, b_size) per step, the abscissae as canonical (n, d) pairs."""
+
+    def __init__(self, K):
+        self.K = [(p.x, p.y) for p in K]
+        self.A = []
+        self.B = set()
+        self.zseen = set()
+        self.lines = []  # (axis point, K point) per sight line
+        self.done = 0
+        self.step = 0
+        self.records = []
+        for i, yi in enumerate(self.K):
+            for yj in self.K[i + 1:]:
+                if yi[1] != yj[1]:  # the line yi yj crosses the axis
+                    self.B.add(yi[0] - yi[1] * (yj[0] - yi[0]) / (yj[1] - yi[1]))
+        self.B0 = sorted(self.B)
+
+    def first(self, tup):
+        tup = [(p.x, p.y) for p in tup]
+        q = 0
+        while True:
+            z = (Fraction(q), Fraction(1))
+            if self._clear(z, tup):
+                break
+            q = -q if q > 0 else -q + 1
+        self._admit(z, tup, 0, self.B0)
+
+    def advance(self, tup):
+        tup = [(p.x, p.y) for p in tup]
+        before = len(self.zseen)
+        b_added = self._danger()
+        z_new = len(self.zseen) - before
+        x, (a1x, a1y) = self.A[0], tup[0]
+        m = 1
+        while True:
+            z = (x + m * (x - a1x), -m * a1y)
+            if self._clear(z, tup[1:]):
+                break
+            m += 1
+        self.step += 1
+        self._admit(z, tup[1:], z_new, b_added)
+
+    def _clear(self, z, pts):
+        return all(_cross(z, a) not in self.B for a in pts)
+
+    def _upper_crossings(self, start):
+        for p in range(start, len(self.lines)):
+            for q in range(p):
+                z = _meet(*self.lines[p], *self.lines[q])
+                if z is not None and z[1] > 0:
+                    yield z
+
+    def _danger(self):
+        added = []
+        for z in self._upper_crossings(self.done):
+            if z in self.zseen:
+                continue
+            self.zseen.add(z)
+            for y in self.K:
+                c = _cross(z, y)
+                if c not in self.A:
+                    if c not in self.B:
+                        self.B.add(c)
+                        added.append(c)
+                    break
+            else:
+                raise ReferenceViolation(z)
+        self.done = len(self.lines)
+        return added
+
+    def _admit(self, z, pts, z_new, b_added):
+        a_added = []
+        for a in pts:
+            c = _cross(z, a)
+            if c not in self.A:
+                self.A.append(c)
+                a_added.append(c)
+        for c in a_added:
+            self.lines += [((c, Fraction(0)), y) for y in self.K]
+        if set(self.A) & self.B:
+            raise ReferenceViolation("A and B intersect")
+        for z2 in self._upper_crossings(self.done):
+            if all(_cross(z2, y) in self.A for y in self.K):
+                raise ReferenceViolation(z2)
+        self.records.append((
+            self.step,
+            z,
+            z_new,
+            tuple((c.numerator, c.denominator) for c in b_added),
+            tuple((c.numerator, c.denominator) for c in a_added),
+            len(self.B),
+        ))

@@ -108,6 +108,23 @@ def test_not_convex_rejected():
         check_strong_general_position(spec)
 
 
+def test_polygon_winding_twice_rejected():
+    # every vertex triple turns clockwise, but the boundary winds twice
+    # round the centre, so diagonals that interleave need not cross
+    ts = ("0", "-10/7", "7/4", "1/11", "-6/5", "15/7")
+    spec = hand_spec(
+        [(p.x, p.y) for p in (_on_circle(Fraction(t)) for t in ts)], k=2
+    )
+    m = len(spec.vertices)
+    for i in range(m):
+        o = orientation(
+            spec.vertices[i], spec.vertices[(i + 1) % m], spec.vertices[(i + 2) % m]
+        )
+        assert o == Orientation.CW
+    with pytest.raises(NotConvex):
+        check_strong_general_position(spec)
+
+
 def test_quadrilateral_precondition():
     spec = hand_spec([(1, 1), (1, -1), (-1, -1), (-1, 1)], k=1)
     with pytest.raises(KTooSmall):

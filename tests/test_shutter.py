@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ReferenceShutter, ReferenceViolation
 from vislink.kernel import Point, line_through, point, point_from_key, x_axis_crossing
 from vislink.shutter import (
     DegenerateK,
@@ -170,6 +171,7 @@ def test_records_hold_canonical_scalars():
         blocked += len(rec.b_scalars)
         assert rec.a_size == len(admitted) and rec.b_size == blocked
     assert admitted == s.A
+    assert len(s.B) == s.audit[-1].b_size
     assert s.a_scalars == tuple(s._alist)
     assert {b for rec in s.audit for b in rec.b_added} == s.B
 
@@ -206,6 +208,15 @@ def test_planted_viewer_trips_step_invariant():
     s = planted_state(point(0, 2))
     with pytest.raises(InvariantViolation):
         advance(s, (point(-3, -1), point(3, -1)))
+
+
+def test_unscanned_lines_are_scanned_before_the_sweep():
+    # sight lines admitted outside a step are scanned before the step
+    # sweeps or admits anything
+    s = planted_state(point(0, 2))
+    with pytest.raises(InvariantViolation, match="sees all of K via A"):
+        advance(s, (point(-3, -1), point(3, -1)))
+    assert s.step == 0 and s.history == [] and len(s._alist) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +285,44 @@ def test_incremental_check_catches_an_admitted_blocked_crossing(sched, pick):
     else:
         with pytest.raises(InvariantViolation, match="sees all of K via A"):
             _check_invariants(s, "corrupt")
+
+
+def reference_run(K, tuples):
+    """Records and outcome of the two-scan reference process."""
+    ref = ReferenceShutter(K)
+    try:
+        ref.first(tuples[0])
+        for t in tuples[1:]:
+            ref.advance(t)
+    except ReferenceViolation:
+        return ref.records, True
+    return ref.records, False
+
+
+@settings(max_examples=100, deadline=None)
+@given(schedules())
+def test_one_scan_matches_separate_scans(sched):
+    # the step's one scan gives the records and the outcome of a danger
+    # scan at the start of the next step plus a viewer scan at its end
+    K, tuples = sched
+    want, want_raised = reference_run(K, tuples)
+    s = None
+    raised = False
+    try:
+        s = init_state(K, tuples[0])
+        for t in tuples[1:]:
+            advance(s, t)
+    except InvariantViolation:
+        raised = True
+    got = [
+        (r.step, (r.witness.x, r.witness.y), r.z_new, r.b_scalars, r.a_scalars,
+         r.b_size)
+        for r in (s.audit if s is not None else [])
+    ]
+    assert (got, raised) == (want, want_raised)
+    if not raised:
+        # B holds committed blocks only; the last scan's stay pending
+        assert len(s.B) == s.audit[-1].b_size
 
 
 # ---------------------------------------------------------------------------
