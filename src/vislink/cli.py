@@ -102,12 +102,14 @@ def _cmd_gen(args) -> int:
 
 
 def _load_tuples(c, value: str, seed: int) -> List[tuple]:
-    if value.lstrip("-").isdigit():
+    """A tuple count to sample, or else the path of a tuple-input document."""
+    try:
         count = int(value)
-        if count < 0:
-            raise DocumentError("--tuples count must be >= 0")
-        return sample_tuples(c.complex, c.k, count, seed)
-    return docio.tuples_from_doc(docio.read_doc(value))
+    except ValueError:
+        return docio.tuples_from_doc(docio.read_doc(value))
+    if count < 0:
+        raise DocumentError("--tuples count must be >= 0")
+    return sample_tuples(c.complex, c.k, count, seed)
 
 
 def _cmd_verify(args) -> int:
@@ -189,7 +191,7 @@ def _cmd_shutter(args) -> int:
     if args.out:
         docio.write_doc(args.out, docio.audit_to_doc(state, args.seed))
     print(
-        f"shutter: k={state.k} steps={state.step} |A|={len(state.A)} "
+        f"shutter: k={state.k} steps={state.step} |A|={state.audit[-1].a_size} "
         f"|B|={state.audit[-1].b_size} records={len(state.audit)} all invariants held"
     )
     return 0

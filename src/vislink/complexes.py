@@ -9,7 +9,9 @@ the whole story for link distances.
 
 Point location runs on integers. Next to its maximal segments a complex
 keeps their endpoint keys (the predicate core's (xn, xd, yn, yd) tuples)
-and canonical lines, plus an index from each line to the segments on it.
+and canonical lines, an index from each line to the segments on it, and
+the index of each maximal segment, so a caller that names a segment (a
+fan, a tail edge, a document's listed segment) looks its index up there.
 A point t lies on segment i exactly when it satisfies the integer line
 equation a*xn*yd + b*yn*xd == c*xd*yd of lines[i] and falls inside the
 segment's bounding box. A segment [p, q] lies in the union exactly when
@@ -35,7 +37,6 @@ from .kernel import (
     GeometryError,
     Point,
     Segment,
-    line_through,
     on_segment,
     point_from_key,
 )
@@ -57,7 +58,7 @@ def _merge_collinear(segs: Iterable[Segment]) -> List[Segment]:
     """
     groups: Dict[Tuple[int, int, int], List[Segment]] = {}
     for s in segs:
-        groups.setdefault(line_through(s.p, s.q).key, []).append(s)
+        groups.setdefault(_k.line3(s.p.key, s.q.key), []).append(s)
     out: List[Segment] = []
     for key in sorted(groups):
         group = sorted(groups[key])
@@ -86,8 +87,9 @@ class SegmentComplex:
     meet maximal_segments[i] (i itself excluded). keys[i] is the integer
     endpoint pair and lines[i] the canonical line of maximal_segments[i];
     by_line maps each line to the ascending indices of the maximal
-    segments on it. These three are derived from maximal_segments, so
-    equality ignores them.
+    segments on it, and index_of maps each maximal segment to its index.
+    These four are derived from maximal_segments, so equality ignores
+    them.
     """
 
     maximal_segments: Tuple[Segment, ...]
@@ -95,6 +97,7 @@ class SegmentComplex:
     keys: Tuple[Tuple[Key, Key], ...] = field(compare=False, repr=False)
     lines: Tuple[LineKey, ...] = field(compare=False, repr=False)
     by_line: Dict[LineKey, Tuple[int, ...]] = field(compare=False, repr=False)
+    index_of: Dict[Segment, int] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.maximal_segments)
@@ -144,6 +147,7 @@ def normalize(raw: Sequence[Segment]) -> SegmentComplex:
         keys,
         lines,
         {line: tuple(idx) for line, idx in by_line.items()},
+        {s: i for i, s in enumerate(maximal)},
     )
 
 
@@ -231,10 +235,6 @@ def make_oneset(
         if not any(_k.on_seg(pk, a, b) for a, b in keys):
             kept.append(p)
     return OneSet(tuple(segs), tuple(kept))
-
-
-def oneset_union(X: OneSet, Y: OneSet) -> OneSet:
-    return make_oneset(X.segments + Y.segments, X.points + Y.points)
 
 
 def oneset_intersect(X: OneSet, Y: OneSet) -> OneSet:

@@ -13,9 +13,10 @@ From it:
 
 Vertices sit in "strong general position": strictly convex, no three
 diagonals concurrent inside the polygon, and additionally no diagonal
-passes through any of the midpoints the construction relies on. All of
-this is verified exactly; failures trigger a deterministic reseed of the
-jitter, never silent acceptance.
+other than a removed matching diagonal passes through that diagonal's
+midpoint (the edge midpoints c_i avoid every diagonal by strict
+convexity). All of this is verified exactly on integer keys; failures
+trigger a deterministic reseed of the jitter, never silent acceptance.
 
 Tail geometry is chosen so the required side conditions hold by
 construction where possible: tail vertices march outward along the edge
@@ -44,13 +45,7 @@ from .complexes import (
     intersection_fold,
     normalize,
 )
-from .kernel import (
-    GeometryError,
-    Point,
-    Segment,
-    on_segment,
-    orientation,
-)
+from .kernel import GeometryError, Point, Segment, orientation
 from .links import SearchTree, link_region, search_tree
 from .rng import STREAM_POLYGON, Stream, derive
 
@@ -120,16 +115,14 @@ class Construction:
     @cached_property
     def pieces(self) -> Tuple[frozenset, ...]:
         """Maximal-segment indices of each piece C_i = B_i plus its tail."""
-        where: Dict[Segment, int] = {
-            s: idx for idx, s in enumerate(self.complex.maximal_segments)
-        }
+        index_of = self.complex.index_of
         out = []
         for i in range(self.k + 1):
             idxs = set(self.B[i])
             if self.gamma:
                 t = self.gamma[i]
                 for r in range(len(t) - 1):
-                    idxs.add(where[Segment(t[r], t[r + 1])])
+                    idxs.add(index_of[Segment(t[r], t[r + 1])])
             out.append(frozenset(idxs))
         return tuple(out)
 
@@ -215,26 +208,26 @@ def _midpoint(p: Point, q: Point) -> Point:
 
 
 def _midpoints_clear(p: PolygonSpec) -> bool:
-    """Construction-specific genericity on top of general position.
-
-    Every edge midpoint c_i and every removed-matching midpoint must avoid
-    all diagonals (other than the removed diagonal itself), so that later
-    membership claims about these midpoints are clean.
+    """No diagonal but the removed one passes through the midpoint of a
+    removed matching diagonal. That midpoint is inside the polygon, where
+    a diagonal's line meets it only along the diagonal, so the integer
+    line equation decides. Edge midpoints need no test: a diagonal of a
+    strictly convex polygon (proved first by
+    check_strong_general_position) meets the boundary only at its two
+    vertices, and build_family re-checks their incident segments.
     """
     verts = p.vertices
-    m = len(verts)
-    diags = _diagonal_index_pairs(m)
+    keys = [v.key for v in verts]
+    diags = _diagonal_index_pairs(len(verts))
+    lines = [_k.line3(keys[i], keys[j]) for i, j in diags]
     k1 = p.k + 1
     for i in range(k1):
-        ci = _midpoint(p.b(i), p.a(i + 1))
         match = (2 * ((i - p.kappa) % k1), 2 * (i % k1) + 1)
         match = (min(match), max(match))
-        mmid = _midpoint(verts[match[0]], verts[match[1]])
-        for d in diags:
-            s = Segment(verts[d[0]], verts[d[1]])
-            if on_segment(ci, s):
-                return False
-            if d != match and on_segment(mmid, s):
+        xn, xd, yn, yd = _midpoint(verts[match[0]], verts[match[1]]).key
+        u, v, w = xn * yd, yn * xd, xd * yd
+        for d, (a, b, c) in zip(diags, lines):
+            if d != match and a * u + b * v == c * w:
                 return False
     return True
 
@@ -390,8 +383,7 @@ def build_family(p: PolygonSpec, n: int = 2) -> Construction:
         raise SideConditionFailed(
             "construction segments must survive normalization unmerged"
         )
-    where = {s: idx for idx, s in enumerate(C.maximal_segments)}
-    B = tuple(tuple(sorted(where[raw[r]] for r in g)) for g in groups)
+    B = tuple(tuple(sorted(C.index_of[raw[r]] for r in g)) for g in groups)
 
     for i in range(k1):
         # midpoint of each kept boundary edge lies on exactly that edge,

@@ -32,7 +32,7 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .complexes import OneSet, SegmentComplex, normalize
+from .complexes import OneSet, normalize
 from .construct import Construction, PolygonSpec
 from .kernel import GeometryError, Point, Segment, parse_rat, rat_str
 from .links import PathCertificate
@@ -176,7 +176,7 @@ def construction_from_doc(doc: Any) -> Construction:
     if not listed:
         raise DocumentError("construction document lists no segments")
     complex_ = normalize(listed)
-    where = {s: i for i, s in enumerate(complex_.maximal_segments)}
+    index_of = complex_.index_of
     fans_doc = _nested_list_field(doc, "fans", "index lists")
     if len(fans_doc) != k + 1:
         raise DocumentError(f"need {k + 1} fans, got {len(fans_doc)}")
@@ -187,12 +187,12 @@ def construction_from_doc(doc: Any) -> Construction:
             if not _is_int(j) or not 0 <= j < len(listed):
                 raise DocumentError(f"fan index {j!r} out of range")
             s = listed[j]
-            if s not in where:
+            if s not in index_of:
                 raise DocumentError(
                     f"fan segment {segment_to_doc(s)} is not maximal in the "
                     "listed complex"
                 )
-            idxs.append(where[s])
+            idxs.append(index_of[s])
         fans.append(tuple(sorted(idxs)))
     mids = tuple(point_from_doc(v) for v in _list_field(doc, "c"))
     gamma = tuple(
@@ -206,7 +206,7 @@ def construction_from_doc(doc: Any) -> Construction:
         raise DocumentError("tails must be absent or one per fan")
     for t in gamma:
         for p, q in zip(t, t[1:]):
-            if p == q or Segment(p, q) not in where:
+            if p == q or Segment(p, q) not in index_of:
                 raise DocumentError(
                     f"tail segment {point_to_doc(p)}-{point_to_doc(q)} is "
                     "not maximal in the listed complex"
@@ -353,8 +353,8 @@ def _step_record_to_doc(r: StepRecord) -> Dict[str, Any]:
     }
 
 
-def audit_to_doc(s: ShutterState, seed: Optional[int] = None) -> Dict[str, Any]:
-    doc: Dict[str, Any] = {
+def audit_to_doc(s: ShutterState, seed: int) -> Dict[str, Any]:
+    return {
         "schema": SCHEMA_VERSION,
         "kind": "shutter-audit",
         "k": s.k,
@@ -364,10 +364,8 @@ def audit_to_doc(s: ShutterState, seed: Optional[int] = None) -> Dict[str, Any]:
         "a_final": _axis_doc(s.a_scalars),
         "b_size_final": s.audit[-1].b_size,
         "records": [_step_record_to_doc(r) for r in s.audit],
+        "seed": seed,
     }
-    if seed is not None:
-        doc["seed"] = seed
-    return doc
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ intersection graph of maximal segments:
                           through p and one through q.
 
 Minimal paths bend only where two maximal segments meet, which keeps all
-certificates exact and rational.
+certificates exact and rational. For the same reason an n-link region is
+a union of whole maximal segments; taken in index order they are already
+a canonical OneSet (sorted, no two collinear ones touching), so
+link_region builds it without re-canonicalizing.
 
 Every path comes from one search in two parts. search_tree builds the BFS
 tree from the maximal segments through a source point; tree_path looks a
@@ -35,7 +38,6 @@ from .complexes import (
     contains_point,
     contains_segment,
     incident_segments,
-    make_oneset,
     oneset_intersect,
 )
 from .kernel import GeometryError, Point, point_from_key
@@ -63,15 +65,13 @@ class PathCertificate:
     links: int
 
 
-def certificate_valid(
-    C: SegmentComplex, cert: PathCertificate, bound: Optional[int] = None
-) -> bool:
+def certificate_valid(C: SegmentComplex, cert: PathCertificate, bound: int) -> bool:
     """Independent re-check: links contained, consecutive vertices distinct,
     intermediate vertices pairwise distinct, link count within bound."""
     vs = cert.vertices
     if not vs or cert.links != len(vs) - 1:
         return False
-    if bound is not None and cert.links > bound:
+    if cert.links > bound:
         return False
     if len(vs) == 1:
         return contains_point(C, vs[0])
@@ -162,7 +162,9 @@ def link_region(C: SegmentComplex, p: Point, j: int) -> LinkRegion:
     idx = frozenset(
         i for i, d in enumerate(tree.dist) if d is not None and d <= j - 1
     )
-    region = make_oneset([C.maximal_segments[i] for i in sorted(idx)])
+    # maximal segments are sorted and no two collinear ones touch, so in
+    # index order they are already a canonical OneSet
+    region = OneSet(tuple(C.maximal_segments[i] for i in sorted(idx)))
     return LinkRegion(p, j, region, idx)
 
 
@@ -188,13 +190,11 @@ def tree_path(
     tree: SearchTree,
     q: Point,
     n: int,
-    through_q: Optional[Sequence[int]] = None,
+    through_q: Sequence[int],
 ) -> Optional[PathCertificate]:
     """A verified certificate from the tree's source to q with at most n
     links, or None when the link distance exceeds n (or the points are
-    disconnected). through_q, when given, must be incident_segments(C, q)."""
-    if through_q is None:
-        through_q = incident_segments(C, q)
+    disconnected). through_q must be incident_segments(C, q)."""
     links, last = _lookup(tree, q, through_q)
     if links is None or links > n:
         return None
@@ -224,7 +224,7 @@ def n_visible(
     distance exceeds n (or the points are disconnected)."""
     if n < 1:
         raise ValueError("link bound must be >= 1")
-    return tree_path(C, search_tree(C, p), q, n)
+    return tree_path(C, search_tree(C, p), q, n, incident_segments(C, q))
 
 
 def common_viewer(

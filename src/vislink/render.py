@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import List
 
 from .construct import Construction
-from .verify import piece_segment_indices
 
 PALETTE = (
     "#1f77b4",
@@ -67,7 +66,7 @@ def render_construction(c: Construction) -> str:
         return _SIZE - (float(v - lo_y + margin)) * scale
 
     piece_of = {}
-    for i, idxs in enumerate(piece_segment_indices(c)):
+    for i, idxs in enumerate(c.pieces):
         for j in idxs:
             piece_of[j] = i
 

@@ -122,7 +122,8 @@ class ShutterState:
 
     ShutterState(K) validates the (k+1)-set K and blocks every axis
     crossing of a line through two K-points (B0); A starts empty. The
-    integer sets are the only state; A and B are views built from them.
+    integer sets and the audit records are the only state; A and B are
+    views built from the sets, and history from the records.
     B holds committed blocks only, so after the last step |B| is the last
     record's b_size; the blocks its scan found stay pending.
     """
@@ -131,7 +132,6 @@ class ShutterState:
         "k",
         "K",
         "b0_size",
-        "history",
         "step",
         "audit",
         "_ys",
@@ -152,7 +152,6 @@ class ShutterState:
         _check_lower_distinct(K, "K")
         self.k = len(K) - 1
         self.K = K
-        self.history: List[Tuple[Tuple[Point, ...], Point]] = []
         self.step = 0
         self.audit: List[StepRecord] = []
         self._ys = [p.key for p in K]
@@ -178,6 +177,12 @@ class ShutterState:
         """The admitted axis points in admission order, built on demand
         from the integer list (a fresh list on every access)."""
         return list(_axis_points(self._alist))
+
+    @property
+    def history(self) -> List[Tuple[Tuple[Point, ...], Point]]:
+        """(tuple, witness) of every step in order, read from the audit
+        records (a fresh list on every access)."""
+        return [(r.tuple, r.witness) for r in self.audit]
 
     @property
     def a_scalars(self) -> Tuple[Scalar, ...]:
@@ -325,7 +330,6 @@ def _admit(
             a_added.append(c)
     _extend_lines(s, old_len)
     z = point_from_key(zkey)
-    s.history.append((tup, z))
     ok = _check_invariants(s, context)
     s.audit.append(
         StepRecord(

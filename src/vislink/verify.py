@@ -92,11 +92,6 @@ def witness_vertex_index(k: int, untouched: int) -> int:
     return (untouched - k // 2) % (k + 1)
 
 
-def piece_segment_indices(c: Construction) -> Tuple[frozenset, ...]:
-    """Maximal-segment indices of each piece C_i = B_i plus its tail."""
-    return c.pieces
-
-
 def verify_common_witness(
     c: Construction, pts: Sequence[Point]
 ) -> WitnessReport:

@@ -250,3 +250,20 @@ def test_criterion_7_artifacts_are_identical_under_python_O(tmp_path):
             [hashlib.sha256(open(f, "rb").read()).hexdigest() for f in (doc, rep, audit)]
         )
     assert digests[0] == digests[1]
+
+
+def test_package_has_no_assert():
+    # a check written as `assert` vanishes under `python -O`, so every
+    # check in the package must be an explicit raise
+    pkg = os.path.dirname(os.path.abspath(vislink.__file__))
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as f:
+                tree = ast.parse(f.read(), filename=name)
+            found += [
+                f"{name}:{node.lineno}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Assert)
+            ]
+    assert not found, f"assert statements in the package: {found}"

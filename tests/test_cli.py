@@ -233,6 +233,13 @@ def test_verify_rejects_non_list_marked_points(s12, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("value", ["--5", "²"])
+def test_verify_reads_a_non_count_tuples_value_as_a_path(s12, capsys, value):
+    # "²" passes str.isdigit but not int(); every such value names a
+    # tuple document, here a missing one
+    _one_line_usage_error(capsys, "verify", "--in", s12, f"--tuples={value}")
+
+
 # ---------------------------------------------------------------------------
 # shutter
 

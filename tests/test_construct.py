@@ -17,6 +17,7 @@ from vislink.construct import (
     NotConvex,
     PolygonSpec,
     SideConditionFailed,
+    _midpoints_clear,
     build_family,
     check_strong_general_position,
     make_polygon,
@@ -24,6 +25,7 @@ from vislink.construct import (
 from vislink.kernel import (
     GeometryError,
     Orientation,
+    on_segment,
     orientation,
     segments_intersection,
 )
@@ -205,6 +207,87 @@ def test_general_position_matches_reference_on_planted_concurrency(
     got = check_strong_general_position(spec)
     assert got == _reference_general_position(spec)
     assert not got[0]
+
+
+def _mid(p, q):
+    return point((p.x + q.x) / 2, (p.y + q.y) / 2)
+
+
+def _reference_midpoints_clear(spec):
+    """The midpoint genericity test on Segment values: every edge midpoint
+    c_i and every removed-matching midpoint against every diagonal, the
+    removed diagonal itself excepted for its own midpoint."""
+    verts = spec.vertices
+    m = len(verts)
+    k1 = spec.k + 1
+    diags = [
+        (i, j)
+        for i in range(m)
+        for j in range(i + 1, m)
+        if (j - i) % m not in (1, m - 1)
+    ]
+    for i in range(k1):
+        ci = _mid(spec.b(i), spec.a(i + 1))
+        match = tuple(sorted((2 * ((i - spec.kappa) % k1), 2 * i + 1)))
+        mmid = _mid(verts[match[0]], verts[match[1]])
+        for d in diags:
+            s = Segment(verts[d[0]], verts[d[1]])
+            if on_segment(ci, s) or (d != match and on_segment(mmid, s)):
+                return False
+    return True
+
+
+def _clockwise_key(p):
+    return -math.atan2(p.y, p.x)
+
+
+def _plant_through_matching_midpoint(pts, k, i, v):
+    """pts (on the unit circle, clockwise) with one vertex replaced so that
+    the diagonal from vertex v passes through the midpoint of removed
+    matching diagonal i; None when the replacement point is a vertex."""
+    k1 = k + 1
+    a, b = 2 * ((i - k // 2) % k1), 2 * i + 1
+    if v in (a, b):
+        return None
+    w = _through_center(pts[v], _mid(pts[a], pts[b]))
+    if w in pts:
+        return None
+    # w lies on the far side of [a, b] from v, between two consecutive
+    # vertices u and u + 1; replacing either keeps the clockwise order,
+    # and one of them is neither a nor b since [a, b] is a diagonal
+    m = len(pts)
+    keys = [_clockwise_key(p) for p in pts]
+    u = sum(1 for t in keys if t < _clockwise_key(w)) - 1
+    out = list(pts)
+    out[u % m if u % m not in (a, b) else (u + 1) % m] = w
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from((6, 8)).flatmap(
+        lambda m: st.lists(_param, min_size=m, max_size=m, unique=True)
+    ),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=7),
+    st.booleans(),
+)
+def test_midpoints_clear_matches_reference_on_planted_diagonals(ts, i, v, plant):
+    pts = sorted((_on_circle(t) for t in ts), key=_clockwise_key)
+    k = len(pts) // 2 - 1
+    i, v = i % (k + 1), v % len(pts)
+    if plant:
+        pts = _plant_through_matching_midpoint(pts, k, i, v)
+        assume(pts is not None)
+    spec = hand_spec([(p.x, p.y) for p in pts], k=k)
+    try:
+        check_strong_general_position(spec)  # the strict convexity it needs
+    except NotConvex:
+        assume(False)
+    got = _midpoints_clear(spec)
+    assert got == _reference_midpoints_clear(spec)
+    if plant:
+        assert not got
 
 
 # ------------------------------------------------------------ build_family

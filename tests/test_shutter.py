@@ -1,6 +1,7 @@
 """Tests for the axis-screen process: basis, steps, invariants, and the
 four-way visibility case analysis."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -372,9 +373,10 @@ def test_verify_history_rejects_a_moved_witness():
     tup, z = s.history[-1]
     moved = point(z.x + Fraction(1, 7), z.y)
     assert any(sees_via(moved, a, s.A) is None for a in tup)
-    s.history[-1] = (tup, moved)
+    last = s.audit[-1]
+    s.audit[-1] = replace(last, witness=moved)
     assert not verify_history(s)
-    s.history[-1] = (tup, point(z.x, -z.y))  # a witness below the axis
+    s.audit[-1] = replace(last, witness=point(z.x, -z.y))  # below the axis
     with pytest.raises(SameSideInput):
         verify_history(s)
 

@@ -21,7 +21,6 @@ from vislink.verify import (
     TupleNotOnComplex,
     VerificationFailed,
     WrongArity,
-    piece_segment_indices,
     sample_on_complex,
     sample_tuples,
     verify_common_witness,
@@ -55,7 +54,7 @@ def test_witness_vertex_joined_to_all_other_fans():
     for k in (2, 3, 4, 5):
         p = make_polygon(k, seed=5)
         c = build_family(p)
-        pieces = piece_segment_indices(c)
+        pieces = c.pieces
         for j0 in range(k + 1):
             m = witness_vertex_index(k, j0)
             am = p.a(m)
@@ -286,7 +285,7 @@ def test_sample_on_complex_basic():
     pts = sample_on_complex(c.complex, 1000, seed=5)
     assert len(pts) == 1000
     assert all(contains_point(c.complex, q) for q in pts)
-    pieces = piece_segment_indices(c)
+    pieces = c.pieces
     from vislink.complexes import incident_segments
 
     touched = set()
