@@ -170,22 +170,21 @@ def cross_lower(z, y):
     return norm2(num, den)
 
 
-def _cross_zd(xn, yn, d, y):
-    """cross_lower for z = (xn/d, yn/d) not necessarily reduced.
-
-    Pre: d > 0, yn > 0 (z strictly upper), y strictly lower.
-    """
-    yxn, yxd, yyn, yyd = y
-    num = yxn * yn * yyd - xn * yyn * yxd
-    den = yxd * (yn * yyd - yyn * d)
-    return norm2(num, den)
+def _other_coefs(ys):
+    """others[i][j]: (m, a, b, c) for every m other than i and j, where the
+    axis crossing of [z, ys[m]] for z = (xn/d, yn/d), d > 0, not
+    necessarily reduced, is (yn*a - xn*b) / (yn*c - d*b). For z strictly
+    upper and ys[m] strictly lower the denominator is positive."""
+    c = [(yxn * yyd, yyn * yxd, yxd * yyd) for yxn, yxd, yyn, yyd in ys]
+    r = range(len(ys))
+    return [[[(m,) + c[m] for m in r if m != i and m != j] for j in r] for i in r]
 
 
 def viewer_scan(ys, aset, lines):
     """First upper point seeing every y through admitted axis points.
 
     ys: the forbidden points (all strictly lower), in fixed order.
-    aset: the admitted axis abscissae as a set of scalars.
+    aset: the admitted axis abscissae, a container of scalars.
     lines: flat list, lines[u*len(ys) + i] = canonical line through the
     u-th admitted point and ys[i].
 
@@ -203,8 +202,10 @@ def viewer_scan(ys, aset, lines):
     n = len(lines)
     if n < k1 * k1:  # fewer admitted points than ys: no viewer
         return None
+    others = _other_coefs(ys)
     for p in range(n):
         i = p % k1
+        rest = others[i]
         a1, b1, c1 = lines[p]
         for q in range(p):
             j = q % k1
@@ -220,41 +221,48 @@ def viewer_scan(ys, aset, lines):
             xn = c1 * b2 - c2 * b1
             if det < 0:
                 xn, yn, det = -xn, -yn, -det
-            ok = True
-            for m in range(k1):
-                if m == i or m == j:
-                    continue
-                if _cross_zd(xn, yn, det, ys[m]) not in aset:
-                    ok = False
+            for _, ca, cb, cc in rest[j]:
+                num = yn * ca - xn * cb
+                den = yn * cc - det * cb
+                g = gcd(num, den)
+                if (num // g, den // g) not in aset:
                     break
-            if ok:
+            else:
                 return norm2(xn, det) + norm2(yn, det)
     return None
 
 
-def danger_scan(lines, start, ys, aset, zseen, pending):
+def danger_scan(lines, start, ys, aidx, pending):
     """The shutter's one scan per step: find a viewer, or block each new
     dangerous crossing.
 
     lines: flat family as in viewer_scan; entries from start on are the
-    ones added since the last scan. Every pair of a new line with an
-    earlier line through a different forbidden point is intersected, in
-    viewer_scan's order. For a strictly upper crossing z the scan finds
-    the least m whose crossing of [z, ys[m]] is not admitted (the two
-    forbidden points of z's own lines are skipped: their crossings are
-    the lines' admitted points). If there is none, z sees every forbidden
-    point and is returned as a canonical point. Otherwise, when z is not
-    in zseen, it is added and that crossing is appended to pending, the
-    caller's list of blocks still to commit. The viewer test runs before
-    the zseen test, so a crossing seen in an earlier scan is still checked
-    as a viewer. zseen keys z by the primitive triple (xn, yn, d) of
-    z = (xn/d, yn/d), d > 0, unique per point. Returns None when no
-    viewer was found.
+    ones added since the last scan. aidx maps each admitted abscissa to
+    its admission index u, so line u*len(ys) + m runs through it and
+    ys[m]. Every pair p > q of a new line with an earlier line through a
+    different forbidden point is intersected, in viewer_scan's order, so
+    over all scans pairs are met in lexicographic (p, q) order. For a
+    strictly upper crossing z of lines p and q, through ys[i] and ys[j],
+    the crossing of [z, ys[m]] is computed for every other m. If all are
+    admitted, z sees every forbidden point and is returned as a canonical
+    point. Otherwise, if z is new, the first unadmitted one is appended
+    to pending, the caller's list of blocks still to commit.
+
+    z is new when no earlier pair met there, which aidx decides: only one
+    line joins z to ys[m], so the sight lines through z are p, q and, for
+    each other m whose crossing is admitted with index u, line
+    u*len(ys) + m. They are distinct lines, since a line through two
+    forbidden points has an axis crossing the caller never admits. The
+    first pair met at z is their two least indices, so z is new exactly
+    when none of the others is below p. The viewer test does not depend
+    on newness. Returns None when no viewer was found.
     """
     k1 = len(ys)
     n = len(lines)
+    others = _other_coefs(ys)
     for p in range(start, n):
         i = p % k1
+        rest = others[i]
         a1, b1, c1 = lines[p]
         for q in range(p):
             j = q % k1
@@ -270,23 +278,21 @@ def danger_scan(lines, start, ys, aset, zseen, pending):
             xn = c1 * b2 - c2 * b1
             if det < 0:
                 xn, yn, det = -xn, -yn, -det
-            for m in range(k1):
-                if m == i or m == j:
-                    continue
-                # cross_lower of z = (xn/det, yn/det); den > 0 since z is
-                # strictly upper and ys[m] strictly lower
-                yxn, yxd, yyn, yyd = ys[m]
-                num = yxn * yn * yyd - xn * yyn * yxd
-                den = yxd * (yn * yyd - yyn * det)
+            block = None
+            new = True
+            for m, ca, cb, cc in rest[j]:
+                num = yn * ca - xn * cb
+                den = yn * cc - det * cb
                 g = gcd(num, den)
                 c = (num // g, den // g)
-                if c not in aset:
-                    break
-            else:
+                u = aidx.get(c)
+                if u is None:
+                    if block is None:
+                        block = c
+                elif u * k1 + m < p:
+                    new = False
+            if block is None:
                 return norm2(xn, det) + norm2(yn, det)
-            g = gcd(xn, yn, det)
-            z = (xn // g, yn // g, det // g)
-            if z not in zseen:
-                zseen.add(z)
-                pending.append(c)
+            if new:
+                pending.append(block)
     return None

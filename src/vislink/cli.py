@@ -66,8 +66,9 @@ def _parser() -> argparse.ArgumentParser:
     )
 
     s = sub.add_parser("shutter", help="run the axis-screen process")
-    s.add_argument("--in", dest="in_", help="input document with K (and optional tuples)")
-    s.add_argument("--k", type=int, default=None, help="generate K of size k+1 (>= 2)")
+    source = s.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="in_", help="input document with K (and optional tuples)")
+    source.add_argument("--k", type=int, help="generate K of size k+1 (>= 2)")
     s.add_argument("--steps", type=int, default=10, help="induction steps after the basis")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", help="write the audit-log document here")
@@ -160,22 +161,19 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_shutter(args) -> int:
-    if args.in_:
+    if args.steps < 0:
+        print("shutter: --steps must be >= 0", file=sys.stderr)
+        return 2
+    if args.in_ is not None:
         K, tuples = docio.shutter_input_from_doc(docio.read_doc(args.in_))
         if tuples is None:
             tuples = gen_tuples(len(K) - 1, args.steps + 1, args.seed)
-    elif args.k is not None:
+    else:
         if args.k < 2:
             print("shutter: --k must be >= 2", file=sys.stderr)
             return 2
-        if args.steps < 0:
-            print("shutter: --steps must be >= 0", file=sys.stderr)
-            return 2
         K = gen_kset(args.k, args.seed)
         tuples = gen_tuples(args.k, args.steps + 1, args.seed)
-    else:
-        print("shutter: need --in or --k", file=sys.stderr)
-        return 2
     state = run_schedule(K, tuples)  # raises InvariantViolation on failure
     if not verify_history(state):
         print("shutter: a historical witness no longer verifies", file=sys.stderr)

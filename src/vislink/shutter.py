@@ -26,20 +26,26 @@ Each step runs that scan once, at the end of its admission, over the
 pairs of sight lines that involve a line the step added (the basis scans
 every pair). For each strictly upper crossing z it finds the least K-point
 whose crossing from z is not admitted. If there is none, z sees all of K
-and the step fails. Otherwise, if no earlier scan saw z, that crossing
-becomes a pending block: the next step commits it to B before its sweep
-and lists it in its record, and the last step's pending blocks are never
+and the step fails. Otherwise, if z is new, that crossing becomes a
+pending block: the next step commits it to B before its sweep and lists
+it in its record, and the last step's pending blocks are never
 committed. Pairs of two older lines need no scan: the state before the
 step had no viewer, and a viewer after it sees some K-point through a
-crossing the step admitted, so it lies on a line the step added. A
-crossing an earlier scan saw still gets the viewer test, which runs
-before the skip of seen crossings, so a corrupted state whose block was
-admitted is caught. Skipping it for blocking is sound because it carries
-a certificate: the block found when it was first seen was not admitted
-then, enters B before anything else is admitted, and A and B are checked
-disjoint after every step, so that crossing is never admitted and z
-never sees all of K. find_common_viewer is the full scan over all pairs;
-the CLI runs it once on the final state as an independent cross-check.
+crossing the step admitted, so it lies on a line the step added.
+
+Newness is derived from A, not remembered. Sight line u*(k+1) + m joins
+the u-th admitted point to K-point m, and the scans meet pairs in
+lexicographic index order. Only one line joins z to a K-point, and a
+line through two K-points has its crossing in B0, so the sight lines
+through z are the pair's two and one for each other K-point whose
+crossing from z is admitted; z is new exactly when none of those has an
+index below the pair's later line (_pure.danger_scan). A crossing met
+before still gets the viewer test, so a corrupted state whose block was
+admitted is caught. Not blocking it again is sound: its first block was
+not admitted then, entered B before anything else was admitted, and A
+and B are checked disjoint after every step, so z never sees all of K.
+find_common_viewer is the full scan over all pairs; the CLI runs it once
+on the final state as an independent cross-check.
 
 The basis (init_state) and every step (advance) choose their witness by
 one sweep, each over its own candidate sequence, and admit its crossings
@@ -47,8 +53,9 @@ by one path that also checks the invariants and writes the audit record.
 
 All hot loops run on plain integer tuples in the predicate core (_pure);
 this module owns state, validation, auditing, and the public Point API.
-The integer sets are the state; the Point views A and B are built from
-them on demand. The audit records hold their admitted and blocked
+The integer containers are the state (A as one dict from abscissa to
+admission index); the Point views A and B are built from them on
+demand. The audit records hold their admitted and blocked
 crossings the same way, as canonical (n, d) abscissae (d > 0,
 gcd(n, d) = 1), and build Points only when a caller reads a_added or
 b_added; the audit document is written from the scalars.
@@ -58,7 +65,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import islice
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import _pure as _k
 from .kernel import GeometryError, Point, point_from_key
@@ -98,7 +106,7 @@ class StepRecord:
 
     step: int
     tuple: Tuple[Point, ...]
-    z_new: int  # newly seen upper crossings of sight lines (|Z| increment)
+    z_new: int  # new upper crossings of sight lines (|Z| increment)
     b_scalars: Tuple[Scalar, ...]
     a_scalars: Tuple[Scalar, ...]
     witness: Point
@@ -122,8 +130,8 @@ class ShutterState:
 
     ShutterState(K) validates the (k+1)-set K and blocks every axis
     crossing of a line through two K-points (B0); A starts empty. The
-    integer sets and the audit records are the only state; A and B are
-    views built from the sets, and history from the records.
+    integer containers and the audit records are the only state; A and B
+    are views built from them, and history from the records.
     B holds committed blocks only, so after the last step |B| is the last
     record's b_size; the blocks its scan found stay pending.
     """
@@ -135,14 +143,11 @@ class ShutterState:
         "step",
         "audit",
         "_ys",
-        "_alist",
-        "_aset",
+        "_aidx",
         "_bset",
-        "_zseen",
         "_lines",
         "_scanned",
         "_pending",
-        "_pending_z",
     )
 
     def __init__(self, K: Sequence[Point]):
@@ -155,16 +160,14 @@ class ShutterState:
         self.step = 0
         self.audit: List[StepRecord] = []
         self._ys = [p.key for p in K]
-        self._alist: List[Scalar] = []
-        self._aset: Set[Scalar] = set()
+        # A: admitted abscissa -> admission index, in admission order
+        self._aidx: Dict[Scalar, int] = {}
         self._bset: Set[Scalar] = set()
-        self._zseen: Set[Tuple[int, int, int]] = set()
         self._lines: List[Tuple[int, int, int]] = []
         self._scanned = 0
-        # the last scan's blocks and its count of new crossings, committed
-        # and recorded by the next step
+        # the last scan's blocks, one per new crossing, committed and
+        # recorded by the next step
         self._pending: List[Scalar] = []
-        self._pending_z = 0
         for i, yi in enumerate(self._ys):
             for yj in self._ys[i + 1 :]:
                 kind, n, d = _k.axis_cross(_k.line3(yi, yj))
@@ -175,8 +178,8 @@ class ShutterState:
     @property
     def A(self) -> List[Point]:
         """The admitted axis points in admission order, built on demand
-        from the integer list (a fresh list on every access)."""
-        return list(_axis_points(self._alist))
+        from the integer index (a fresh list on every access)."""
+        return list(_axis_points(self._aidx))
 
     @property
     def history(self) -> List[Tuple[Tuple[Point, ...], Point]]:
@@ -187,7 +190,7 @@ class ShutterState:
     @property
     def a_scalars(self) -> Tuple[Scalar, ...]:
         """The admitted abscissae in admission order, as canonical scalars."""
-        return tuple(self._alist)
+        return tuple(self._aidx)
 
     @property
     def B(self) -> FrozenSet[Point]:
@@ -229,17 +232,15 @@ def sees_via(z: Point, y: Point, A: Sequence[Point]) -> Optional[Point]:
 def _append_a(s: ShutterState, scalar: Scalar) -> bool:
     """Admit an axis point unless already present; sight-line rows for it
     are appended by the caller."""
-    if scalar in s._aset:
+    if scalar in s._aidx:
         return False
-    s._aset.add(scalar)
-    s._alist.append(scalar)
+    s._aidx[scalar] = len(s._aidx)
     return True
 
 
 def _extend_lines(s: ShutterState, from_index: int) -> None:
     """Append sight-line rows (A-point x K-point) for A[from_index:]."""
-    for u in range(from_index, len(s._alist)):
-        n, d = s._alist[u]
+    for n, d in islice(s._aidx, from_index, None):
         akey = (n, d, 0, 1)
         for ykey in s._ys:
             s._lines.append(_k.line3(akey, ykey))
@@ -249,7 +250,7 @@ def find_common_viewer(s: ShutterState) -> Optional[Point]:
     """Full exact scan for an upper point seeing all of K via A, over all
     pairs of sight lines (why that suffices: see the module docstring).
     Returns the first viewer found, else None."""
-    got = _k.viewer_scan(s._ys, s._aset, s._lines)
+    got = _k.viewer_scan(s._ys, s._aidx, s._lines)
     return None if got is None else point_from_key(got)
 
 
@@ -257,27 +258,24 @@ def _scan(s: ShutterState, context: str) -> None:
     """The one scan of a step, over the sight-line pairs that involve a
     line added since the last scan: raise if an upper crossing sees all
     of K via A, else queue a pending block for each new crossing."""
-    zseen_before = len(s._zseen)
-    got = _k.danger_scan(
-        s._lines, s._scanned, s._ys, s._aset, s._zseen, s._pending
-    )
+    got = _k.danger_scan(s._lines, s._scanned, s._ys, s._aidx, s._pending)
     if got is not None:
         raise InvariantViolation(
             f"{context}: upper point {point_from_key(got)} sees all of K via A"
         )
-    s._pending_z += len(s._zseen) - zseen_before
     s._scanned = len(s._lines)
 
 
 def _check_invariants(s: ShutterState, context: str) -> bool:
-    if s._aset & s._bset:
+    common = s._aidx.keys() & s._bset
+    if common:
         raise InvariantViolation(
-            f"{context}: A and B intersect at {sorted(s._aset & s._bset)[:3]}"
+            f"{context}: A and B intersect at {sorted(common)[:3]}"
         )
     bound = s.k + s.step * (s.k - 1)
-    if len(s._alist) > bound:
+    if len(s._aidx) > bound:
         raise InvariantViolation(
-            f"{context}: |A|={len(s._alist)} exceeds bound {bound}"
+            f"{context}: |A|={len(s._aidx)} exceeds bound {bound}"
         )
     # only pairs with a line added since the last scan (see the module
     # docstring); the basis has _scanned == 0, a full scan
@@ -320,7 +318,7 @@ def _admit(
     """Admit the crossings of [z, a] for a in keys, extend the sight lines,
     check the invariants and append the audit record for s.step."""
     context = f"step {s.step}" if s.step else "init"
-    old_len = len(s._alist)
+    old_len = len(s._aidx)
     a_added: List[Scalar] = []
     for a in keys:
         c = _k.cross_lower(zkey, a)
@@ -339,7 +337,7 @@ def _admit(
             b_scalars=tuple(b_added),
             a_scalars=tuple(a_added),
             witness=z,
-            a_size=len(s._alist),
+            a_size=len(s._aidx),
             b_size=len(s._bset),
             viewer_absent=ok,
         )
@@ -382,28 +380,25 @@ def advance(s: ShutterState, tup: Sequence[Point]) -> ShutterState:
 
     Phases: (1)+(2) commit to B the pending blocks of the last step's
     scan, one unadmitted crossing toward K for every new upper crossing
-    of two sight lines; (3) sweep for a generic witness z on the line
-    through the first admitted point and the tuple's first point (never
-    horizontal, since that admitted point is on the axis and the tuple
-    point strictly below it); (4) admit the crossings of [z, a_i] for the
-    remaining tuple points. The invariant suite runs before return, its
-    scan over the pairs that involve the sight lines of phase (4). Sight
-    lines that no scan has seen (a state built by hand) are scanned
-    first.
+    of two sight lines (their number is the step's z_new); (3) sweep for
+    a generic witness z on the line through the first admitted point and
+    the tuple's first point (never horizontal, since that admitted point
+    is on the axis and the tuple point strictly below it); (4) admit the
+    crossings of [z, a_i] for the remaining tuple points. The invariant
+    suite runs before return, its scan over the pairs that involve the
+    sight lines of phase (4). Sight lines that no scan has seen (a state
+    built by hand) are scanned first.
     """
     tup = _check_tuple(s, tup, "tuple")
     if s._scanned < len(s._lines):
         _scan(s, f"step {s.step + 1}")
-    b_added: List[Scalar] = []
-    for c in s._pending:
-        if c not in s._bset:
-            s._bset.add(c)
-            b_added.append(c)
-    z_new = s._pending_z
+    # distinct new crossings may share a block; each enters B once
+    b_added = [c for c in dict.fromkeys(s._pending) if c not in s._bset]
+    s._bset.update(b_added)
+    z_new = len(s._pending)
     s._pending = []
-    s._pending_z = 0
     keys = [p.key for p in tup[1:]]
-    zkey = _sweep(s, _step_candidates(Fraction(*s._alist[0]), tup[0]), keys)
+    zkey = _sweep(s, _step_candidates(Fraction(*next(iter(s._aidx))), tup[0]), keys)
     s.step += 1
     return _admit(s, tup, zkey, keys, z_new, b_added)
 

@@ -129,7 +129,7 @@ def test_criterion_5_shutter_200_steps_three_seeds_all_invariants():
             assert all(r.viewer_absent for r in s.audit)
             assert s.b0_size <= (k + 1) * k // 2
             assert len(s.A) <= k + 200 * (k - 1)
-            assert not (s._aset & s._bset)
+            assert not (s._aidx.keys() & s._bset)
             assert verify_history(s), "a historical witness stopped verifying"
             assert find_common_viewer(s) is None
             assert elapsed < 300, (

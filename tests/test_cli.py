@@ -295,6 +295,24 @@ def test_shutter_requires_k_or_input():
     assert run("shutter", "--k", 2, "--steps", -1) == 2
 
 
+def test_shutter_input_and_k_are_exclusive(tmp_path, capsys):
+    # --k used to be ignored silently next to --in
+    path = str(tmp_path / "input.json")
+    write_doc(path, shutter_input_to_doc(K3, [(point(-1, -3), point(2, -1))]))
+    capsys.readouterr()
+    assert run("shutter", "--in", path, "--k", 5) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_shutter_input_checks_steps(tmp_path, capsys):
+    # with --in as with --k, a negative --steps is a usage error of its own
+    path = str(tmp_path / "input.json")
+    write_doc(path, shutter_input_to_doc(K3))
+    assert "--steps must be >= 0" in _one_line_usage_error(
+        capsys, "shutter", "--in", path, "--steps", -1
+    )
+
+
 # ---------------------------------------------------------------------------
 # render
 

@@ -1,6 +1,7 @@
 """Tests for the axis-screen process: basis, steps, invariants, and the
 four-way visibility case analysis."""
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ReferenceShutter, ReferenceViolation
+from oracles import ReferenceShutter, ReferenceViolation, _meet
 from vislink.kernel import Point, line_through, point, point_from_key, x_axis_crossing
 from vislink.shutter import (
     DegenerateK,
@@ -136,7 +137,7 @@ def test_a_is_a_read_only_view():
     view.append(axis(5))
     view.clear()
     assert s.A == [axis(Fraction(-1, 4)), axis(1)]
-    assert s._alist == [(-1, 4), (1, 1)]
+    assert list(s._aidx) == [(-1, 4), (1, 1)]
     assert find_common_viewer(s) is None
 
 
@@ -173,7 +174,7 @@ def test_records_hold_canonical_scalars():
         assert rec.a_size == len(admitted) and rec.b_size == blocked
     assert admitted == s.A
     assert len(s.B) == s.audit[-1].b_size
-    assert s.a_scalars == tuple(s._alist)
+    assert s.a_scalars == tuple(s._aidx)
     assert {b for rec in s.audit for b in rec.b_added} == s.B
 
 
@@ -217,7 +218,7 @@ def test_unscanned_lines_are_scanned_before_the_sweep():
     s = planted_state(point(0, 2))
     with pytest.raises(InvariantViolation, match="sees all of K via A"):
         advance(s, (point(-3, -1), point(3, -1)))
-    assert s.step == 0 and s.history == [] and len(s._alist) == 3
+    assert s.step == 0 and s.history == [] and len(s._aidx) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +278,7 @@ def test_incremental_check_catches_an_admitted_blocked_crossing(sched, pick):
     blocked = sorted(s._bset)
     c = blocked[pick % len(blocked)]
     s._bset.discard(c)
-    old_len = len(s._alist)
+    old_len = len(s._aidx)
     _append_a(s, c)
     _extend_lines(s, old_len)
     s.step += 1
@@ -326,6 +327,66 @@ def test_one_scan_matches_separate_scans(sched):
         assert len(s.B) == s.audit[-1].b_size
 
 
+def upper_crossings(s):
+    """Every strictly upper crossing of two sight lines through different
+    K-points, with the number of such pairs meeting there, in Fractions."""
+    K = [(y.x, y.y) for y in s.K]
+    lines = [((a.x, a.y), y, i) for a in s.A for i, y in enumerate(K)]
+    met = Counter()
+    for (a1, y1, i1), (a2, y2, i2) in combinations(lines, 2):
+        if i1 != i2:
+            z = _meet(a1, y1, a2, y2)
+            if z is not None and z[1] > 0:
+                met[z] += 1
+    return met
+
+
+@settings(max_examples=100, deadline=None)
+@given(schedules())
+def test_each_upper_crossing_is_new_once(sched):
+    # newness is derived from A: every crossing counts once, in the scan
+    # of the first pair that meets there, recorded or still pending
+    try:
+        s = run_schedule(*sched)
+    except InvariantViolation:
+        return
+    counted = sum(r.z_new for r in s.audit) + len(s._pending)
+    assert counted == len(upper_crossings(s))
+
+
+# a k = 3 basis whose three sight lines through (2, 0), (-1/2, 0) and
+# (-5/2, 0) toward K[1], K[2] and K[3] all run through (9/2, 10)
+COINCIDENT_K = (point(-4, -3), point(1, -4), point(-1, -1), point(-6, -5))
+COINCIDENT_TUPLES = [
+    (point(-2, -1), point(-6, -1), point(5, -3)),
+    (point(0, -1), point(3, -2), point(-3, -2)),
+]
+
+
+def test_three_sight_lines_through_one_point_count_once():
+    K, tuples = COINCIDENT_K, COINCIDENT_TUPLES
+    s = init_state(K, tuples[0])
+    z = point(Fraction(9, 2), 10)
+    assert [sees_via(z, y, s.A) for y in K] == [
+        None, axis(2), axis(Fraction(-1, 2)), axis(Fraction(-5, 2))
+    ]
+    met = upper_crossings(s)
+    assert met[(z.x, z.y)] == 3  # three pairs of the basis meet at z
+    assert sum(met.values()) == 8 and len(met) == 6
+    # z is new once: one pending block, its crossing toward K[0]
+    assert len(s._pending) == 6
+    assert s._pending.count((-53, 26)) == 1
+    advance(s, tuples[1])
+    assert s.audit[1].z_new == 6
+    assert (-53, 26) in s.audit[1].b_scalars
+    got = [
+        (r.step, (r.witness.x, r.witness.y), r.z_new, r.b_scalars, r.a_scalars,
+         r.b_size)
+        for r in s.audit
+    ]
+    assert (got, False) == reference_run(K, tuples)
+
+
 # ---------------------------------------------------------------------------
 # steps
 
@@ -352,7 +413,7 @@ def test_advance_blocks_dangerous_crossings():
     # phase must have blocked something beyond the initial pair crossings
     assert len(s.B) > s.b0_size
     assert {(p.x.numerator, p.x.denominator) for p in s.B} == s._bset
-    assert not (s._aset & s._bset)
+    assert not (s._aidx.keys() & s._bset)
 
 
 def test_witnesses_remain_valid():
