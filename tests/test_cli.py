@@ -296,7 +296,7 @@ def test_shutter_requires_k_or_input():
 
 
 def test_shutter_input_and_k_are_exclusive(tmp_path, capsys):
-    # --k used to be ignored silently next to --in
+    # K comes from the document or from --k, never both
     path = str(tmp_path / "input.json")
     write_doc(path, shutter_input_to_doc(K3, [(point(-1, -3), point(2, -1))]))
     capsys.readouterr()
