@@ -188,30 +188,28 @@ def viewer_scan(ys, aset, lines):
     lines: flat list, lines[u*len(ys) + i] = canonical line through the
     u-th admitted point and ys[i].
 
-    Scans candidates z = lines[p] x lines[q] over every q < p with
-    different forbidden points, in that order; a candidate counts when it
-    is strictly upper and the crossing of [z, ys[m]] is admitted for every
-    other m. Returns the first such z (canonical point) or None. Any point
-    seeing all of ys through the admitted set must see two of them through
-    two distinct admitted points (a shared one would lie on a line through
-    two ys, and those crossings are never admitted), so the scan is
-    exhaustive. It is the full scan the shutter's final cross-check runs;
-    the per-step check is danger_scan.
+    A viewer z sees ys[0] via some a_u and ys[1] via some a_v. If u != v,
+    z is the upper crossing of sight lines u*len(ys) and v*len(ys) + 1,
+    so every line through ys[1] is met with every line through ys[0]. If
+    u == v, a_u is the axis crossing c01 of the line ys[0]ys[1], and z is
+    where that line meets the sight line toward some ys[w] off it; so when
+    c01 is admitted, that line is met with every sight line too. Each
+    strictly upper crossing z sees ys[0] and ys[1]; it is returned, as a
+    canonical point, when its crossings toward ys[2:] are all admitted.
+    Returns None when there is none. Out of reach: if all of ys is
+    collinear and c01 is admitted, every upper point of that line is a
+    viewer, and no sight line crosses the line above the axis. The
+    shutter's per-step check is danger_scan.
     """
     k1 = len(ys)
-    n = len(lines)
-    if n < k1 * k1:  # fewer admitted points than ys: no viewer
-        return None
-    others = _other_coefs(ys)
-    for p in range(n):
-        i = p % k1
-        rest = others[i]
-        a1, b1, c1 = lines[p]
-        for q in range(p):
-            j = q % k1
-            if j == i:
-                continue
-            a2, b2, c2 = lines[q]
+    rest = _other_coefs(ys)[1][0]
+    pairs = [(l1, lines[0::k1]) for l1 in lines[1::k1]]
+    l01 = line3(ys[0], ys[1])
+    kind, n, d = axis_cross(l01)
+    if kind == 1 and (n, d) in aset:
+        pairs.append((l01, lines))
+    for (a1, b1, c1), family in pairs:
+        for a2, b2, c2 in family:
             det = a1 * b2 - a2 * b1
             if det == 0:
                 continue
@@ -221,7 +219,7 @@ def viewer_scan(ys, aset, lines):
             xn = c1 * b2 - c2 * b1
             if det < 0:
                 xn, yn, det = -xn, -yn, -det
-            for _, ca, cb, cc in rest[j]:
+            for _, ca, cb, cc in rest:
                 num = yn * ca - xn * cb
                 den = yn * cc - det * cb
                 g = gcd(num, den)
@@ -240,7 +238,7 @@ def danger_scan(lines, start, ys, aidx, pending):
     ones added since the last scan. aidx maps each admitted abscissa to
     its admission index u, so line u*len(ys) + m runs through it and
     ys[m]. Every pair p > q of a new line with an earlier line through a
-    different forbidden point is intersected, in viewer_scan's order, so
+    different forbidden point is intersected, p ascending and then q, so
     over all scans pairs are met in lexicographic (p, q) order. For a
     strictly upper crossing z of lines p and q, through ys[i] and ys[j],
     the crossing of [z, ys[m]] is computed for every other m. If all are

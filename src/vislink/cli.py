@@ -69,7 +69,7 @@ def _parser() -> argparse.ArgumentParser:
     source = s.add_mutually_exclusive_group(required=True)
     source.add_argument("--in", dest="in_", help="input document with K (and optional tuples)")
     source.add_argument("--k", type=int, help="generate K of size k+1 (>= 2)")
-    s.add_argument("--steps", type=int, default=10, help="induction steps after the basis")
+    s.add_argument("--steps", type=int, help="induction steps after the basis (default 10)")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", help="write the audit-log document here")
 
@@ -161,28 +161,36 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_shutter(args) -> int:
-    if args.steps < 0:
+    if args.steps is not None and args.steps < 0:
         print("shutter: --steps must be >= 0", file=sys.stderr)
         return 2
+    steps = 10 if args.steps is None else args.steps
     if args.in_ is not None:
         K, tuples = docio.shutter_input_from_doc(docio.read_doc(args.in_))
         if tuples is None:
-            tuples = gen_tuples(len(K) - 1, args.steps + 1, args.seed)
+            tuples = gen_tuples(len(K) - 1, steps + 1, args.seed)
+        elif args.steps not in (None, len(tuples) - 1):
+            print(
+                f"shutter: --steps {args.steps} does not match the "
+                f"{len(tuples)} tuples of --in",
+                file=sys.stderr,
+            )
+            return 2
     else:
         if args.k < 2:
             print("shutter: --k must be >= 2", file=sys.stderr)
             return 2
         K = gen_kset(args.k, args.seed)
-        tuples = gen_tuples(args.k, args.steps + 1, args.seed)
+        tuples = gen_tuples(args.k, steps + 1, args.seed)
     state = run_schedule(K, tuples)  # raises InvariantViolation on failure
     if not verify_history(state):
         print("shutter: a historical witness no longer verifies", file=sys.stderr)
         return 1
-    # the steps scan only new sight-line pairs; re-check all pairs once
+    # the steps scan only new sight-line pairs; cross-check the final state
     viewer = find_common_viewer(state)
     if viewer is not None:
         print(
-            f"shutter: final full scan found {viewer} seeing all of K via A",
+            f"shutter: final cross-check found {viewer} seeing all of K via A",
             file=sys.stderr,
         )
         return 1

@@ -1,4 +1,4 @@
-"""Exact rational 2-D primitives: points, segments, lines, predicates.
+"""Exact rational 2-D primitives: points, segments, predicates.
 
 Coordinates are arbitrary-precision rationals (fractions.Fraction); every
 operation is exact and deterministic, there is no floating point anywhere.
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Tuple
 
 from . import _pure as _k
 
@@ -20,10 +20,6 @@ Rat = Fraction
 
 class GeometryError(ValueError):
     """Base class for domain errors raised across the package."""
-
-
-class DegeneratePair(GeometryError):
-    """Two coincident points where distinct ones are required."""
 
 
 class DegenerateSegment(GeometryError):
@@ -89,76 +85,9 @@ class Segment:
             object.__setattr__(self, "q", p)
 
 
-@dataclass(frozen=True, order=True)
-class Line:
-    """Locus a*x + b*y = c; integer coefficients, gcd 1, first nonzero of
-    (a, b) positive; one representative per geometric line."""
-
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self):
-        if self.a == 0 and self.b == 0:
-            raise GeometryError("invalid line: a = b = 0")
-        # cheap canonicality guard; hand-built instances must already comply
-        from math import gcd
-
-        g = gcd(gcd(abs(self.a), abs(self.b)), abs(self.c))
-        if g != 1 or self.a < 0 or (self.a == 0 and self.b < 0):
-            raise GeometryError(f"non-canonical line ({self.a},{self.b},{self.c})")
-
-    @property
-    def key(self) -> Tuple[int, int, int]:
-        return (self.a, self.b, self.c)
-
-
 def orientation(p: Point, q: Point, r: Point) -> Orientation:
     return Orientation(_k.orient(p.key, q.key, r.key))
 
 
 def on_segment(t: Point, s: Segment) -> bool:
     return _k.on_seg(t.key, s.p.key, s.q.key)
-
-
-def line_through(p: Point, q: Point) -> Line:
-    if p == q:
-        raise DegeneratePair(f"line through coincident points {p}")
-    a, b, c = _k.line3(p.key, q.key)
-    return Line(a, b, c)
-
-
-def x_axis_crossing(l: Line) -> Tuple[Optional[Point], bool]:
-    """The unique axis point of l, if any.
-
-    Returns (point, False) for a crossing, (None, False) for a horizontal
-    line off the axis, and (None, True) when l IS the axis, distinguishable
-    so callers can treat that case as malformed input.
-    """
-    kind, n, d = _k.axis_cross(l.key)
-    if kind == 1:
-        return Point(Fraction(n, d), Fraction(0)), False
-    return None, kind == 2
-
-
-def lines_intersection(l1: Line, l2: Line) -> Union[None, Point, Line]:
-    """None when parallel and distinct, the common Point, or the Line
-    itself when both arguments denote one line."""
-    kind, z = _k.line_meet(l1.key, l2.key)
-    if kind == 0:
-        return None
-    if kind == 2:
-        return l1
-    return point_from_key(z)
-
-
-def segments_intersection(s1: Segment, s2: Segment) -> Union[None, Point, Segment]:
-    """Exact intersection of two closed segments: None, a Point, or the
-    overlap Segment for collinear overlaps."""
-    kind, payload = _k.seg_meet(s1.p.key, s1.q.key, s2.p.key, s2.q.key)
-    if kind == 0:
-        return None
-    if kind == 1:
-        return point_from_key(payload)
-    lo, hi = payload
-    return Segment(point_from_key(lo), point_from_key(hi))

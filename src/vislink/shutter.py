@@ -20,7 +20,7 @@ upper point sees all of K via A. The check is a finite scan: a common
 viewer would have to see two distinct K-points via two distinct A-points
 (one shared A-point would lie on a K-pair line, and those crossings are
 blocked from the start), so it must be an intersection of two candidate
-sight lines; with fewer than k+1 admitted points no viewer exists at all.
+sight lines.
 
 Each step runs that scan once, at the end of its admission, over the
 pairs of sight lines that involve a line the step added (the basis scans
@@ -44,8 +44,17 @@ before still gets the viewer test, so a corrupted state whose block was
 admitted is caught. Not blocking it again is sound: its first block was
 not admitted then, entered B before anything else was admitted, and A
 and B are checked disjoint after every step, so z never sees all of K.
-find_common_viewer is the full scan over all pairs; the CLI runs it once
-on the final state as an independent cross-check.
+
+find_common_viewer, the CLI's independent cross-check of the final
+state, scans one K-pair. A viewer z sees K[0] via some a_u and K[1] via
+some a_v. If u != v, z is the upper crossing of the sight lines
+(a_u, K[0]) and (a_v, K[1]): |A|^2 pairs. If u == v, a_u is the axis
+crossing c01 of the line K[0]K[1], in B0 unless the state is corrupted;
+then z is where that line meets the sight line toward a K-point off it,
+so when c01 is admitted the line is met with every sight line too. The
+one case out of reach: if all of K is collinear and c01 is admitted,
+every upper point of that line is a viewer, and no sight line crosses
+the line above the axis.
 
 The basis (init_state) and every step (advance) choose their witness by
 one sweep, each over its own candidate sequence, and admit its crossings
@@ -247,9 +256,9 @@ def _extend_lines(s: ShutterState, from_index: int) -> None:
 
 
 def find_common_viewer(s: ShutterState) -> Optional[Point]:
-    """Full exact scan for an upper point seeing all of K via A, over all
-    pairs of sight lines (why that suffices: see the module docstring).
-    Returns the first viewer found, else None."""
+    """Exact scan for an upper point seeing all of K via A, over the sight
+    lines of the pair K[0], K[1] (why that suffices: see the module
+    docstring). Returns the first viewer found, else None."""
     got = _k.viewer_scan(s._ys, s._aidx, s._lines)
     return None if got is None else point_from_key(got)
 

@@ -6,6 +6,7 @@ complex, so agreement with the package is a genuine cross-check.
 
 from collections import deque
 from fractions import Fraction
+from itertools import combinations
 
 from vislink import _pure as _k
 from vislink.kernel import on_segment, point_from_key
@@ -115,6 +116,23 @@ def _meet(p1, q1, p2, q2):
 def _cross(z, y):
     """Axis abscissa of [z, y] for z strictly upper, y strictly lower."""
     return z[0] + (y[0] - z[0]) * z[1] / (z[1] - y[1])
+
+
+def reference_viewer(K, A):
+    """First upper point seeing every point of K via the axis points A
+    (Points), or None. Meets every pair of sight lines through different
+    K-points, with no shortcut, and checks every K-point from each upper
+    crossing."""
+    K = [(p.x, p.y) for p in K]
+    admitted = {a.x for a in A}
+    lines = [((a.x, a.y), y, i) for a in A for i, y in enumerate(K)]
+    for (a1, y1, i1), (a2, y2, i2) in combinations(lines, 2):
+        if i1 == i2:
+            continue
+        z = _meet(a1, y1, a2, y2)
+        if z is not None and z[1] > 0 and all(_cross(z, y) in admitted for y in K):
+            return z
+    return None
 
 
 class ReferenceShutter:

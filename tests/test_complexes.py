@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vislink import Segment, point
+from vislink import _pure as _k
 from vislink.complexes import (
     EmptyInput,
     OneSet,
@@ -365,15 +366,14 @@ def test_contains_segment_matches_brute_scan(raws, pairs):
 @settings(max_examples=200, deadline=None)
 @given(_complex_raws)
 def test_adjacency_matches_segment_intersection(raws):
-    from vislink.kernel import segments_intersection
+    def meet(s, t):
+        return _k.seg_meet(s.p.key, s.q.key, t.p.key, t.q.key)[0] != 0
 
     C = normalize(raws)
     segs = C.maximal_segments
     want = tuple(
         frozenset(
-            j
-            for j in range(len(segs))
-            if j != i and segments_intersection(segs[i], segs[j]) is not None
+            j for j in range(len(segs)) if j != i and meet(segs[i], segs[j])
         )
         for i in range(len(segs))
     )

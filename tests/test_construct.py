@@ -22,12 +22,13 @@ from vislink.construct import (
     check_strong_general_position,
     make_polygon,
 )
+from vislink import _pure as _k
 from vislink.kernel import (
     GeometryError,
     Orientation,
     on_segment,
     orientation,
-    segments_intersection,
+    point_from_key,
 )
 
 
@@ -134,8 +135,10 @@ def test_quadrilateral_precondition():
 
 
 def _reference_general_position(spec):
-    """The concurrency scan on Segment and Point values: pairs of
-    diagonals in order, crossing points bucketed by Point."""
+    """The concurrency scan on Point values: pairs of diagonals in order,
+    crossing points bucketed by Point. On a strictly convex polygon two
+    diagonals with four distinct endpoints meet in a point or not at
+    all."""
     verts = spec.vertices
     m = len(verts)
     diags = [
@@ -149,10 +152,13 @@ def _reference_general_position(spec):
         for i2, j2 in diags[di + 1:]:
             if len({i1, j1, i2, j2}) < 4:
                 continue
-            z = segments_intersection(
-                Segment(verts[i1], verts[j1]), Segment(verts[i2], verts[j2])
+            kind, z = _k.seg_meet(
+                verts[i1].key, verts[j1].key, verts[i2].key, verts[j2].key
             )
-            if z is None or z in verts:
+            if kind != 1:
+                continue
+            z = point_from_key(z)
+            if z in verts:
                 continue
             bucket = hits.setdefault(z, [])
             for d in ((i1, j1), (i2, j2)):

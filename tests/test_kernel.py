@@ -1,26 +1,22 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vislink import _pure as _k
 from vislink.kernel import (
-    DegeneratePair,
     DegenerateSegment,
-    GeometryError,
-    Line,
     Orientation,
     Point,
     Segment,
-    line_through,
-    lines_intersection,
     on_segment,
     orientation,
     parse_rat,
     point,
+    point_from_key,
     rat_str,
-    segments_intersection,
-    x_axis_crossing,
 )
 
 rats = st.fractions(
@@ -57,27 +53,34 @@ def test_orientation_translation_invariant(p, q, r, dx, dy):
     assert orientation(p, q, r) == orientation(shift(p), shift(q), shift(r))
 
 
+def line(p, q):
+    return _k.line3(p.key, q.key)
+
+
+def meet(s1, s2):
+    return _k.seg_meet(s1.p.key, s1.q.key, s2.p.key, s2.q.key)
+
+
 def test_line_through_vertical():
-    l = line_through(point(0, -1), point(0, 1))
-    assert (l.a, l.b, l.c) == (1, 0, 0)
+    assert line(point(0, -1), point(0, 1)) == (1, 0, 0)
 
 
 def test_line_through_diagonal():
-    l = line_through(point(0, 0), point(1, 1))
-    assert (l.a, l.b, l.c) == (1, -1, 0)
+    assert line(point(0, 0), point(1, 1)) == (1, -1, 0)
 
 
 def test_line_through_slope_minus_one():
-    l = line_through(point(-1, -1), point(0, -2))
-    assert (l.a, l.b, l.c) == (1, 1, -2)
-    crossing, is_axis = x_axis_crossing(l)
-    assert crossing == point(-2, 0)
-    assert not is_axis
+    l = line(point(-1, -1), point(0, -2))
+    assert l == (1, 1, -2)
+    assert _k.axis_cross(l) == (1, -2, 1)
 
 
 def test_line_through_coincident_raises():
-    with pytest.raises(DegeneratePair):
-        line_through(point("1/2", 3), point("1/2", 3))
+    # coincident points have no line; line3 fails instead of returning
+    # the non-line (0, 0, 0)
+    p = point("1/2", 3)
+    with pytest.raises(ZeroDivisionError):
+        line(p, p)
 
 
 @settings(max_examples=200)
@@ -85,78 +88,72 @@ def test_line_through_coincident_raises():
 def test_line_through_contains_both(p, q):
     if p == q:
         return
-    l = line_through(p, q)
-    assert l.a * p.x + l.b * p.y == l.c
-    assert l.a * q.x + l.b * q.y == l.c
-
-
-def test_line_rejects_non_canonical():
-    with pytest.raises(GeometryError):
-        Line(2, -2, 0)
-    with pytest.raises(GeometryError):
-        Line(-1, 1, 0)
-    with pytest.raises(GeometryError):
-        Line(0, 0, 1)
+    a, b, c = line(p, q)
+    assert a * p.x + b * p.y == c
+    assert a * q.x + b * q.y == c
+    # canonical: gcd 1, first nonzero of (a, b) positive
+    assert gcd(gcd(a, b), c) == 1
+    assert a > 0 or (a == 0 and b > 0)
 
 
 def test_x_axis_crossing_cases():
-    vertical = line_through(point(0, -1), point(0, 1))
-    assert x_axis_crossing(vertical) == (point(0, 0), False)
+    vertical = line(point(0, -1), point(0, 1))
+    assert _k.axis_cross(vertical) == (1, 0, 1)
 
-    horizontal = line_through(point(-1, -1), point(1, -1))
-    assert x_axis_crossing(horizontal) == (None, False)
+    horizontal = line(point(-1, -1), point(1, -1))
+    assert _k.axis_cross(horizontal) == (0, 0, 1)
 
-    slanted = line_through(point(1, -1), point(3, 1))
-    assert x_axis_crossing(slanted) == (point(2, 0), False)
+    slanted = line(point(1, -1), point(3, 1))
+    assert _k.axis_cross(slanted) == (1, 2, 1)
 
-    axis = line_through(point(0, 0), point(1, 0))
-    assert x_axis_crossing(axis) == (None, True)
+    axis = line(point(0, 0), point(1, 0))
+    assert _k.axis_cross(axis) == (2, 0, 1)
 
 
 def test_lines_intersection_cases():
-    x0 = line_through(point(0, -1), point(0, 1))
-    y0 = line_through(point(-1, 0), point(1, 0))
-    assert lines_intersection(x0, y0) == point(0, 0)
+    x0 = line(point(0, -1), point(0, 1))
+    y0 = line(point(-1, 0), point(1, 0))
+    assert _k.line_meet(x0, y0) == (1, point(0, 0).key)
 
-    y1 = line_through(point(-1, 1), point(1, 1))
-    assert lines_intersection(y0, y1) is None
+    y1 = line(point(-1, 1), point(1, 1))
+    assert _k.line_meet(y0, y1) == (0, None)
 
-    d1 = line_through(point(0, 0), point(1, 1))
-    d2 = line_through(point(2, 2), point(5, 5))
-    assert lines_intersection(d1, d2) == d1  # same geometric line
+    d1 = line(point(0, 0), point(1, 1))
+    d2 = line(point(2, 2), point(5, 5))
+    assert _k.line_meet(d1, d2) == (2, None)  # same geometric line
 
 
 def test_segments_intersection_crossing():
     s1 = Segment(point(0, -1), point(0, 1))
     s2 = Segment(point(-1, 0), point(1, 0))
-    assert segments_intersection(s1, s2) == point(0, 0)
+    assert meet(s1, s2) == (1, point(0, 0).key)
 
 
 def test_segments_intersection_collinear_overlap():
     s1 = Segment(point(0, 0), point(2, 0))
     s2 = Segment(point(1, 0), point(3, 0))
-    assert segments_intersection(s1, s2) == Segment(point(1, 0), point(2, 0))
+    assert meet(s1, s2) == (2, (point(1, 0).key, point(2, 0).key))
 
 
 def test_segments_intersection_parallel_disjoint():
     s1 = Segment(point(0, 0), point(1, 0))
     s2 = Segment(point(0, 1), point(1, 1))
-    assert segments_intersection(s1, s2) is None
+    assert meet(s1, s2) == (0, None)
 
 
 def test_segments_intersection_endpoint_touch():
     s1 = Segment(point(0, 0), point(2, 2))
     s2 = Segment(point(2, 2), point(4, 0))
-    assert segments_intersection(s1, s2) == point(2, 2)
+    assert meet(s1, s2) == (1, point(2, 2).key)
     # touching at the interior of one side
     s3 = Segment(point(1, 1), point(3, -1))
-    assert segments_intersection(s1, s3) == point(1, 1)
+    assert meet(s1, s3) == (1, point(1, 1).key)
 
 
 def test_segments_intersection_collinear_touch_is_point():
     s1 = Segment(point(0, 0), point(1, 1))
     s2 = Segment(point(1, 1), point(2, 2))
-    assert segments_intersection(s1, s2) == point(1, 1)
+    assert meet(s1, s2) == (1, point(1, 1).key)
 
 
 @settings(max_examples=200)
@@ -165,14 +162,11 @@ def test_segments_intersection_point_lies_on_both(a, b, c, d):
     if a == b or c == d:
         return
     s1, s2 = Segment(a, b), Segment(c, d)
-    got = segments_intersection(s1, s2)
-    if isinstance(got, Point):
-        assert on_segment(got, s1)
-        assert on_segment(got, s2)
-    elif isinstance(got, Segment):
-        for e in (got.p, got.q):
-            assert on_segment(e, s1)
-            assert on_segment(e, s2)
+    kind, got = meet(s1, s2)
+    ends = {0: (), 1: (got,), 2: got}[kind]
+    for e in ends:
+        assert on_segment(point_from_key(e), s1)
+        assert on_segment(point_from_key(e), s2)
 
 
 @settings(max_examples=200)
@@ -181,7 +175,7 @@ def test_segments_intersection_symmetric(a, b, c, d):
     if a == b or c == d:
         return
     s1, s2 = Segment(a, b), Segment(c, d)
-    assert segments_intersection(s1, s2) == segments_intersection(s2, s1)
+    assert meet(s1, s2) == meet(s2, s1)
 
 
 def test_segment_canonical_order_and_degenerate():

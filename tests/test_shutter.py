@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ReferenceShutter, ReferenceViolation, _meet
-from vislink.kernel import Point, line_through, point, point_from_key, x_axis_crossing
+from oracles import ReferenceShutter, ReferenceViolation, _meet, reference_viewer
+from vislink import _pure as _k
+from vislink.kernel import Point, point, point_from_key
 from vislink.shutter import (
     DegenerateK,
     InvariantViolation,
@@ -111,9 +112,11 @@ def test_state_blocks_exactly_the_k_pair_crossings():
     for K in (K3, gen_kset(3, seed=2), gen_kset(5, seed=8)):
         s = ShutterState(K)
         crossings = {
-            x_axis_crossing(line_through(p, q))[0] for p, q in combinations(K, 2)
+            p.x - p.y * (q.x - p.x) / (q.y - p.y)
+            for p, q in combinations(K, 2)
+            if p.y != q.y
         }
-        assert s.B == crossings - {None}
+        assert s.B == {axis(x) for x in crossings}
         assert s.b0_size == len(s.B)
         assert s.k == len(K) - 1 and s.A == []
     # K3's outer pair is horizontal and has no crossing
@@ -192,8 +195,6 @@ def planted_state(zstar: Point) -> ShutterState:
     """State whose admitted set is exactly the crossings from zstar to K3,
     so zstar is a common viewer the scans must detect."""
     s = ShutterState(K3)
-    from vislink import _pure as _k
-
     for y in K3:
         _append_a(s, _k.cross_lower(zstar.key, y.key))
     _extend_lines(s, 0)
@@ -222,7 +223,7 @@ def test_unscanned_lines_are_scanned_before_the_sweep():
 
 
 # ---------------------------------------------------------------------------
-# incremental step check against the full scan
+# incremental step check against the K-pair cross-check
 
 # small grid points, so schedules hit parallel and concurrent sight lines
 lower_points = st.builds(point, st.integers(-6, 6), st.integers(-6, -1))
@@ -245,8 +246,8 @@ def schedules(draw):
 
 def run_checked(K, tuples):
     """Run the schedule, asserting after every step that passed the
-    incremental check that the full scan finds no viewer either; returns
-    None at the first step that raises."""
+    incremental check that the K-pair cross-check finds no viewer either;
+    returns None at the first step that raises."""
     try:
         s = init_state(K, tuples[0])
     except InvariantViolation:
@@ -267,26 +268,89 @@ def test_incremental_check_agrees_with_full_scan(sched):
     run_checked(*sched)
 
 
-@settings(max_examples=200, deadline=None)
-@given(schedules(), st.integers(0, 10**6))
-def test_incremental_check_catches_an_admitted_blocked_crossing(sched, pick):
-    # corrupt a mid-run state: move one blocked crossing from B into A (one
-    # more step allowed, so only the viewer scan can object)
-    s = run_checked(*sched)
-    if s is None or not s._bset:
-        return
-    blocked = sorted(s._bset)
-    c = blocked[pick % len(blocked)]
+def admit_blocked(s, c):
+    """Corrupt s: move the blocked crossing c from B into A, with its
+    sight lines, and allow one more step, so only the viewer scan can
+    object."""
     s._bset.discard(c)
     old_len = len(s._aidx)
     _append_a(s, c)
     _extend_lines(s, old_len)
     s.step += 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedules(), st.integers(0, 10**6))
+def test_incremental_check_catches_an_admitted_blocked_crossing(sched, pick):
+    s = run_checked(*sched)
+    if s is None or not s._bset:
+        return
+    blocked = sorted(s._bset)
+    admit_blocked(s, blocked[pick % len(blocked)])
     if find_common_viewer(s) is None:
         assert _check_invariants(s, "corrupt")
     else:
         with pytest.raises(InvariantViolation, match="sees all of K via A"):
             _check_invariants(s, "corrupt")
+
+
+# corrupted states with a viewer: (K, tuples, the blocked crossing moved
+# into A). In (a) one A-point serves K[0] and K[1], so A has fewer points
+# than K; (b) needs the line K[0]K[1] met with the sight lines through
+# K[2]; in (c) K[2] is on that line too, so only K[3]'s sight line
+# crosses it at the viewer.
+CORRUPTED = {
+    "a": (
+        (point(3, -1), point(5, -3), point(-1, -6)),
+        [(point(-4, -1), point(-6, -2)), (point(-3, -2), point(-5, -6))],
+        (2, 1),
+    ),
+    "b": (
+        (point(0, -1), point(0, -2), point(1, -1)),
+        [(point(0, -1), point(0, -2))] * 2,
+        (0, 1),
+    ),
+    "c": (
+        (point(1, -1), point(1, -2), point(1, -3), point(0, -2)),
+        [(point(0, -1), point(0, -2), point(1, -1))] * 2,
+        (1, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTED))
+def test_viewer_of_a_corrupted_state_is_found(case):
+    K, tuples, c = CORRUPTED[case]
+    s = run_schedule(K, tuples)
+    assert c in s._bset
+    admit_blocked(s, c)
+    if case == "a":
+        assert s.A == [axis(-2), axis(2)]
+    z = find_common_viewer(s)
+    assert z is not None
+    assert all(sees_via(z, y, s.A) is not None for y in K)
+    assert reference_viewer(K, s.A) is not None
+    with pytest.raises(InvariantViolation, match="sees all of K via A"):
+        _check_invariants(s, "corrupt")
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedules(), st.integers(0, 10**6), st.booleans())
+def test_viewer_scan_agrees_with_brute_force(sched, pick, corrupt):
+    # the K-pair scan finds a viewer exactly when the all-pairs Fraction
+    # reference does, on sound states and on states with one blocked
+    # crossing moved into A
+    try:
+        s = run_schedule(*sched)
+    except InvariantViolation:
+        return
+    if corrupt and s._bset:
+        blocked = sorted(s._bset)
+        admit_blocked(s, blocked[pick % len(blocked)])
+    got = find_common_viewer(s)
+    assert (got is None) == (reference_viewer(s.K, s.A) is None)
+    if got is not None:
+        assert all(sees_via(got, y, s.A) is not None for y in s.K)
 
 
 def reference_run(K, tuples):
