@@ -196,10 +196,10 @@ def viewer_scan(ys, aset, lines):
     c01 is admitted, that line is met with every sight line too. Each
     strictly upper crossing z sees ys[0] and ys[1]; it is returned, as a
     canonical point, when its crossings toward ys[2:] are all admitted.
-    Returns None when there is none. Out of reach: if all of ys is
-    collinear and c01 is admitted, every upper point of that line is a
-    viewer, and no sight line crosses the line above the axis. The
-    shutter's per-step check is danger_scan.
+    If all of ys is collinear and c01 is admitted, every upper point of
+    that line is a viewer and no sight line crosses it above the axis,
+    so its point at y = 1 is returned. Returns None when there is no
+    viewer. The shutter's per-step check is danger_scan.
     """
     k1 = len(ys)
     rest = _other_coefs(ys)[1][0]
@@ -207,6 +207,9 @@ def viewer_scan(ys, aset, lines):
     l01 = line3(ys[0], ys[1])
     kind, n, d = axis_cross(l01)
     if kind == 1 and (n, d) in aset:
+        if all(orient(ys[0], ys[1], y) == 0 for y in ys[2:]):
+            a, b, c = l01
+            return norm2(c - b, a) + (1, 1)
         pairs.append((l01, lines))
     for (a1, b1, c1), family in pairs:
         for a2, b2, c2 in family:
@@ -253,11 +256,15 @@ def danger_scan(lines, start, ys, aidx, pending):
     forbidden points has an axis crossing the caller never admits. The
     first pair met at z is their two least indices, so z is new exactly
     when none of the others is below p. The viewer test does not depend
-    on newness. Returns None when no viewer was found.
+    on newness. Two equal lines p and q run through ys[i], ys[j] and an
+    admitted point; if all of ys is on that line, its point at y = 1 is
+    returned as a viewer, as in viewer_scan. Returns None when no viewer
+    was found.
     """
     k1 = len(ys)
     n = len(lines)
     others = _other_coefs(ys)
+    collinear = all(orient(ys[0], ys[1], y) == 0 for y in ys[2:])
     for p in range(start, n):
         i = p % k1
         rest = others[i]
@@ -269,6 +276,8 @@ def danger_scan(lines, start, ys, aidx, pending):
             a2, b2, c2 = lines[q]
             det = a1 * b2 - a2 * b1
             if det == 0:
+                if collinear and (a1, b1, c1) == (a2, b2, c2):
+                    return norm2(c1 - b1, a1) + (1, 1)
                 continue
             yn = a1 * c2 - a2 * c1
             if yn == 0 or (yn > 0) != (det > 0):

@@ -37,7 +37,6 @@ from .kernel import (
     GeometryError,
     Point,
     Segment,
-    on_segment,
     point_from_key,
 )
 
@@ -213,9 +212,6 @@ class OneSet:
         """
         candidates = list(self.points) + [s.p for s in self.segments]
         return min(candidates) if candidates else None
-
-    def contains(self, p: Point) -> bool:
-        return p in self.points or any(on_segment(p, s) for s in self.segments)
 
 
 def _segment_keys(segs: Iterable[Segment]) -> List[Tuple[Key, Key]]:

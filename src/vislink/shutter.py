@@ -51,10 +51,10 @@ some a_v. If u != v, z is the upper crossing of the sight lines
 (a_u, K[0]) and (a_v, K[1]): |A|^2 pairs. If u == v, a_u is the axis
 crossing c01 of the line K[0]K[1], in B0 unless the state is corrupted;
 then z is where that line meets the sight line toward a K-point off it,
-so when c01 is admitted the line is met with every sight line too. The
-one case out of reach: if all of K is collinear and c01 is admitted,
-every upper point of that line is a viewer, and no sight line crosses
-the line above the axis.
+so when c01 is admitted the line is met with every sight line too. If
+all of K is collinear and c01 is admitted, every upper point of that
+line is a viewer and no sight line crosses it above the axis; both scans
+then return the line's point at y = 1.
 
 The basis (init_state) and every step (advance) choose their witness by
 one sweep, each over its own candidate sequence, and admit its crossings

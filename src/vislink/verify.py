@@ -5,8 +5,8 @@ proof formula names it directly: if j0 is an index whose piece C_j0
 contains none of the points, then vertex a_{(j0 - kappa) mod (k+1)} is
 joined to every b_i with i != j0 and reaches each point within the family's
 link budget. The verifier computes that witness and certifies every path;
-an exhaustive region-intersection search exists only as a fallback and its
-use is reported as a failure of the formula.
+a tuple point the witness misses raises VerificationFailed, since the
+formula is the claim.
 
 The k+1 possible witnesses are fixed by the construction, so each gets one
 search tree per construction (Construction.witness_trees), as do the pieces
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import ClassVar, List, Optional, Sequence, Tuple
 
 from .complexes import (
     OneSet,
@@ -36,14 +36,8 @@ from .complexes import (
     intersection_fold,
 )
 from .construct import Construction
-from .kernel import GeometryError, Point
-from .links import (
-    PathCertificate,
-    VerificationFailed,
-    common_viewer,
-    n_visible,
-    tree_path,
-)
+from .kernel import GeometryError, Point, rat_str
+from .links import PathCertificate, VerificationFailed, tree_path
 from .rng import STREAM_SAMPLE, STREAM_TUPLES, Stream, derive
 
 
@@ -71,7 +65,7 @@ class WitnessReport:
     tuple: Tuple[Point, ...]
     witness: Point
     paths: Tuple[PathCertificate, ...]
-    method: str  # "proof-formula" or "exhaustive"
+    method: ClassVar[str] = "proof-formula"
 
 
 @dataclass(frozen=True)
@@ -98,8 +92,8 @@ def verify_common_witness(
     """Certify that one point sees all k tuple points within n links.
 
     Each point is assigned to the least-index piece containing it; the
-    formula witness for the least untouched index is tried first and is
-    expected to always work.
+    formula witness for the least untouched index must see every point,
+    else VerificationFailed names the first point it misses.
     """
     if len(pts) != c.k:
         raise WrongArity(f"need exactly k={c.k} points, got {len(pts)}")
@@ -119,26 +113,19 @@ def verify_common_witness(
             raise PointOnNoPiece(f"{x} lies on no piece of the construction")
         through.append(incident)
     j0 = min(i for i in range(c.k + 1) if i not in assigned)
-    tree = c.witness_trees[witness_vertex_index(c.k, j0)]
+    m = witness_vertex_index(c.k, j0)
+    tree = c.witness_trees[m]
     paths = []
-    for x, incident in zip(pts, through):
+    for i, (x, incident) in enumerate(zip(pts, through)):
         cert = tree_path(c.complex, tree, x, c.n, incident)
         if cert is None:
-            break
+            raise VerificationFailed(
+                f"formula witness a_{m} for untouched piece {j0} does not see "
+                f"tuple point {i} ({rat_str(x.x)}, {rat_str(x.y)}) within "
+                f"{c.n} links"
+            )
         paths.append(cert)
-    if len(paths) == len(pts):
-        return WitnessReport(tuple(pts), tree.source, tuple(paths), "proof-formula")
-    fallback = common_viewer(c.complex, list(pts), c.n)
-    if fallback is None:
-        raise VerificationFailed(
-            f"no common viewer at all for tuple {tuple(pts)}"
-        )
-    paths = tuple(n_visible(c.complex, fallback, x, c.n) for x in pts)
-    if any(p is None for p in paths):
-        raise VerificationFailed(
-            f"fallback viewer {fallback} misses a point of {tuple(pts)}"
-        )
-    return WitnessReport(tuple(pts), fallback, paths, "exhaustive")
+    return WitnessReport(tuple(pts), tree.source, tuple(paths))
 
 
 def verify_targets_blocked(

@@ -122,7 +122,8 @@ def reference_viewer(K, A):
     """First upper point seeing every point of K via the axis points A
     (Points), or None. Meets every pair of sight lines through different
     K-points, with no shortcut, and checks every K-point from each upper
-    crossing."""
+    crossing. Two such lines that coincide are one line through an
+    A-point and two K-points; its point at y = 1 is checked too."""
     K = [(p.x, p.y) for p in K]
     admitted = {a.x for a in A}
     lines = [((a.x, a.y), y, i) for a in A for i, y in enumerate(K)]
@@ -130,6 +131,9 @@ def reference_viewer(K, A):
         if i1 == i2:
             continue
         z = _meet(a1, y1, a2, y2)
+        if z is None and a1 == a2:
+            # y1 and y2 on one line through a1: take its point at y = 1
+            z = (a1[0] + (y1[0] - a1[0]) / y1[1], Fraction(1))
         if z is not None and z[1] > 0 and all(_cross(z, y) in admitted for y in K):
             return z
     return None

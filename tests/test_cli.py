@@ -24,7 +24,7 @@ from vislink.docio import (
     shutter_input_to_doc,
     write_doc,
 )
-from vislink.kernel import point
+from vislink.kernel import parse_rat, point, rat_str
 
 K3 = (point(-1, -1), point(0, -2), point(1, -1))
 
@@ -124,6 +124,28 @@ def test_verify_corrupted_document_fails(s22, tmp_path):
     bad = str(tmp_path / "corrupt.json")
     write_doc(bad, doc)
     assert run("verify", "--in", bad, "--tuples", 5) == 1
+
+
+def test_formula_miss_fails_the_claim_without_a_report(s22, tmp_path, capsys):
+    # the first maximal segment cut at its midpoint: some sampled tuples
+    # leave the formula witness's reach, and every tuple count gives the
+    # same one-line claim failure and writes no report
+    doc = read_doc(s22)
+    p, q = doc["segments"][0]
+    doc["segments"][0] = [
+        p, [rat_str((parse_rat(a) + parse_rat(b)) / 2) for a, b in zip(p, q)]
+    ]
+    bad = str(tmp_path / "cut.json")
+    write_doc(bad, doc)
+    for count in (10, 20):
+        out = tmp_path / f"report{count}.json"
+        capsys.readouterr()
+        assert run("verify", "--in", bad, "--tuples", count, "--out", out) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("verify: claim failed: formula witness a_")
+        assert "Fraction(" not in lines[0]
+        assert not out.exists()
 
 
 def test_path_through_overlapping_segments_is_a_claim_failure(

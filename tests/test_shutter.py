@@ -298,7 +298,8 @@ def test_incremental_check_catches_an_admitted_blocked_crossing(sched, pick):
 # into A). In (a) one A-point serves K[0] and K[1], so A has fewer points
 # than K; (b) needs the line K[0]K[1] met with the sight lines through
 # K[2]; in (c) K[2] is on that line too, so only K[3]'s sight line
-# crosses it at the viewer.
+# crosses it at the viewer; in (d) all of K is on that line, so every
+# upper point of it is a viewer and no two sight lines cross there.
 CORRUPTED = {
     "a": (
         (point(3, -1), point(5, -3), point(-1, -6)),
@@ -314,6 +315,11 @@ CORRUPTED = {
         (point(1, -1), point(1, -2), point(1, -3), point(0, -2)),
         [(point(0, -1), point(0, -2), point(1, -1))] * 2,
         (1, 1),
+    ),
+    "d": (
+        (point(0, -1), point(0, -2), point(0, -3)),
+        [(point(1, -1), point(2, -1)), (point(-1, -2), point(3, -1))],
+        (0, 1),
     ),
 }
 
@@ -597,6 +603,28 @@ def test_screen_two_axis_points():
     A = [axis(0), axis(1)]
     assert not sees_through_screen(axis(0), axis(1), A)
     assert sees_through_screen(axis(0), axis(0), A)
+
+
+upper_points = st.builds(point, st.integers(-6, 6), st.integers(1, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    upper_points,
+    lower_points,
+    st.lists(st.tuples(upper_points, lower_points), max_size=6),
+    st.booleans(),
+)
+def test_sees_via_agrees_with_the_screen_definition(z, y, others, own):
+    # sees_via, the process's test, against sees_through_screen, the
+    # paper's definition, with A the crossings of random sight segments
+    # and, when own is set, of [z, y] itself
+    pairs = others + [(z, y)] if own else others
+    A = [point_from_key(_k.cross_lower(u.key, v.key) + (0, 1)) for u, v in pairs]
+    seen = sees_via(z, y, A) is not None
+    assert seen == sees_through_screen(z, y, A) == sees_through_screen(y, z, A)
+    if own:
+        assert seen
 
 
 def test_screen_requires_membership():

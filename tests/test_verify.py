@@ -13,6 +13,8 @@ import pytest
 from vislink import Segment, point
 from vislink.complexes import contains_point, normalize, oneset_intersect
 from vislink.construct import build_family, make_polygon
+from vislink.docio import construction_from_doc, construction_to_doc
+from vislink.kernel import parse_rat, rat_str
 from vislink.links import certificate_valid, n_visible
 from vislink.verify import (
     EmptinessReport,
@@ -134,6 +136,24 @@ def test_point_on_no_piece_is_an_input_error():
     uncovered = replace(c, B=(c.B[0], (), c.B[2]))
     with pytest.raises(PointOnNoPiece):
         verify_common_witness(uncovered, [c.polygon.a(0), lerp(seg, Fraction(1, 2))])
+
+
+def test_formula_miss_raises():
+    # the first maximal segment cut at its midpoint: the formula witness
+    # misses a point of sampled tuple 8, and the claim fails with the
+    # witness, the point in p/q form and the link budget
+    doc = construction_to_doc(build_family(make_polygon(2, seed=7)))
+    p, q = doc["segments"][0]
+    doc["segments"][0] = [
+        p, [rat_str((parse_rat(a) + parse_rat(b)) / 2) for a, b in zip(p, q)]
+    ]
+    c = construction_from_doc(doc)
+    pts = sample_tuples(c.complex, c.k, 10, seed=7)[8]
+    with pytest.raises(VerificationFailed) as e:
+        verify_common_witness(c, pts)
+    msg = str(e.value)
+    assert msg.startswith("formula witness a_0 for untouched piece 1 ")
+    assert msg.endswith(" within 2 links") and "Fraction(" not in msg
 
 
 def test_sampled_tuples_use_formula_witness():
