@@ -88,6 +88,7 @@ def _cmd_gen(args) -> int:
         return 2
     c = build_family(make_polygon(args.k, args.seed), args.n)
     doc = docio.construction_to_doc(c)
+    svg = render_construction(c) if args.svg_out else None
     if args.out:
         docio.write_doc(args.out, doc)
         print(
@@ -96,9 +97,9 @@ def _cmd_gen(args) -> int:
         )
     else:
         sys.stdout.write(docio.doc_bytes(doc).decode("ascii"))
-    if args.svg_out:
+    if svg is not None:
         with open(args.svg_out, "wb") as f:
-            f.write(render_construction(c).encode("ascii"))
+            f.write(svg.encode("ascii"))
     return 0
 
 
@@ -198,8 +199,9 @@ def _cmd_shutter(args) -> int:
 
 def _cmd_render(args) -> int:
     c = docio.construction_from_doc(docio.read_doc(args.in_))
+    svg = render_construction(c)  # drawn first: a failure writes no file
     with open(args.svg_out, "wb") as f:
-        f.write(render_construction(c).encode("ascii"))
+        f.write(svg.encode("ascii"))
     print(
         f"render: {len(c.complex.maximal_segments)} segments, "
         f"{len(c.polygon.vertices)} vertices -> {args.svg_out}"

@@ -5,8 +5,10 @@ clockwise a_0, b_0, a_1, b_1, ..., a_k, b_k, all on a rational circle.
 From it:
 
 - the 2-link family removes a perfect matching from the complete a-to-b
-  join: B_i keeps [a_v, b_i] for every v except v = i - kappa (mod k+1),
-  with kappa = floor(k/2); the union of the B_i fans is the complex;
+  join: B_i keeps [a_v, b_i] for every v except v = partner(i) = i - kappa
+  (mod k+1), with kappa = floor(k/2) fixed by k. The omitted segment joins
+  cycle positions 2*kappa+1 and 2k+1-2*kappa apart, so it is a diagonal
+  exactly when k >= 2. The union of the B_i fans is the complex;
 - the n-link family (n > 2) attaches to each fan an outward zigzag tail
   of n-2 edges starting at the midpoint c_i of the boundary edge
   [b_i, a_{i+1}].
@@ -81,10 +83,19 @@ class PolygonSpec:
     """Clockwise cyclic vertex list a_0, b_0, ..., a_k, b_k."""
 
     k: int
-    kappa: int
     vertices: Tuple[Point, ...]
     seed: int
     retry_count: int
+
+    @property
+    def kappa(self) -> int:
+        """The matching offset floor(k/2), fixed by k."""
+        return self.k // 2
+
+    def partner(self, i: int) -> int:
+        """Index of the a-vertex that fan i omits: a_partner(j0) is in every
+        fan but B_j0, the proof's viewer of a tuple that misses C_j0."""
+        return (i - self.kappa) % (self.k + 1)
 
     def a(self, i: int) -> Point:
         # single choke point for index reduction mod k+1
@@ -220,10 +231,8 @@ def _midpoints_clear(p: PolygonSpec) -> bool:
     keys = [v.key for v in verts]
     diags = _diagonal_index_pairs(len(verts))
     lines = [_k.line3(keys[i], keys[j]) for i, j in diags]
-    k1 = p.k + 1
-    for i in range(k1):
-        match = (2 * ((i - p.kappa) % k1), 2 * (i % k1) + 1)
-        match = (min(match), max(match))
+    for i in range(p.k + 1):
+        match = tuple(sorted((2 * p.partner(i), 2 * i + 1)))
         xn, xd, yn, yd = _midpoint(verts[match[0]], verts[match[1]]).key
         u, v, w = xn * yd, yn * xd, xd * yd
         for d, (a, b, c) in zip(diags, lines):
@@ -254,9 +263,7 @@ def make_polygon(k: int, seed: int) -> PolygonSpec:
             t = s * (3 - s * s) / (2 * (1 - s * s))
             pts.append(Point((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)))
         pts.reverse()  # monotone parameter runs counterclockwise; flip
-        spec = PolygonSpec(
-            k=k, kappa=k // 2, vertices=tuple(pts), seed=seed, retry_count=retry
-        )
+        spec = PolygonSpec(k=k, vertices=tuple(pts), seed=seed, retry_count=retry)
         ok, _ = check_strong_general_position(spec)
         if ok and _midpoints_clear(spec):
             return spec
@@ -269,25 +276,10 @@ def _fan_segments(p: PolygonSpec) -> Tuple[List[Segment], List[List[int]]]:
     raw: List[Segment] = []
     groups: List[List[int]] = []
     for i in range(k1):
-        skip = (i - p.kappa) % k1
-        idxs: List[int] = []
-        for v in range(k1):
-            if v == skip:
-                continue
-            idxs.append(len(raw))
-            raw.append(Segment(p.a(v), p.b(i)))
-        groups.append(idxs)
+        skip = p.partner(i)
+        groups.append(list(range(len(raw), len(raw) + p.k)))
+        raw.extend(Segment(p.a(v), p.b(i)) for v in range(k1) if v != skip)
     return raw, groups
-
-
-def _check_matching_is_diagonal(p: PolygonSpec) -> None:
-    m = len(p.vertices)
-    k1 = p.k + 1
-    pos = {pt: idx for idx, pt in enumerate(p.vertices)}
-    for i in range(k1):
-        gap = (pos[p.b(i)] - pos[p.a(i - p.kappa)]) % m
-        if gap in (1, m - 1):
-            raise SideConditionFailed(f"matching segment {i} is not a diagonal")
 
 
 def _outward_normal(p: PolygonSpec, i: int) -> Tuple[Fraction, Fraction]:
@@ -354,12 +346,14 @@ def build_family(p: PolygonSpec, n: int = 2) -> Construction:
     n = 2 is the pure fan union; n > 2 additionally grows the tails,
     halving the lateral amplitude until all tails are pairwise disjoint.
     Structural side conditions that the later claims rely on are checked
-    after normalization (SideConditionFailed).
+    after normalization (SideConditionFailed). k < 2 raises KTooSmall: the
+    omitted matching segments would be polygon edges, not diagonals.
     """
+    if p.k < 2:
+        raise KTooSmall(f"k must be >= 2, got {p.k}")
     if n < 2:
         raise GeometryError(f"n must be >= 2, got {n}")
     k1 = p.k + 1
-    _check_matching_is_diagonal(p)
     raw, groups = _fan_segments(p)
 
     mids = tuple(_midpoint(p.b(i), p.a(i + 1)) for i in range(k1))
@@ -397,7 +391,7 @@ def build_family(p: PolygonSpec, n: int = 2) -> Construction:
                 f"edge midpoint {i} lies on unexpected segments"
             )
         # removed matching diagonal is genuinely absent
-        am, bi = p.a(i - p.kappa), p.b(i)
+        am, bi = p.a(p.partner(i)), p.b(i)
         if contains_segment(C, am, bi) or contains_point(C, _midpoint(am, bi)):
             raise SideConditionFailed(f"removed diagonal {i} is still covered")
 

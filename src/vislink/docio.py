@@ -158,8 +158,8 @@ def construction_from_doc(doc: Any) -> Construction:
         raise DocumentError(
             f"polygon needs {2 * (k + 1)} vertices, got {len(vertices)}"
         )
-    kappa = _need(doc, "kappa")
-    if kappa != k // 2:
+    kappa = _need(doc, "kappa")  # written for readers; fixed by k
+    if not _is_int(kappa) or kappa != k // 2:
         raise DocumentError(f"kappa must be {k // 2}, got {kappa!r}")
     seed = _need(doc, "seed")
     if not _is_int(seed):
@@ -169,9 +169,7 @@ def construction_from_doc(doc: Any) -> Construction:
         raise DocumentError(
             f"retry_count must be a non-negative integer, got {retry_count!r}"
         )
-    poly = PolygonSpec(
-        k=k, kappa=kappa, vertices=vertices, seed=seed, retry_count=retry_count
-    )
+    poly = PolygonSpec(k=k, vertices=vertices, seed=seed, retry_count=retry_count)
     listed = [segment_from_doc(v) for v in _list_field(doc, "segments")]
     if not listed:
         raise DocumentError("construction document lists no segments")
@@ -458,6 +456,9 @@ def read_doc(path: str) -> Dict[str, Any]:
         doc = json.loads(raw)
     except ValueError as e:
         raise DocumentError(f"{path} is not valid JSON: {e}") from None
+    except RecursionError:
+        # json's decoder recurses once per nesting level
+        raise DocumentError(f"{path} nests too deeply to read") from None
     if not isinstance(doc, dict):
         raise DocumentError(f"{path} does not hold a JSON object")
     return doc

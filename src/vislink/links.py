@@ -38,7 +38,7 @@ from .complexes import (
     contains_point,
     contains_segment,
     incident_segments,
-    oneset_intersect,
+    intersection_fold,
 )
 from .kernel import GeometryError, Point, point_from_key
 
@@ -232,7 +232,7 @@ def common_viewer(
 ) -> Optional[Point]:
     """Canonically least point that sees every target within n links.
 
-    Folds the exact n-link regions of the targets with oneset_intersect;
+    Folds the exact n-link regions of the targets (intersection_fold);
     path reversibility makes membership in every region equivalent to
     seeing every target.
     """
@@ -240,10 +240,5 @@ def common_viewer(
         raise ValueError("targets must be non-empty")
     if n < 1:
         raise ValueError("link bound must be >= 1")
-    acc: Optional[OneSet] = None
-    for t in targets:
-        region = link_region(C, t, n).region
-        acc = region if acc is None else oneset_intersect(acc, region)
-        if acc.is_empty():
-            return None
-    return acc.least_point()
+    regions = [link_region(C, t, n).region for t in targets]
+    return intersection_fold(regions)[-1].least_point()

@@ -7,15 +7,19 @@ segment that no piece claims (only a hand-edited document has one) is
 drawn in neutral gray. Polygon vertices are labeled a_i / b_i, edge
 midpoints are marked with crosses and outer tail endpoints with rings,
 matching the family's role assignments. Output depends only on the
-construction, so re-rendering the same document is byte-identical.
+construction, so re-rendering the same document is byte-identical. A
+coordinate too large for a float (only a hand-edited document has one)
+raises GeometryError before any text is produced.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List
 
 from .construct import Construction
+from .kernel import GeometryError, rat_str
 
 PALETTE = (
     "#1f77b4",
@@ -46,6 +50,20 @@ def _fmt(v: float) -> str:
     return "0.000" if s == "-0.000" else s
 
 
+def _float(v: Fraction, coord: Fraction, scale: float = 1.0) -> float:
+    """float(v) * scale for v drawn from coord; past the float range, a
+    GeometryError names coord, abridged."""
+    try:
+        f = float(v) * scale
+    except OverflowError:  # float(v); the product overflows to inf
+        f = math.inf
+    if not math.isinf(f):
+        return f
+    s = rat_str(coord)
+    s = s if len(s) <= 40 else f"{s[:20]}... ({len(s)} characters)"
+    raise GeometryError(f"coordinate {s} is too large to draw")
+
+
 def render_construction(c: Construction) -> str:
     xs: List[Fraction] = []
     ys: List[Fraction] = []
@@ -56,14 +74,14 @@ def render_construction(c: Construction) -> str:
     lo_y, hi_y = min(ys), max(ys)
     span = max(hi_x - lo_x, hi_y - lo_y, Fraction(1))
     margin = span / 10
-    scale = _SIZE / float(span + 2 * margin)
+    scale = _SIZE / _float(span + 2 * margin, max(lo_x, hi_x, lo_y, hi_y, key=abs))
 
     def sx(v: Fraction) -> float:
-        return (float(v - lo_x + margin)) * scale
+        return _float(v - lo_x + margin, v, scale)
 
     def sy(v: Fraction) -> float:
         # SVG y grows downward; flip so the figure matches the plane
-        return _SIZE - (float(v - lo_y + margin)) * scale
+        return _SIZE - _float(v - lo_y + margin, v, scale)
 
     piece_of = {}
     for i, idxs in enumerate(c.pieces):
@@ -87,13 +105,14 @@ def render_construction(c: Construction) -> str:
 
     # vertex dots and labels, pushed outward from the centroid
     verts = c.polygon.vertices
-    cx = sum(p.x for p in verts) / len(verts)
-    cy = sum(p.y for p in verts) / len(verts)
-    for idx, p in enumerate(verts):
+    # every vertex is placed before the centroid, which then fits a float
+    pos = [(sx(p.x), sy(p.y)) for p in verts]
+    cx = sx(sum(p.x for p in verts) / len(verts))
+    cy = sy(sum(p.y for p in verts) / len(verts))
+    for idx, (px, py) in enumerate(pos):
         i = idx // 2
         name = f"a{i}" if idx % 2 == 0 else f"b{i}"
-        px, py = sx(p.x), sy(p.y)
-        dx, dy = px - sx(cx), py - sy(cy)
+        dx, dy = px - cx, py - cy
         norm = max((dx * dx + dy * dy) ** 0.5, 1e-9)
         lx, ly = px + 16 * dx / norm, py + 16 * dy / norm
         out.append(

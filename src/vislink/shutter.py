@@ -74,8 +74,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import ClassVar, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import _pure as _k
 from .kernel import GeometryError, Point, point_from_key
@@ -121,7 +120,8 @@ class StepRecord:
     witness: Point
     a_size: int
     b_size: int
-    viewer_absent: bool
+    # a step whose scan finds a viewer raises instead of recording it
+    viewer_absent: ClassVar[bool] = True
 
     @property
     def b_added(self) -> Tuple[Point, ...]:
@@ -238,21 +238,15 @@ def sees_via(z: Point, y: Point, A: Sequence[Point]) -> Optional[Point]:
     return point_from_key(c + (0, 1)) if c in _admitted(A) else None
 
 
-def _append_a(s: ShutterState, scalar: Scalar) -> bool:
-    """Admit an axis point unless already present; sight-line rows for it
-    are appended by the caller."""
-    if scalar in s._aidx:
+def _admit_crossing(s: ShutterState, c: Scalar) -> bool:
+    """Admit the axis point c unless already present, appending its sight
+    lines: row u*(k+1) + m joins the u-th admitted point to K-point m."""
+    if c in s._aidx:
         return False
-    s._aidx[scalar] = len(s._aidx)
+    s._aidx[c] = len(s._aidx)
+    akey = c + (0, 1)
+    s._lines.extend(_k.line3(akey, ykey) for ykey in s._ys)
     return True
-
-
-def _extend_lines(s: ShutterState, from_index: int) -> None:
-    """Append sight-line rows (A-point x K-point) for A[from_index:]."""
-    for n, d in islice(s._aidx, from_index, None):
-        akey = (n, d, 0, 1)
-        for ykey in s._ys:
-            s._lines.append(_k.line3(akey, ykey))
 
 
 def find_common_viewer(s: ShutterState) -> Optional[Point]:
@@ -275,7 +269,7 @@ def _scan(s: ShutterState, context: str) -> None:
     s._scanned = len(s._lines)
 
 
-def _check_invariants(s: ShutterState, context: str) -> bool:
+def _check_invariants(s: ShutterState, context: str) -> None:
     common = s._aidx.keys() & s._bset
     if common:
         raise InvariantViolation(
@@ -289,7 +283,6 @@ def _check_invariants(s: ShutterState, context: str) -> bool:
     # only pairs with a line added since the last scan (see the module
     # docstring); the basis has _scanned == 0, a full scan
     _scan(s, context)
-    return True
 
 
 def _check_tuple(
@@ -327,17 +320,15 @@ def _admit(
     """Admit the crossings of [z, a] for a in keys, extend the sight lines,
     check the invariants and append the audit record for s.step."""
     context = f"step {s.step}" if s.step else "init"
-    old_len = len(s._aidx)
     a_added: List[Scalar] = []
     for a in keys:
         c = _k.cross_lower(zkey, a)
         if c in s._bset:  # the sweep rules this out
             raise InvariantViolation(f"{context}: witness sweep admitted blocked {c}")
-        if _append_a(s, c):
+        if _admit_crossing(s, c):
             a_added.append(c)
-    _extend_lines(s, old_len)
     z = point_from_key(zkey)
-    ok = _check_invariants(s, context)
+    _check_invariants(s, context)
     s.audit.append(
         StepRecord(
             step=s.step,
@@ -348,7 +339,6 @@ def _admit(
             witness=z,
             a_size=len(s._aidx),
             b_size=len(s._bset),
-            viewer_absent=ok,
         )
     )
     return s

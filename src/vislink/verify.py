@@ -2,11 +2,11 @@
 
 Positive claim: any k points of the complex have a common viewer, and the
 proof formula names it directly: if j0 is an index whose piece C_j0
-contains none of the points, then vertex a_{(j0 - kappa) mod (k+1)} is
-joined to every b_i with i != j0 and reaches each point within the family's
-link budget. The verifier computes that witness and certifies every path;
-a tuple point the witness misses raises VerificationFailed, since the
-formula is the claim.
+contains none of the points, then vertex a_{partner(j0)}, the one vertex
+that fan j0 omits (PolygonSpec.partner), is joined to every b_i with
+i != j0 and reaches each point within the family's link budget. The
+verifier computes that witness and certifies every path; a tuple point the
+witness misses raises VerificationFailed, since the formula is the claim.
 
 The k+1 possible witnesses are fixed by the construction, so each gets one
 search tree per construction (Construction.witness_trees), as do the pieces
@@ -76,14 +76,11 @@ class EmptinessReport:
     n: int
     per_target_regions: Tuple[OneSet, ...]
     intersection_trace: Tuple[OneSet, ...]
-    final: OneSet
 
-
-def witness_vertex_index(k: int, untouched: int) -> int:
-    """Index m with a_m joined to b_i for every i != untouched."""
-    if not 0 <= untouched <= k:
-        raise IndexOutOfRange(f"untouched index {untouched} outside 0..{k}")
-    return (untouched - k // 2) % (k + 1)
+    @property
+    def final(self) -> OneSet:
+        """The last fold entry: the common region of every listed target."""
+        return self.intersection_trace[-1]
 
 
 def verify_common_witness(
@@ -113,7 +110,7 @@ def verify_common_witness(
             raise PointOnNoPiece(f"{x} lies on no piece of the construction")
         through.append(incident)
     j0 = min(i for i in range(c.k + 1) if i not in assigned)
-    m = witness_vertex_index(c.k, j0)
+    m = c.polygon.partner(j0)
     tree = c.witness_trees[m]
     paths = []
     for i, (x, incident) in enumerate(zip(pts, through)):
@@ -155,7 +152,7 @@ def verify_targets_blocked(
         raise VerificationFailed(
             f"targets have a common {c.n}-link viewer: {final.least_point()}"
         )
-    return EmptinessReport(tuple(targets), c.n, tuple(regions), trace, final)
+    return EmptinessReport(tuple(targets), c.n, tuple(regions), trace)
 
 
 def _draw_on_complex(C: SegmentComplex, stream: Stream) -> Point:

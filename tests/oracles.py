@@ -1,7 +1,9 @@
 """Brute-force reference computations used by several test modules.
 
 Everything here works on the RAW segment list, never on the normalized
-complex, so agreement with the package is a genuine cross-check.
+complex, so agreement with the package is a genuine cross-check. The
+shutter references work on Fraction pairs; planted_state builds the
+shutter state with a known viewer that both scans must detect.
 """
 
 from collections import deque
@@ -10,6 +12,7 @@ from itertools import combinations
 
 from vislink import _pure as _k
 from vislink.kernel import on_segment, point_from_key
+from vislink.shutter import ShutterState, _admit_crossing
 
 
 def covered(raws, p, q):
@@ -137,6 +140,15 @@ def reference_viewer(K, A):
         if z is not None and z[1] > 0 and all(_cross(z, y) in admitted for y in K):
             return z
     return None
+
+
+def planted_state(K, zstar):
+    """State whose admitted set is exactly the crossings from zstar to K,
+    so zstar is a common viewer the scans must detect."""
+    s = ShutterState(K)
+    for y in K:
+        _admit_crossing(s, _k.cross_lower(zstar.key, y.key))
+    return s
 
 
 class ReferenceShutter:

@@ -16,8 +16,7 @@ import time
 import pytest
 
 import vislink
-from oracles import oracle_link_distances
-from vislink import _pure as _k
+from oracles import oracle_link_distances, planted_state
 from vislink.cli import main
 from vislink.complexes import normalize
 from vislink.construct import build_family, make_polygon
@@ -26,9 +25,6 @@ from vislink.kernel import Segment, point
 from vislink.links import link_distance
 from vislink.rng import Stream, derive
 from vislink.shutter import (
-    ShutterState,
-    _append_a,
-    _extend_lines,
     find_common_viewer,
     gen_kset,
     gen_tuples,
@@ -135,15 +131,6 @@ def test_criterion_5_shutter_200_steps_three_seeds_all_invariants():
             assert elapsed < 300, (
                 f"k={k} seed={seed} took {elapsed:.1f}s, budget 300s"
             )
-
-
-def planted_state(K, zstar):
-    """State whose admitted set is exactly the crossings from zstar to K."""
-    s = ShutterState(K)
-    for y in K:
-        _append_a(s, _k.cross_lower(zstar.key, y.key))
-    _extend_lines(s, 0)
-    return s
 
 
 def test_criterion_6_planted_common_viewer_is_detected():

@@ -375,6 +375,35 @@ def test_render_malformed_input(tmp_path):
     assert run("render", "--in", str(tmp_path / "nope.json"), "--svg-out", str(tmp_path / "x.svg")) == 2
 
 
+def test_render_rejects_a_coordinate_too_large_for_a_float(s22, tmp_path, capsys):
+    # c only marks the edge midpoints, so verify still passes; drawing the
+    # mark needs a float, which must fail as bad input and leave no file.
+    # 10^306 fits a float, but its position in the figure does not
+    for zeros in (400, 306):
+        doc = read_doc(s22)
+        doc["c"][0] = ["1" + "0" * zeros + "/1", "0/1"]
+        bad = str(tmp_path / "huge.json")
+        write_doc(bad, doc)
+        assert run("verify", "--in", bad, "--tuples", 5) == 0
+        svg = tmp_path / "fig.svg"
+        err = _one_line_usage_error(capsys, "render", "--in", bad, "--svg-out", svg)
+        assert "too large to draw" in err
+        assert not svg.exists()
+
+
+def test_deeply_nested_json_is_a_usage_error(s22, tmp_path, capsys):
+    # json's decoder recurses once per level and gives up near 1000 levels
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 1500 + "]" * 1500)
+    for argv in (
+        ("verify", "--in", deep),
+        ("verify", "--in", s22, "--tuples", deep),
+        ("shutter", "--in", deep),
+        ("render", "--in", deep, "--svg-out", tmp_path / "fig.svg"),
+    ):
+        assert "nests too deeply" in _one_line_usage_error(capsys, *argv)
+
+
 # ---------------------------------------------------------------------------
 # usage and determinism
 

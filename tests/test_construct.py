@@ -1,7 +1,6 @@
 """Polygon generation, general-position checking, family assembly."""
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,7 +15,6 @@ from vislink.construct import (
     KTooSmall,
     NotConvex,
     PolygonSpec,
-    SideConditionFailed,
     _midpoints_clear,
     build_family,
     check_strong_general_position,
@@ -35,7 +33,6 @@ from vislink.kernel import (
 def hand_spec(coords, k):
     return PolygonSpec(
         k=k,
-        kappa=k // 2,
         vertices=tuple(point(x, y) for x, y in coords),
         seed=0,
         retry_count=0,
@@ -426,8 +423,8 @@ def test_n_too_small():
 
 
 def test_side_condition_failure_is_an_explicit_error():
-    # kappa = 0 pairs each b_i with its neighbour a_i: the removed matching
-    # segment would be a polygon edge, not a diagonal
-    p = make_polygon(2, seed=7)
-    with pytest.raises(SideConditionFailed):
-        build_family(replace(p, kappa=0))
+    # at k = 1, kappa = 0 pairs each b_i with its neighbour a_i: the removed
+    # matching segment would be a polygon edge, not a diagonal
+    p = hand_spec([(0, 1), (1, 0), (0, -1), (-1, 0)], 1)
+    with pytest.raises(KTooSmall):
+        build_family(p)

@@ -156,8 +156,9 @@ def test_construction_document_validation():
         construction_from_doc(broken(kind="report"))
     with pytest.raises(DocumentError):
         construction_from_doc(broken(k=1))
-    with pytest.raises(DocumentError):
-        construction_from_doc(broken(kappa=5))
+    for bad in (5, True, 1.0):  # k = 2 needs the integer 1
+        with pytest.raises(DocumentError):
+            construction_from_doc(broken(kappa=bad))
     with pytest.raises(DocumentError):
         construction_from_doc(broken(polygon=base["polygon"][:-1]))
     with pytest.raises(DocumentError):

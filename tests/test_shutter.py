@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ReferenceShutter, ReferenceViolation, _meet, reference_viewer
+from oracles import (
+    ReferenceShutter,
+    ReferenceViolation,
+    _meet,
+    planted_state,
+    reference_viewer,
+)
 from vislink import _pure as _k
 from vislink.kernel import Point, point, point_from_key
 from vislink.shutter import (
@@ -20,9 +26,8 @@ from vislink.shutter import (
     PointNotInT,
     SameSideInput,
     ShutterState,
-    _append_a,
+    _admit_crossing,
     _check_invariants,
-    _extend_lines,
     advance,
     find_common_viewer,
     gen_kset,
@@ -191,24 +196,14 @@ def test_no_viewer_with_fewer_admitted_than_forbidden():
 # planted viewer (positive control)
 
 
-def planted_state(zstar: Point) -> ShutterState:
-    """State whose admitted set is exactly the crossings from zstar to K3,
-    so zstar is a common viewer the scans must detect."""
-    s = ShutterState(K3)
-    for y in K3:
-        _append_a(s, _k.cross_lower(zstar.key, y.key))
-    _extend_lines(s, 0)
-    return s
-
-
 def test_planted_viewer_is_found():
-    s = planted_state(point(0, 2))
+    s = planted_state(K3, point(0, 2))
     assert s.A == [axis(Fraction(-2, 3)), axis(0), axis(Fraction(2, 3))]
     assert find_common_viewer(s) == point(0, 2)
 
 
 def test_planted_viewer_trips_step_invariant():
-    s = planted_state(point(0, 2))
+    s = planted_state(K3, point(0, 2))
     with pytest.raises(InvariantViolation):
         advance(s, (point(-3, -1), point(3, -1)))
 
@@ -216,7 +211,7 @@ def test_planted_viewer_trips_step_invariant():
 def test_unscanned_lines_are_scanned_before_the_sweep():
     # sight lines admitted outside a step are scanned before the step
     # sweeps or admits anything
-    s = planted_state(point(0, 2))
+    s = planted_state(K3, point(0, 2))
     with pytest.raises(InvariantViolation, match="sees all of K via A"):
         advance(s, (point(-3, -1), point(3, -1)))
     assert s.step == 0 and s.history == [] and len(s._aidx) == 3
@@ -273,9 +268,7 @@ def admit_blocked(s, c):
     sight lines, and allow one more step, so only the viewer scan can
     object."""
     s._bset.discard(c)
-    old_len = len(s._aidx)
-    _append_a(s, c)
-    _extend_lines(s, old_len)
+    _admit_crossing(s, c)
     s.step += 1
 
 
@@ -288,7 +281,7 @@ def test_incremental_check_catches_an_admitted_blocked_crossing(sched, pick):
     blocked = sorted(s._bset)
     admit_blocked(s, blocked[pick % len(blocked)])
     if find_common_viewer(s) is None:
-        assert _check_invariants(s, "corrupt")
+        _check_invariants(s, "corrupt")
     else:
         with pytest.raises(InvariantViolation, match="sees all of K via A"):
             _check_invariants(s, "corrupt")

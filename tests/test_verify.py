@@ -27,7 +27,6 @@ from vislink.verify import (
     sample_tuples,
     verify_common_witness,
     verify_targets_blocked,
-    witness_vertex_index,
 )
 
 
@@ -39,16 +38,9 @@ def lerp(s: Segment, t) -> "point":
 
 
 def test_witness_index_examples():
-    assert witness_vertex_index(4, 0) == 3
-    assert witness_vertex_index(2, 0) == 2
-    assert witness_vertex_index(5, 2) == 0
-
-
-def test_witness_index_range_check():
-    with pytest.raises(IndexOutOfRange):
-        witness_vertex_index(4, -1)
-    with pytest.raises(IndexOutOfRange):
-        witness_vertex_index(4, 5)
+    assert make_polygon(4, seed=5).partner(0) == 3
+    assert make_polygon(2, seed=5).partner(0) == 2
+    assert make_polygon(5, seed=5).partner(2) == 0
 
 
 def test_witness_vertex_joined_to_all_other_fans():
@@ -58,7 +50,7 @@ def test_witness_vertex_joined_to_all_other_fans():
         c = build_family(p)
         pieces = c.pieces
         for j0 in range(k + 1):
-            m = witness_vertex_index(k, j0)
+            m = p.partner(j0)
             am = p.a(m)
             for i in range(k + 1):
                 on_fan = any(
