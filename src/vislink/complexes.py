@@ -9,14 +9,22 @@ the whole story for link distances.
 
 Point location runs on integers. Next to its maximal segments a complex
 keeps their endpoint keys (the predicate core's (xn, xd, yn, yd) tuples)
-and canonical lines, an index from each line to the segments on it, and
-the index of each maximal segment, so a caller that names a segment (a
-fan, a tail edge, a document's listed segment) looks its index up there.
-A point t lies on segment i exactly when it satisfies the integer line
-equation a*xn*yd + b*yn*xd == c*xd*yd of lines[i] and falls inside the
-segment's bounding box. A segment [p, q] lies in the union exactly when
-one maximal segment on the line through p and q contains both endpoints,
-so the line index leaves only the few segments on that line to check.
+and canonical lines, an index from each line to the segments on it, the
+index of each maximal segment (a caller that names a segment, such as a
+fan, a tail edge or a document's listed segment, looks its index up there)
+and a vertex index. The vertices of the arrangement are the segment
+endpoints and the points where two maximal segments meet; the vertex index
+maps each to the segments through it. A point that is not a vertex lies on
+at most one maximal segment: two collinear maximal segments never touch
+(they would have merged), so two segments through one point meet only
+there, and that point is a vertex. Point location is therefore one lookup
+for a vertex and, for any other point, a scan that stops at the first
+segment through it. A point t lies on segment i exactly when it satisfies
+the integer line equation a*xn*yd + b*yn*xd == c*xd*yd of lines[i] and
+falls inside the segment's bounding box. A segment [p, q] lies in the
+union exactly when one maximal segment on the line through p and q
+contains both endpoints, so the line index leaves only the few segments on
+that line to check.
 
 OneSet is the small algebra of viewer regions: finitely many segments plus
 isolated points, closed under exact pairwise intersection. Canonical form
@@ -82,21 +90,25 @@ LineKey = Tuple[int, int, int]
 class SegmentComplex:
     """Normalized union of segments plus its intersection graph.
 
-    adjacency[i] holds the indices of maximal segments whose closed hulls
-    meet maximal_segments[i] (i itself excluded). keys[i] is the integer
-    endpoint pair and lines[i] the canonical line of maximal_segments[i];
-    by_line maps each line to the ascending indices of the maximal
-    segments on it, and index_of maps each maximal segment to its index.
-    These four are derived from maximal_segments, so equality ignores
-    them.
+    adjacency[i] holds, in ascending order, the indices of the maximal
+    segments whose closed hulls meet maximal_segments[i] (i itself
+    excluded). keys[i] is the integer endpoint pair and lines[i] the
+    canonical line of maximal_segments[i]; by_line maps each line to the
+    ascending indices of the maximal segments on it, and index_of maps
+    each maximal segment to its index. vertex_segments maps the key of
+    every vertex (an endpoint, or a point where two maximal segments
+    meet) to the ascending indices of the segments through it; every
+    other point of the union lies on exactly one maximal segment. These
+    five are derived from maximal_segments, so equality ignores them.
     """
 
     maximal_segments: Tuple[Segment, ...]
-    adjacency: Tuple[frozenset, ...]
+    adjacency: Tuple[Tuple[int, ...], ...]
     keys: Tuple[Tuple[Key, Key], ...] = field(compare=False, repr=False)
     lines: Tuple[LineKey, ...] = field(compare=False, repr=False)
     by_line: Dict[LineKey, Tuple[int, ...]] = field(compare=False, repr=False)
     index_of: Dict[Segment, int] = field(compare=False, repr=False)
+    vertex_segments: Dict[Key, Tuple[int, ...]] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.maximal_segments)
@@ -118,9 +130,16 @@ def normalize(raw: Sequence[Segment]) -> SegmentComplex:
     # Maximal segments on one line never touch (they would have merged),
     # so two of them meet exactly when their lines cross at a point inside
     # both bounding boxes. That point is (xn/det, yn/det) with det > 0,
-    # unreduced, which in_box accepts.
-    adj: List[set] = [set() for _ in range(m)]
+    # unreduced, which in_box accepts; the vertex index stores it reduced.
+    # Row i appends i's later neighbours after the rows before it appended
+    # its earlier ones, so every adjacency list comes out ascending.
+    adj: List[List[int]] = [[] for _ in range(m)]
+    vertices: Dict[Key, set] = {}
+    for i, (p, q) in enumerate(keys):
+        vertices.setdefault(p, set()).add(i)
+        vertices.setdefault(q, set()).add(i)
     in_box = _k.in_box
+    norm2 = _k.norm2
     for i in range(m):
         a1, b1, c1 = lines[i]
         pi, qi = keys[i]
@@ -135,31 +154,39 @@ def normalize(raw: Sequence[Segment]) -> SegmentComplex:
                 xn, yn, det = -xn, -yn, -det
             t = (xn, det, yn, det)
             if in_box(t, pi, qi) and in_box(t, *keys[j]):
-                adj[i].add(j)
-                adj[j].add(i)
+                adj[i].append(j)
+                adj[j].append(i)
+                meet = vertices.setdefault(norm2(xn, det) + norm2(yn, det), set())
+                meet.add(i)
+                meet.add(j)
     by_line: Dict[LineKey, List[int]] = {}
     for i, line in enumerate(lines):
         by_line.setdefault(line, []).append(i)
     return SegmentComplex(
         tuple(maximal),
-        tuple(frozenset(a) for a in adj),
+        tuple(map(tuple, adj)),
         keys,
         lines,
         {line: tuple(idx) for line, idx in by_line.items()},
         {s: i for i, s in enumerate(maximal)},
+        {t: tuple(sorted(idx)) for t, idx in vertices.items()},
     )
 
 
-def _through(C: SegmentComplex, t: Key) -> List[int]:
-    """Ascending indices of the maximal segments through the point t."""
+def _through(C: SegmentComplex, t: Key) -> Tuple[int, ...]:
+    """Ascending indices of the maximal segments through the point t: its
+    vertex index entry, else the first segment through it (a point that
+    is not a vertex lies on at most one)."""
+    found = C.vertex_segments.get(t)
+    if found is not None:
+        return found
     xn, xd, yn, yd = t
     u, v, w = xn * yd, yn * xd, xd * yd
     in_box = _k.in_box
-    return [
-        i
-        for i, ((a, b, c), (p, q)) in enumerate(zip(C.lines, C.keys))
-        if a * u + b * v == c * w and in_box(t, p, q)
-    ]
+    for i, ((a, b, c), (p, q)) in enumerate(zip(C.lines, C.keys)):
+        if a * u + b * v == c * w and in_box(t, p, q):
+            return (i,)
+    return ()
 
 
 def contains_point(C: SegmentComplex, p: Point) -> bool:
@@ -167,11 +194,12 @@ def contains_point(C: SegmentComplex, p: Point) -> bool:
 
 
 def incident_segments(C: SegmentComplex, p: Point) -> List[int]:
-    """Indices of all maximal segments through p; error if there are none."""
+    """Indices of all maximal segments through p, ascending; error if
+    there are none."""
     found = _through(C, p.key)
     if not found:
         raise PointNotOnComplex(f"{p} is not on the complex")
-    return found
+    return list(found)
 
 
 def contains_segment(C: SegmentComplex, p: Point, q: Point) -> bool:

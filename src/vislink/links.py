@@ -107,7 +107,10 @@ class SearchTree:
 def _bfs(C: SegmentComplex, seeds: Sequence[int]):
     """Deterministic multi-source BFS over the intersection graph.
 
-    Returns (dist, parent); unreached entries stay None.
+    Seeds are visited in ascending order and each segment's neighbours in
+    the ascending order normalize stores them in, so dist and parent
+    depend only on the complex and the seeds. Returns (dist, parent);
+    unreached entries stay None.
     """
     m = len(C.maximal_segments)
     dist: List[Optional[int]] = [None] * m
@@ -119,7 +122,7 @@ def _bfs(C: SegmentComplex, seeds: Sequence[int]):
             queue.append(s)
     while queue:
         i = queue.popleft()
-        for j in sorted(C.adjacency[i]):
+        for j in C.adjacency[i]:
             if dist[j] is None:
                 dist[j] = dist[i] + 1
                 parent[j] = i

@@ -33,6 +33,25 @@ committed. Pairs of two older lines need no scan: the state before the
 step had no viewer, and a viewer after it sees some K-point through a
 crossing the step admitted, so it lies on a line the step added.
 
+A step cannot create a viewer. A viewer z sees each K-point via its own
+A-point, since an A-point serving two K-points would put z on a K-pair
+line, whose crossing is in B0. A step admits at most k-1 crossings, so z
+sees at least two of the k+1 K-points via older A-points: it is the upper
+crossing of two older sight lines. An earlier scan met that pair and
+blocked one of z's crossings; the block entered B before this step's
+sweep, the sweep admits nothing in B, and A and B are checked disjoint
+before the scan. So the step's viewer test fires only on a corrupted
+state. It stays, as a check.
+
+The witness sweeps are bounded. The basis candidates lie on the line
+y = 1, and a step's on the line L through A[0] and the tuple's first
+point. Along such a line the crossing of [z, a] toward a fixed lower
+point a is injective, or constant at A[0] when a is on L. So each pair of
+a blocked point and a tuple point rules out at most one candidate (B
+holds A[0] only in a corrupted state), and a witness is among the first
+|B|*len(keys) + 1 candidates. Past that count the sweep raises
+InvariantViolation instead of running on.
+
 Newness is derived from A, not remembered. Sight line u*(k+1) + m joins
 the u-th admitted point to K-point m, and the scans meet pairs in
 lexicographic index order. Only one line joins z to a K-point, and a
@@ -74,6 +93,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import ClassVar, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import _pure as _k
@@ -299,13 +319,18 @@ def _sweep(
     s: ShutterState,
     candidates: Iterator[Tuple[int, int, int, int]],
     keys: Sequence[Tuple[int, int, int, int]],
+    context: str,
 ) -> Tuple[int, int, int, int]:
     """The first candidate witness z whose segments [z, a], for every a
-    in keys, cross the axis outside B (one hash lookup per point)."""
-    return next(
-        z
-        for z in candidates
-        if all(_k.cross_lower(z, a) not in s._bset for a in keys)
+    in keys, cross the axis outside B (one hash lookup per point). It is
+    among the first |B|*len(keys) + 1 candidates unless the state is
+    corrupted (see the module docstring); past them, raise."""
+    bound = len(s._bset) * len(keys) + 1
+    for z in islice(candidates, bound):
+        if all(_k.cross_lower(z, a) not in s._bset for a in keys):
+            return z
+    raise InvariantViolation(
+        f"{context}: every one of the first {bound} sweep candidates is blocked"
     )
 
 
@@ -371,7 +396,8 @@ def init_state(K: Sequence[Point], first: Sequence[Point]) -> ShutterState:
     first = _check_tuple(s, first, "first tuple")
     keys = [p.key for p in first]
     blocked = sorted(s._bset, key=lambda b: Fraction(*b))
-    return _admit(s, first, _sweep(s, _basis_candidates(), keys), keys, 0, blocked)
+    zkey = _sweep(s, _basis_candidates(), keys, "init")
+    return _admit(s, first, zkey, keys, 0, blocked)
 
 
 def advance(s: ShutterState, tup: Sequence[Point]) -> ShutterState:
@@ -389,15 +415,17 @@ def advance(s: ShutterState, tup: Sequence[Point]) -> ShutterState:
     built by hand) are scanned first.
     """
     tup = _check_tuple(s, tup, "tuple")
+    context = f"step {s.step + 1}"
     if s._scanned < len(s._lines):
-        _scan(s, f"step {s.step + 1}")
+        _scan(s, context)
     # distinct new crossings may share a block; each enters B once
     b_added = [c for c in dict.fromkeys(s._pending) if c not in s._bset]
     s._bset.update(b_added)
     z_new = len(s._pending)
     s._pending = []
     keys = [p.key for p in tup[1:]]
-    zkey = _sweep(s, _step_candidates(Fraction(*next(iter(s._aidx))), tup[0]), keys)
+    candidates = _step_candidates(Fraction(*next(iter(s._aidx))), tup[0])
+    zkey = _sweep(s, candidates, keys, context)
     s.step += 1
     return _admit(s, tup, zkey, keys, z_new, b_added)
 

@@ -20,7 +20,7 @@ from vislink.complexes import (
     normalize,
     oneset_intersect,
 )
-from vislink.kernel import DegenerateSegment, on_segment
+from vislink.kernel import DegenerateSegment, on_segment, point_from_key
 from vislink.rng import Stream, derive
 
 
@@ -44,14 +44,14 @@ def test_merge_overlapping_collinear():
 def test_transversal_crossing_never_merges():
     C = normalize([seg(0, -1, 0, 1), seg(-1, 0, 1, 0)])
     assert len(C.maximal_segments) == 2
-    assert C.adjacency == (frozenset({1}), frozenset({0}))
+    assert C.adjacency == ((1,), (0,))
 
 
 def test_collinear_gap_stays_split():
     C = normalize([seg(0, 0, 1, 0), seg(2, 0, 3, 0)])
     assert len(C.maximal_segments) == 2
     # disjoint closed hulls: no graph edge either
-    assert C.adjacency == (frozenset(), frozenset())
+    assert C.adjacency == ((), ())
 
 
 def test_empty_input():
@@ -325,12 +325,24 @@ def _brute_through(C, p):
     return [i for i, s in enumerate(C.maximal_segments) if on_segment(p, s)]
 
 
+def _meet_points(C):
+    """Every point where two maximal segments meet in a single point."""
+    keys = [(s.p.key, s.q.key) for s in C.maximal_segments]
+    for i, (a, b) in enumerate(keys):
+        for c, d in keys[i + 1 :]:
+            kind, payload = _k.seg_meet(a, b, c, d)
+            if kind == 1:
+                yield point_from_key(payload)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_complex_raws, st.lists(_probe, min_size=1, max_size=8))
 def test_point_location_matches_brute_scan(raws, probes):
     C = normalize(raws)
     for s in C.maximal_segments:
         probes += [s.p, s.q, _lerp(s, Fraction(1, 3))]
+    # meet points are mostly off the half-integer grid of the probes
+    probes += _meet_points(C)
     for p in probes:
         want = _brute_through(C, p)
         assert contains_point(C, p) == bool(want)
@@ -365,6 +377,18 @@ def test_contains_segment_matches_brute_scan(raws, pairs):
 
 @settings(max_examples=200, deadline=None)
 @given(_complex_raws)
+def test_vertex_index_matches_brute_force(raws):
+    # the vertices are the endpoints and the single-point meets of two
+    # maximal segments; each maps to every segment through it
+    C = normalize(raws)
+    vertices = [p for s in C.maximal_segments for p in (s.p, s.q)]
+    vertices += _meet_points(C)
+    want = {p.key: tuple(_brute_through(C, p)) for p in vertices}
+    assert C.vertex_segments == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complex_raws)
 def test_adjacency_matches_segment_intersection(raws):
     def meet(s, t):
         return _k.seg_meet(s.p.key, s.q.key, t.p.key, t.q.key)[0] != 0
@@ -372,9 +396,7 @@ def test_adjacency_matches_segment_intersection(raws):
     C = normalize(raws)
     segs = C.maximal_segments
     want = tuple(
-        frozenset(
-            j for j in range(len(segs)) if j != i and meet(segs[i], segs[j])
-        )
+        tuple(j for j in range(len(segs)) if j != i and meet(segs[i], segs[j]))
         for i in range(len(segs))
     )
     assert C.adjacency == want

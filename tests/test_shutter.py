@@ -1,6 +1,9 @@
 """Tests for the axis-screen process: basis, steps, invariants, and the
 four-way visibility case analysis."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -18,6 +21,7 @@ from oracles import (
     planted_state,
     reference_viewer,
 )
+import vislink
 from vislink import _pure as _k
 from vislink.kernel import Point, point, point_from_key
 from vislink.shutter import (
@@ -513,6 +517,40 @@ def test_advance_rejects_bad_tuples():
         advance(s, (point(0, -5), point(0, -5)))
     with pytest.raises(DegenerateK):
         advance(s, (point(0, -5), point(1, 5)))
+
+
+_CORRUPTED_SWEEP = """
+from fractions import Fraction
+from vislink import point
+from vislink.shutter import InvariantViolation, advance, init_state
+
+s = init_state(
+    (point(0, -1), point(3, -2), point(-5, -3)), (point(1, -1), point(2, -3))
+)
+s._bset.add(next(iter(s._aidx)))  # A[0] = 1/2, now also blocked
+try:
+    # (27/2, -4) is on the line through A[0] and (7, -2), so every step
+    # candidate crosses the axis toward it at the blocked A[0]
+    advance(s, (point(7, -2), point(Fraction(27, 2), -4)))
+except InvariantViolation as e:
+    print(e)
+"""
+
+
+def test_sweep_is_bounded_on_a_corrupted_state():
+    # an unbounded sweep would never return; the subprocess timeout turns
+    # that into a failure instead of a hung suite
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vislink.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _CORRUPTED_SWEEP],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=30,
+    )
+    assert out.returncode == 0, out.stderr
+    # |B| = 4 (three K-pair crossings and A[0]), one tuple point to admit
+    assert out.stdout.strip() == (
+        "step 1: every one of the first 5 sweep candidates is blocked"
+    )
 
 
 def test_k3_run():
