@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 from . import docio
 from .construct import build_family, make_polygon
 from .docio import DocumentError
-from .kernel import GeometryError
+from .kernel import GeometryError, point_str
 from .render import render_construction
 from .shutter import (
     InvariantViolation,
@@ -184,7 +184,8 @@ def _cmd_shutter(args) -> int:
     viewer = find_common_viewer(state)
     if viewer is not None:
         print(
-            f"shutter: final cross-check found {viewer} seeing all of K via A",
+            f"shutter: final cross-check found {point_str(viewer)} seeing all of "
+            "K via A",
             file=sys.stderr,
         )
         return 1

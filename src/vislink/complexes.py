@@ -26,18 +26,22 @@ union exactly when one maximal segment on the line through p and q
 contains both endpoints, so the line index leaves only the few segments on
 that line to check.
 
-OneSet is the small algebra of viewer regions: finitely many segments plus
-isolated points, closed under exact pairwise intersection. Canonical form
-is non-redundant rather than disjoint: no two collinear components touch or
-overlap (they merge), no listed point lies on a listed segment, components
-are sorted. Transversal crossings between listed segments are expected;
-regions routinely contain whole pencils of segments through one point.
+A viewer region of radius >= 1 is a union of whole maximal segments, so
+a region is a set of segment indices, and intersection_fold intersects
+regions through the vertex index alone. Two distinct maximal segments
+meet at most in one point, a vertex, so the common part of some regions
+is the segments every region holds plus the vertices every region touches
+that no such segment passes through. OneSet is the value the fold
+reports: finitely many segments plus isolated points, each sorted, no
+listed point on a listed segment. Transversal crossings between listed
+segments are expected; regions routinely contain whole pencils of
+segments through one point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _pure as _k
 from .kernel import (
@@ -46,6 +50,7 @@ from .kernel import (
     Point,
     Segment,
     point_from_key,
+    point_str,
 )
 
 
@@ -198,7 +203,7 @@ def incident_segments(C: SegmentComplex, p: Point) -> List[int]:
     there are none."""
     found = _through(C, p.key)
     if not found:
-        raise PointNotOnComplex(f"{p} is not on the complex")
+        raise PointNotOnComplex(f"{point_str(p)} is not on the complex")
     return list(found)
 
 
@@ -242,59 +247,21 @@ class OneSet:
         return min(candidates) if candidates else None
 
 
-def _segment_keys(segs: Iterable[Segment]) -> List[Tuple[Key, Key]]:
-    return [(s.p.key, s.q.key) for s in segs]
-
-
-def make_oneset(
-    segments: Iterable[Segment] = (), points: Iterable[Point] = ()
-) -> OneSet:
-    """Canonicalize: merge collinear touching segments, drop points lying
-    on kept segments, deduplicate, sort."""
-    segs = _merge_collinear(segments) if segments else []
-    keys = _segment_keys(segs)
-    kept: List[Point] = []
-    for p in sorted(set(points)):
-        pk = p.key
-        if not any(_k.on_seg(pk, a, b) for a, b in keys):
-            kept.append(p)
-    return OneSet(tuple(segs), tuple(kept))
-
-
-def oneset_intersect(X: OneSet, Y: OneSet) -> OneSet:
-    """Exact point-set intersection of two canonical OneSets."""
-    segs: List[Segment] = []
-    pts: List[Point] = []
-    xkeys = _segment_keys(X.segments)
-    ykeys = _segment_keys(Y.segments)
-    for a, b in xkeys:
-        for c, d in ykeys:
-            kind, payload = _k.seg_meet(a, b, c, d)
-            if kind == 1:
-                pts.append(point_from_key(payload))
-            elif kind == 2:
-                lo, hi = payload
-                segs.append(Segment(point_from_key(lo), point_from_key(hi)))
-    for a, b in xkeys:
-        for py in Y.points:
-            if _k.on_seg(py.key, a, b):
-                pts.append(py)
-    for px in X.points:
-        pk = px.key
-        if any(_k.on_seg(pk, c, d) for c, d in ykeys):
-            pts.append(px)
-        if px in Y.points:
-            pts.append(px)
-    return make_oneset(segs, pts)
-
-
 def intersection_fold(
-    regions: Sequence[OneSet], trace: Sequence[OneSet] = ()
+    C: SegmentComplex, index_sets: Sequence[AbstractSet[int]]
 ) -> Tuple[OneSet, ...]:
-    """Extend the left fold `trace` over `regions`: every new entry is the
-    last entry intersected with the next region (the region itself when
-    the fold is empty), so entry i is the intersection of regions 0..i."""
-    out = list(trace)
-    for r in regions:
-        out.append(oneset_intersect(out[-1], r) if out else r)
+    """The left fold of the regions given by index_sets, each a set of
+    maximal-segment indices of C: entry i is the intersection of regions
+    0..i. Its segments are those every set 0..i holds, in index order; its
+    points are the vertices every set touches that no kept segment passes
+    through, sorted."""
+    out: List[OneSet] = []
+    kept: Optional[AbstractSet[int]] = None
+    touched = list(C.vertex_segments.items())
+    for idx in index_sets:
+        kept = frozenset(idx) if kept is None else kept & idx
+        touched = [(v, t) for v, t in touched if not idx.isdisjoint(t)]
+        points = sorted(point_from_key(v) for v, t in touched if kept.isdisjoint(t))
+        segments = tuple(C.maximal_segments[j] for j in sorted(kept))
+        out.append(OneSet(segments, tuple(points)))
     return tuple(out)

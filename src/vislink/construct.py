@@ -38,17 +38,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _pure as _k
 from .complexes import (
-    OneSet,
     PointNotOnComplex,
     SegmentComplex,
     contains_point,
     contains_segment,
     incident_segments,
-    intersection_fold,
     normalize,
 )
 from .kernel import GeometryError, Point, Segment, orientation
-from .links import SearchTree, link_region, search_tree
+from .links import LinkRegion, SearchTree, link_region, search_tree
 from .rng import STREAM_POLYGON, Stream, derive
 
 
@@ -111,7 +109,7 @@ class Construction:
 
     What verification and rendering derive from the geometry is built once
     per construction, on first use, and kept on it: the pieces, one search
-    tree per formula witness, the targets' link regions and their fold.
+    tree per formula witness and the targets' link regions.
     """
 
     n: int
@@ -146,15 +144,9 @@ class Construction:
         )
 
     @cached_property
-    def target_regions(self) -> Tuple[OneSet, ...]:
+    def target_regions(self) -> Tuple[LinkRegion, ...]:
         """The n-link region of each distinguished target e_i."""
-        return tuple(link_region(self.complex, t, self.n).region for t in self.e)
-
-    @cached_property
-    def target_trace(self) -> Tuple[OneSet, ...]:
-        """The intersection fold of target_regions: entry i is the common
-        region of targets 0..i, and the last entry must be empty."""
-        return intersection_fold(self.target_regions)
+        return tuple(link_region(self.complex, t, self.n) for t in self.e)
 
 
 def _diagonal_index_pairs(m: int) -> List[Tuple[int, int]]:

@@ -37,6 +37,11 @@ def rat_str(r: Fraction) -> str:
     return f"{r.numerator}/{r.denominator}"
 
 
+def point_str(p: Point) -> str:
+    """A point for messages: '(p/q, p/q)' in rat_str form."""
+    return f"({rat_str(p.x)}, {rat_str(p.y)})"
+
+
 def parse_rat(s: str) -> Fraction:
     """Accepts 'p/q' or a bare integer string."""
     s = s.strip()
@@ -78,7 +83,7 @@ class Segment:
 
     def __post_init__(self):
         if self.p == self.q:
-            raise DegenerateSegment(f"degenerate segment at {self.p}")
+            raise DegenerateSegment(f"degenerate segment at {point_str(self.p)}")
         if self.q < self.p:
             p, q = self.p, self.q
             object.__setattr__(self, "p", q)

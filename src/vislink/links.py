@@ -11,9 +11,9 @@ intersection graph of maximal segments:
 
 Minimal paths bend only where two maximal segments meet, which keeps all
 certificates exact and rational. For the same reason an n-link region is
-a union of whole maximal segments; taken in index order they are already
-a canonical OneSet (sorted, no two collinear ones touching), so
-link_region builds it without re-canonicalizing.
+a union of whole maximal segments: link_region lists their indices, and
+the segments in index order are its OneSet. Regions are intersected on
+those indices (complexes.intersection_fold).
 
 Every path comes from one search in two parts. search_tree builds the BFS
 tree from the maximal segments through a source point; tree_path looks a
@@ -40,7 +40,7 @@ from .complexes import (
     incident_segments,
     intersection_fold,
 )
-from .kernel import GeometryError, Point, point_from_key
+from .kernel import GeometryError, Point, point_from_key, point_str
 
 
 class VerificationFailed(GeometryError):
@@ -216,7 +216,9 @@ def tree_path(
     vertices.append(q)
     cert = PathCertificate(tuple(vertices), len(chain))
     if not certificate_valid(C, cert, n):
-        raise VerificationFailed(f"path certificate {p} -> {q} fails its re-check")
+        raise VerificationFailed(
+            f"path certificate {point_str(p)} -> {point_str(q)} fails its re-check"
+        )
     return cert
 
 
@@ -235,13 +237,13 @@ def common_viewer(
 ) -> Optional[Point]:
     """Canonically least point that sees every target within n links.
 
-    Folds the exact n-link regions of the targets (intersection_fold);
-    path reversibility makes membership in every region equivalent to
-    seeing every target.
+    Folds the segment indices of the targets' n-link regions
+    (intersection_fold); path reversibility makes membership in every
+    region equivalent to seeing every target.
     """
     if not targets:
         raise ValueError("targets must be non-empty")
     if n < 1:
         raise ValueError("link bound must be >= 1")
-    regions = [link_region(C, t, n).region for t in targets]
-    return intersection_fold(regions)[-1].least_point()
+    regions = [link_region(C, t, n).segment_indices for t in targets]
+    return intersection_fold(C, regions)[-1].least_point()

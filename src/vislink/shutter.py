@@ -97,7 +97,7 @@ from itertools import islice
 from typing import ClassVar, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import _pure as _k
-from .kernel import GeometryError, Point, point_from_key
+from .kernel import GeometryError, Point, point_from_key, point_str
 from .rng import STREAM_KSET, STREAM_TUPLES, Stream, derive
 
 
@@ -236,7 +236,9 @@ def _check_lower_distinct(pts: Sequence[Point], what: str) -> None:
         raise DegenerateK(f"{what} contains repeated points")
     for p in pts:
         if p.y >= 0:
-            raise DegenerateK(f"{what} point {p} is not strictly below the axis")
+            raise DegenerateK(
+                f"{what} point {point_str(p)} is not strictly below the axis"
+            )
 
 
 def _admitted(A: Iterable[Point]) -> Set[Scalar]:
@@ -283,9 +285,8 @@ def _scan(s: ShutterState, context: str) -> None:
     of K via A, else queue a pending block for each new crossing."""
     got = _k.danger_scan(s._lines, s._scanned, s._ys, s._aidx, s._pending)
     if got is not None:
-        raise InvariantViolation(
-            f"{context}: upper point {point_from_key(got)} sees all of K via A"
-        )
+        z = point_str(point_from_key(got))
+        raise InvariantViolation(f"{context}: upper point {z} sees all of K via A")
     s._scanned = len(s._lines)
 
 
@@ -449,11 +450,10 @@ def verify_history(s: ShutterState) -> bool:
     """Re-check every stored witness against the final A.
 
     sees_via certificates are monotone in A, so all of them must still
-    hold; used by the acceptance suite at end of run. The admitted set is
-    built once from the Point view A and serves every check.
+    hold; used by the acceptance suite at end of run. Each crossing is
+    looked up in the state's admitted index.
     """
-    admitted = _admitted(s.A)
-    return all(_crossing(z, a) in admitted for tup, z in s.history for a in tup)
+    return all(_crossing(z, a) in s._aidx for tup, z in s.history for a in tup)
 
 
 def sees_through_screen(x: Point, y: Point, A: Sequence[Point]) -> bool:
@@ -472,7 +472,7 @@ def sees_through_screen(x: Point, y: Point, A: Sequence[Point]) -> bool:
         if p.y != 0:
             return False
         if _scalar(p.x) not in admitted:
-            raise PointNotInT(f"axis point {p} is not in the screen")
+            raise PointNotInT(f"axis point {point_str(p)} is not in the screen")
         return True
 
     x_axis = on_axis(x)

@@ -16,10 +16,10 @@ still passes the independent certificate_valid re-check.
 
 Negative claim: the k+1 distinguished targets (edge midpoints c_i when
 n = 2, outer tail endpoints otherwise) have no common viewer. This is
-checked by exact emptiness of the fold of their n-link regions, with the
-whole intersection trace exposed for independent re-checking. Dropping any
-single target must flip the answer to non-empty, which guards against a
-vacuously empty region engine.
+checked by exact emptiness of the fold of their n-link regions over the
+regions' segment indices, with the whole intersection trace exposed for
+independent re-checking. Dropping any single target must flip the answer
+to non-empty, which guards against a vacuously empty region engine.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .complexes import (
     intersection_fold,
 )
 from .construct import Construction
-from .kernel import GeometryError, Point, rat_str
+from .kernel import GeometryError, Point, point_str
 from .links import PathCertificate, VerificationFailed, tree_path
 from .rng import STREAM_SAMPLE, STREAM_TUPLES, Stream, derive
 
@@ -101,13 +101,15 @@ def verify_common_witness(
         try:
             incident = incident_segments(c.complex, x)
         except PointNotOnComplex:
-            raise TupleNotOnComplex(f"{x} is not on the complex") from None
+            raise TupleNotOnComplex(f"{point_str(x)} is not on the complex") from None
         for i in range(c.k + 1):
             if not pieces[i].isdisjoint(incident):
                 assigned.add(i)
                 break
         else:
-            raise PointOnNoPiece(f"{x} lies on no piece of the construction")
+            raise PointOnNoPiece(
+                f"{point_str(x)} lies on no piece of the construction"
+            )
         through.append(incident)
     j0 = min(i for i in range(c.k + 1) if i not in assigned)
     m = c.polygon.partner(j0)
@@ -118,8 +120,7 @@ def verify_common_witness(
         if cert is None:
             raise VerificationFailed(
                 f"formula witness a_{m} for untouched piece {j0} does not see "
-                f"tuple point {i} ({rat_str(x.x)}, {rat_str(x.y)}) within "
-                f"{c.n} links"
+                f"tuple point {i} {point_str(x)} within {c.n} links"
             )
         paths.append(cert)
     return WitnessReport(tuple(pts), tree.source, tuple(paths))
@@ -130,29 +131,29 @@ def verify_targets_blocked(
 ) -> EmptinessReport:
     """Fold the n-link regions of the distinguished targets.
 
+    The fold runs over the regions' segment indices (intersection_fold).
     With the full target list the intersection must be empty (else
     VerificationFailed). With drop_index set, that target is excluded and
-    the fold is returned as-is; by the positive claim it should then be
-    non-empty, which callers assert as the adversarial control.
+    the fold of the rest is returned as-is; by the positive claim it
+    should then be non-empty, which callers assert as the adversarial
+    control.
     """
     if drop_index is not None and not 0 <= drop_index <= c.k:
         raise IndexOutOfRange(f"drop index {drop_index} outside 0..{c.k}")
     targets = list(c.e)
     regions = list(c.target_regions)
-    if drop_index is None:
-        trace = c.target_trace
-    else:
+    if drop_index is not None:
         del targets[drop_index], regions[drop_index]
-        # the fold's entries before the dropped target are the full fold's;
-        # dropping target 0 shares none, so it leaves the full fold unbuilt
-        shared = c.target_trace[:drop_index] if drop_index else ()
-        trace = intersection_fold(regions[drop_index:], shared)
+    trace = intersection_fold(c.complex, [r.segment_indices for r in regions])
     final = trace[-1]
     if drop_index is None and not final.is_empty():
         raise VerificationFailed(
-            f"targets have a common {c.n}-link viewer: {final.least_point()}"
+            f"targets have a common {c.n}-link viewer: "
+            f"{point_str(final.least_point())}"
         )
-    return EmptinessReport(tuple(targets), c.n, tuple(regions), trace)
+    return EmptinessReport(
+        tuple(targets), c.n, tuple(r.region for r in regions), trace
+    )
 
 
 def _draw_on_complex(C: SegmentComplex, stream: Stream) -> Point:

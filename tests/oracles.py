@@ -1,9 +1,10 @@
 """Brute-force reference computations used by several test modules.
 
 Everything here works on the RAW segment list, never on the normalized
-complex, so agreement with the package is a genuine cross-check. The
-shutter references work on Fraction pairs; planted_state builds the
-shutter state with a known viewer that both scans must detect.
+complex, so agreement with the package is a genuine cross-check; the
+region reference reads no index of the complex either, only its segment
+list. The shutter references work on Fraction pairs; planted_state builds
+the shutter state with a known viewer that both scans must detect.
 """
 
 from collections import deque
@@ -11,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from vislink import _pure as _k
-from vislink.kernel import on_segment, point_from_key
+from vislink.kernel import Point, on_segment, point_from_key
 from vislink.shutter import ShutterState, _admit_crossing
 
 
@@ -94,6 +95,71 @@ def oracle_link_distances(raws):
                     queue.append(w)
         dmat.append(dist)
     return vs, dmat
+
+
+class RegionReference:
+    """Brute-force intersection of regions that are unions of whole
+    segments of segs, each region given by its set of segment indices.
+
+    The probes are every subdivision vertex of segs and the midpoint of
+    each subdivision edge (two consecutive vertices on one segment). Such
+    a region, and any intersection of them, is a union of vertices and
+    open edges, so membership at the probes decides it. through[j] lists
+    the segments through probes[j], found by on_segment; probe sets are
+    sets of these positions.
+    """
+
+    def __init__(self, segs):
+        self.segs = list(segs)
+        vs = subdivision_vertices(self.segs)
+        self.probes = list(vs)
+        for s in self.segs:
+            on = [v for v in vs if on_segment(v, s)]  # in order along s
+            self.probes += [
+                Point((a.x + b.x) / 2, (a.y + b.y) / 2) for a, b in zip(on, on[1:])
+            ]
+        self.through = [
+            {i for i, s in enumerate(self.segs) if on_segment(p, s)}
+            for p in self.probes
+        ]
+        self.vertex_at = {v: j for j, v in enumerate(vs)}
+        self.index_of = {s: i for i, s in enumerate(self.segs)}
+
+    def members(self, index_sets):
+        """Entry i: the probes through which every set 0..i has a segment."""
+        out = []
+        inside = set(range(len(self.probes)))
+        for idx in map(set, index_sets):
+            inside = {j for j in inside if self.through[j] & idx}
+            out.append(inside)
+        return out
+
+    def errors(self, index_sets, trace):
+        """Where trace, a tuple of OneSets, is not the left fold of the
+        regions: a probe it gets wrong, a listed point that is not a
+        vertex or lies on a listed segment, or an unsorted tuple."""
+        want = self.members(index_sets)
+        if len(trace) != len(want):
+            return [f"{len(trace)} entries for {len(want)} regions"]
+        out = []
+        for i, (X, inside) in enumerate(zip(trace, want)):
+            listed = {self.index_of[s] for s in X.segments if s in self.index_of}
+            if len(listed) != len(X.segments):
+                out.append(f"entry {i} lists a segment that is not in segs")
+            points = {self.vertex_at.get(p) for p in X.points}
+            if None in points:
+                out.append(f"entry {i} lists a point that is not a vertex")
+            for j, through in enumerate(self.through):
+                got = j in points or bool(through & listed)
+                if got != (j in inside):
+                    out.append(f"entry {i}: probe {self.probes[j]} in it is {got}")
+            for p in X.points:
+                if any(on_segment(p, s) for s in X.segments):
+                    out.append(f"entry {i}: point {p} lies on a listed segment")
+            for part in (X.segments, X.points):
+                if list(part) != sorted(part):
+                    out.append(f"entry {i} is not sorted")
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -254,3 +254,13 @@ def test_package_has_no_assert():
                 if isinstance(node, ast.Assert)
             ]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_public_names_resolve_and_are_unique():
+    # a stale __all__ entry makes `from vislink import *` fail
+    names = vislink.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(vislink, n)] == []
+    namespace = {}
+    exec("from vislink import *", namespace)
+    assert set(names) <= namespace.keys()

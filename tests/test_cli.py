@@ -117,13 +117,16 @@ def test_verify_tuples_from_document(s22, tmp_path):
     assert run("verify", "--in", s22, "--tuples", tpath) == 0
 
 
-def test_verify_corrupted_document_fails(s22, tmp_path):
+def test_verify_corrupted_document_fails(s22, tmp_path, capsys):
     doc = read_doc(s22)
     a2, b0 = doc["polygon"][4], doc["polygon"][1]
     doc["segments"].append(sorted([a2, b0]))  # re-add a removed diagonal
     bad = str(tmp_path / "corrupt.json")
     write_doc(bad, doc)
+    capsys.readouterr()
     assert run("verify", "--in", bad, "--tuples", 5) == 1
+    err = capsys.readouterr().err
+    assert "common 2-link viewer: (" in err and "Fraction(" not in err
 
 
 def test_formula_miss_fails_the_claim_without_a_report(s22, tmp_path, capsys):
@@ -433,6 +436,37 @@ def test_usage_errors():
     assert run() == 2
     assert run("frobnicate") == 2
     assert run("gen") == 2  # --k required
+
+
+def test_messages_print_points_as_rationals(s22, tmp_path, capsys):
+    # an error that names a point prints it as (p/q, p/q), not as a repr
+    off = ["7/3", "100/1"]
+    doc = read_doc(s22)
+    tuples = {"schema": "1", "kind": "tuple-input", "tuples": [[off, doc["e"][0]]]}
+    moved = copy.deepcopy(doc)
+    moved["e"][0] = off
+    p = doc["segments"][0][0]
+    degenerate = copy.deepcopy(doc)
+    degenerate["segments"].append([p, p])
+    K = (point(-1, -1), point(*map(parse_rat, off)), point(1, -1))
+    cases = []
+    for name, d in (
+        ("tuples", tuples),
+        ("moved", moved),
+        ("degenerate", degenerate),
+        ("K", shutter_input_to_doc(K)),
+    ):
+        path = str(tmp_path / f"{name}.json")
+        write_doc(path, d)
+        cases.append(path)
+    for argv, named in (
+        (("verify", "--in", s22, "--tuples", cases[0]), off),
+        (("verify", "--in", cases[1]), off),
+        (("verify", "--in", cases[2]), p),
+        (("shutter", "--in", cases[3]), off),
+    ):
+        err = _one_line_usage_error(capsys, *argv)
+        assert "Fraction(" not in err and f"({named[0]}, {named[1]})" in err, err
 
 
 def test_byte_determinism(tmp_path):

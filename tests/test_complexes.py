@@ -1,4 +1,4 @@
-"""Normalization, containment, and the OneSet region algebra."""
+"""Normalization, containment, and the region intersection fold."""
 
 from fractions import Fraction
 
@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import RegionReference, covered
 from vislink import Segment, point
 from vislink import _pure as _k
 from vislink.complexes import (
@@ -16,9 +17,8 @@ from vislink.complexes import (
     contains_point,
     contains_segment,
     incident_segments,
-    make_oneset,
+    intersection_fold,
     normalize,
-    oneset_intersect,
 )
 from vislink.kernel import DegenerateSegment, on_segment, point_from_key
 from vislink.rng import Stream, derive
@@ -164,8 +164,6 @@ def test_membership_oracle_thousand_points():
 
 
 def test_contains_segment_covering_oracle():
-    from oracles import covered
-
     stream = Stream(derive(20260822, 13))
     for case in range(200):
         raws = _random_raw(Stream(derive(20260822, 14, case)), 3 + case % 6)
@@ -180,89 +178,26 @@ def test_contains_segment_covering_oracle():
             assert contains_segment(C, p, q) == covered(raws, p, q)
 
 
-# ---------------------------------------------------------- oneset algebra
+# ------------------------------------------------------ intersection fold
 
 
-def one(*segments, points=()):
-    return make_oneset(segments, [point(x, y) for x, y in points])
+def test_fold_keeps_a_crossing_as_a_point():
+    C = normalize([seg(0, -1, 0, 1), seg(-1, 0, 1, 0)])
+    first, both = intersection_fold(C, [frozenset({0}), frozenset({1})])
+    assert first == OneSet((C.maximal_segments[0],))
+    assert both == OneSet((), (point(0, 0),))
+    assert both.least_point() == point(0, 0)
 
 
-def test_oneset_intersect_overlap():
-    X = one(seg(0, 0, 2, 0))
-    Y = one(seg(1, 0, 3, 0))
-    assert oneset_intersect(X, Y) == one(seg(1, 0, 2, 0))
-
-
-def test_oneset_intersect_crossing_point():
-    X = one(seg(0, -1, 0, 1))
-    Y = one(seg(-1, 0, 1, 0))
-    got = oneset_intersect(X, Y)
-    assert got == OneSet((), (point(0, 0),))
-    assert not got.is_empty()
-    assert got.least_point() == point(0, 0)
-
-
-def test_oneset_intersect_disjoint_empty():
-    X = one(seg(0, 0, 1, 0))
-    Y = one(seg(2, 0, 3, 0))
-    got = oneset_intersect(X, Y)
-    assert got.is_empty()
-    assert got.least_point() is None
-
-
-def test_oneset_points_interact_with_segments():
-    X = one(seg(0, 0, 2, 0), points=((5, 5),))
-    Y = one(points=((1, 0), (5, 5), (9, 9)))
-    got = oneset_intersect(X, Y)
-    assert got == OneSet((), (point(1, 0), point(5, 5)))
-
-
-def test_make_oneset_canonicalizes():
-    raw = make_oneset(
-        [seg(0, 0, 1, 0), seg(1, 0, 2, 0)],
-        [point(1, 0), point(4, 4)],
-    )
-    assert raw.segments == (seg(0, 0, 2, 0),)
-    assert raw.points == (point(4, 4),)
+def test_fold_of_disjoint_regions_is_empty():
+    C = normalize([seg(0, 0, 1, 0), seg(2, 0, 3, 0)])
+    got = intersection_fold(C, [frozenset({0}), frozenset({1})])[-1]
+    assert got.is_empty() and got.least_point() is None
 
 
 _coord = st.integers(min_value=-4, max_value=4)
 _pt = st.tuples(_coord, _coord)
 _rawseg = st.tuples(_pt, _pt).filter(lambda t: t[0] != t[1])
-
-
-def _mk(segpairs, pts):
-    return make_oneset(
-        [seg(a[0], a[1], b[0], b[1]) for a, b in segpairs],
-        [point(x, y) for x, y in pts],
-    )
-
-
-_oneset = st.builds(
-    _mk,
-    st.lists(_rawseg, min_size=0, max_size=4),
-    st.lists(_pt, min_size=0, max_size=3),
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_oneset, _oneset)
-def test_oneset_intersect_commutative(X, Y):
-    assert oneset_intersect(X, Y) == oneset_intersect(Y, X)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_oneset)
-def test_oneset_intersect_idempotent(X):
-    assert oneset_intersect(X, X) == X
-
-
-@settings(max_examples=100, deadline=None)
-@given(_oneset, _oneset, _oneset)
-def test_oneset_intersect_associative(X, Y, Z):
-    left = oneset_intersect(oneset_intersect(X, Y), Z)
-    right = oneset_intersect(X, oneset_intersect(Y, Z))
-    assert left == right
 
 
 @settings(max_examples=100, deadline=None)
@@ -400,3 +335,17 @@ def test_adjacency_matches_segment_intersection(raws):
         for i in range(len(segs))
     )
     assert C.adjacency == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complex_raws, st.data())
+def test_fold_matches_region_reference(raws, data):
+    # random index sets, each the region of its segments; the reference
+    # decides membership from the segment list alone
+    C = normalize(raws)
+    index = st.integers(min_value=0, max_value=len(C) - 1)
+    sets = data.draw(
+        st.lists(st.frozensets(index, min_size=1), min_size=1, max_size=4)
+    )
+    trace = intersection_fold(C, sets)
+    assert RegionReference(C.maximal_segments).errors(sets, trace) == []

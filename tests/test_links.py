@@ -1,17 +1,14 @@
 """Link regions, link distances, certificates, common viewers."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_link_distances
+from oracles import RegionReference, oracle_link_distances
 from vislink import Segment, point
-from vislink.complexes import (
-    OneSet,
-    PointNotOnComplex,
-    normalize,
-    oneset_intersect,
-)
+from vislink.complexes import OneSet, PointNotOnComplex, normalize
 from vislink.links import (
     PathCertificate,
     certificate_valid,
@@ -149,13 +146,15 @@ def test_common_viewer_absent():
 
 
 def test_common_viewer_matches_region_fold():
-    targets = [HEX_V[0], HEX_V[2], HEX_V[4]]
-    acc = None
-    for t in targets:
-        r = link_region(HEX, t, 2).region
-        acc = r if acc is None else oneset_intersect(acc, r)
-    want = None if acc.is_empty() else acc.least_point()
-    assert common_viewer(HEX, targets, 2) == want
+    # the least probe of the reference's common region is its least
+    # point: a closed segment's least point is an endpoint, a vertex
+    ref = RegionReference(HEX.maximal_segments)
+    for n in (1, 2):
+        for targets in combinations(HEX_V, 3):
+            sets = [link_region(HEX, t, n).segment_indices for t in targets]
+            common = [ref.probes[j] for j in ref.members(sets)[-1]]
+            want = min(common) if common else None
+            assert common_viewer(HEX, list(targets), n) == want, (n, targets)
 
 
 def test_common_viewer_result_sees_all_targets():

@@ -10,8 +10,9 @@ import vislink
 
 import pytest
 
+from oracles import RegionReference
 from vislink import Segment, point
-from vislink.complexes import contains_point, normalize, oneset_intersect
+from vislink.complexes import contains_point, normalize
 from vislink.construct import build_family, make_polygon
 from vislink.docio import construction_from_doc, construction_to_doc
 from vislink.kernel import parse_rat, rat_str
@@ -202,33 +203,30 @@ def test_s43_targets_blocked():
 def test_trace_is_left_fold():
     c = build_family(make_polygon(3, seed=9))
     report = verify_targets_blocked(c)
+    assert report.per_target_regions == tuple(r.region for r in c.target_regions)
     assert report.intersection_trace[0] == report.per_target_regions[0]
-    for i in range(1, len(report.per_target_regions)):
-        want = oneset_intersect(
-            report.intersection_trace[i - 1], report.per_target_regions[i]
-        )
-        assert report.intersection_trace[i] == want
+    sets = [r.segment_indices for r in c.target_regions]
+    ref = RegionReference(c.complex.maximal_segments)
+    assert ref.errors(sets, report.intersection_trace) == []
     assert report.final == report.intersection_trace[-1]
 
 
 def test_drop_controls_equal_unshared_folds():
-    # a drop control reuses the full fold's entries before the dropped
-    # target; the report must be the fold computed from scratch
+    # each drop control is the fold of the remaining targets' regions
     for n in (2, 3, 4, 5):
         for k in (2, 3, 4, 5, 6):
             c = build_family(make_polygon(k, 20260822), n)
+            ref = RegionReference(c.complex.maximal_segments)
             for d in range(k + 1):
                 report = verify_targets_blocked(c, drop_index=d)
                 regions = c.target_regions[:d] + c.target_regions[d + 1 :]
-                trace = [regions[0]]
-                for r in regions[1:]:
-                    trace.append(oneset_intersect(trace[-1], r))
+                sets = [r.segment_indices for r in regions]
                 assert report.targets == c.e[:d] + c.e[d + 1 :]
-                assert report.per_target_regions == regions
-                assert report.intersection_trace == tuple(trace), (n, k, d)
-                assert report.final == trace[-1]
+                assert report.per_target_regions == tuple(r.region for r in regions)
+                assert ref.errors(sets, report.intersection_trace) == [], (n, k, d)
             full = verify_targets_blocked(c)
-            assert full.intersection_trace == c.target_trace
+            sets = [r.segment_indices for r in c.target_regions]
+            assert ref.errors(sets, full.intersection_trace) == []
             assert full.final.is_empty()
 
 
