@@ -40,7 +40,9 @@ segments through one point.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _pure as _k
@@ -105,6 +107,12 @@ class SegmentComplex:
     meet) to the ascending indices of the segments through it; every
     other point of the union lies on exactly one maximal segment. These
     five are derived from maximal_segments, so equality ignores them.
+
+    distances is the segment distance table: distances[i][j] is the graph
+    distance from segment i to segment j, None when they lie in different
+    components. Row i is _bfs(C, (i,))[0]. The first read builds it, one
+    BFS per maximal segment; the complex then keeps it, and it takes no
+    part in equality or repr.
     """
 
     maximal_segments: Tuple[Segment, ...]
@@ -117,6 +125,36 @@ class SegmentComplex:
 
     def __len__(self) -> int:
         return len(self.maximal_segments)
+
+    @cached_property
+    def distances(self) -> Tuple[Tuple[Optional[int], ...], ...]:
+        return tuple(tuple(_bfs(self, (i,))[0]) for i in range(len(self)))
+
+
+def _bfs(C: SegmentComplex, seeds: Sequence[int]):
+    """Deterministic multi-source BFS over the intersection graph.
+
+    Seeds are visited in ascending order and each segment's neighbours in
+    the ascending order normalize stores them in, so dist and parent
+    depend only on the complex and the seeds. Returns (dist, parent);
+    unreached entries stay None.
+    """
+    m = len(C.maximal_segments)
+    dist: List[Optional[int]] = [None] * m
+    parent: List[Optional[int]] = [None] * m
+    queue = deque()
+    for s in sorted(seeds):
+        if dist[s] is None:
+            dist[s] = 0
+            queue.append(s)
+    while queue:
+        i = queue.popleft()
+        for j in C.adjacency[i]:
+            if dist[j] is None:
+                dist[j] = dist[i] + 1
+                parent[j] = i
+                queue.append(j)
+    return dist, parent
 
 
 def normalize(raw: Sequence[Segment]) -> SegmentComplex:

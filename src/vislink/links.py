@@ -15,26 +15,31 @@ a union of whole maximal segments: link_region lists their indices, and
 the segments in index order are its OneSet. Regions are intersected on
 those indices (complexes.intersection_fold).
 
-Every path comes from one search in two parts. search_tree builds the BFS
-tree from the maximal segments through a source point; tree_path looks a
-target up in it (the p == q exit, then the nearest segment through the
-target, least index among ties, and the parent chain back to the source)
-and re-checks the certificate it builds. n_visible and link_distance pair
-the two for one query; a caller that certifies many targets from one
-source (the verifier's formula witnesses) builds the tree once and looks
-every target up in it.
+Distances come from the complex's segment distance table
+(SegmentComplex.distances, one BFS per maximal segment, built on first
+use): link_distance is 1 plus the least table entry between a segment
+through p and one through q. Paths come from the search tree.
+search_tree builds the BFS tree from the maximal segments through a
+source point; tree_path looks a target up in it (the p == q exit, then
+the nearest segment through the target, least index among ties, and the
+parent chain back to the source) and re-checks the certificate it
+builds. n_visible pairs the two for one query; a caller that certifies
+many targets from one source (the verifier's formula witnesses) builds
+the tree once and looks every target up in it. link_region reads one
+tree too, since a region needs one search where the table needs one per
+segment.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from . import _pure as _k
 from .complexes import (
     OneSet,
     SegmentComplex,
+    _bfs,
     contains_point,
     contains_segment,
     incident_segments,
@@ -104,32 +109,6 @@ class SearchTree:
         self.parent = parent
 
 
-def _bfs(C: SegmentComplex, seeds: Sequence[int]):
-    """Deterministic multi-source BFS over the intersection graph.
-
-    Seeds are visited in ascending order and each segment's neighbours in
-    the ascending order normalize stores them in, so dist and parent
-    depend only on the complex and the seeds. Returns (dist, parent);
-    unreached entries stay None.
-    """
-    m = len(C.maximal_segments)
-    dist: List[Optional[int]] = [None] * m
-    parent: List[Optional[int]] = [None] * m
-    queue = deque()
-    for s in sorted(seeds):
-        if dist[s] is None:
-            dist[s] = 0
-            queue.append(s)
-    while queue:
-        i = queue.popleft()
-        for j in C.adjacency[i]:
-            if dist[j] is None:
-                dist[j] = dist[i] + 1
-                parent[j] = i
-                queue.append(j)
-    return dist, parent
-
-
 def search_tree(C: SegmentComplex, p: Point) -> SearchTree:
     """The search tree from p; PointNotOnComplex when p is off the union."""
     dist, parent = _bfs(C, incident_segments(C, p))
@@ -173,8 +152,21 @@ def link_region(C: SegmentComplex, p: Point, j: int) -> LinkRegion:
 
 def link_distance(C: SegmentComplex, p: Point, q: Point) -> Optional[int]:
     """Least number of links joining p to q inside the union; None when they
-    lie in different connected components."""
-    return _lookup(search_tree(C, p), q, incident_segments(C, q))[0]
+    lie in different connected components.
+
+    Reads the segment distance table. A multi-source BFS distance is the
+    least of the single-source ones, so this is the search tree's answer.
+    """
+    through_p = incident_segments(C, p)  # first, so an off-complex p raises
+    through_q = incident_segments(C, q)
+    if through_p == through_q and p == q:
+        return 0
+    D = C.distances
+    # the segments through one point meet there, so they lie in one
+    # component: the entries below are all None or all integers
+    if D[through_p[0]][through_q[0]] is None:
+        return None
+    return 1 + min(D[s][t] for s in through_p for t in through_q)
 
 
 def _meet_point(C: SegmentComplex, i: int, j: int) -> Point:

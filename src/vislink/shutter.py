@@ -294,7 +294,8 @@ def _check_invariants(s: ShutterState, context: str) -> None:
     common = s._aidx.keys() & s._bset
     if common:
         raise InvariantViolation(
-            f"{context}: A and B intersect at {sorted(common)[:3]}"
+            f"{context}: A and B intersect at "
+            + ", ".join(map(point_str, _axis_points(sorted(common)[:3])))
         )
     bound = s.k + s.step * (s.k - 1)
     if len(s._aidx) > bound:
@@ -350,7 +351,8 @@ def _admit(
     for a in keys:
         c = _k.cross_lower(zkey, a)
         if c in s._bset:  # the sweep rules this out
-            raise InvariantViolation(f"{context}: witness sweep admitted blocked {c}")
+            x = point_str(point_from_key(c + (0, 1)))
+            raise InvariantViolation(f"{context}: witness sweep admitted blocked {x}")
         if _admit_crossing(s, c):
             a_added.append(c)
     z = point_from_key(zkey)

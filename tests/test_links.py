@@ -8,14 +8,22 @@ from hypothesis import strategies as st
 
 from oracles import RegionReference, oracle_link_distances
 from vislink import Segment, point
-from vislink.complexes import OneSet, PointNotOnComplex, normalize
+from vislink.complexes import (
+    OneSet,
+    PointNotOnComplex,
+    _bfs,
+    incident_segments,
+    normalize,
+)
 from vislink.links import (
     PathCertificate,
+    _lookup,
     certificate_valid,
     common_viewer,
     link_distance,
     link_region,
     n_visible,
+    search_tree,
 )
 from vislink.rng import Stream, derive
 
@@ -89,6 +97,18 @@ def test_distance_disconnected():
     C = normalize([seg(0, 0, 1, 0), seg(5, 5, 6, 5)])
     assert link_distance(C, point(0, 0), point(5, 5)) is None
     assert n_visible(C, point(0, 0), point(5, 5), 9) is None
+
+
+def test_distance_off_complex_raises_for_p_first():
+    off, other = point(0, 0), point(1, 1)
+    with pytest.raises(PointNotOnComplex, match=r"^\(0/1, 0/1\) is not"):
+        link_distance(HEX, off, HEX_V[0])
+    with pytest.raises(PointNotOnComplex, match=r"^\(0/1, 0/1\) is not"):
+        link_distance(HEX, HEX_V[0], off)
+    with pytest.raises(PointNotOnComplex, match=r"^\(0/1, 0/1\) is not"):
+        link_distance(HEX, off, off)
+    with pytest.raises(PointNotOnComplex, match=r"^\(0/1, 0/1\) is not"):
+        link_distance(HEX, off, other)
 
 
 def test_certificate_two_links_bends_at_shared_vertex():
@@ -227,3 +247,22 @@ def test_certificates_sound_whenever_present(pairs, data):
     else:
         assert d == cert.links <= n
         assert certificate_valid(C, cert, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_rawseg, min_size=1, max_size=6))
+def test_distance_table_matches_search_tree(pairs):
+    # the probes are the vertices and one midpoint per subdivision edge; a
+    # midpoint is not a vertex, so locating it takes the segment scan
+    C = normalize([seg(a[0], a[1], b[0], b[1]) for a, b in pairs])
+    D = C.distances
+    m = len(C)
+    assert all(D[i] == tuple(_bfs(C, (i,))[0]) for i in range(m))
+    assert all(D[i][i] == 0 for i in range(m))
+    assert all(D[i][j] == D[j][i] for i in range(m) for j in range(m))
+    probes = RegionReference(C.maximal_segments).probes
+    for p in probes:
+        tree = search_tree(C, p)
+        for q in probes:
+            want = _lookup(tree, q, incident_segments(C, q))[0]
+            assert link_distance(C, p, q) == want, (p, q)

@@ -2,6 +2,7 @@
 four-way visibility case analysis."""
 
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -30,6 +31,7 @@ from vislink.shutter import (
     PointNotInT,
     SameSideInput,
     ShutterState,
+    _admit,
     _admit_crossing,
     _check_invariants,
     advance,
@@ -551,6 +553,29 @@ def test_sweep_is_bounded_on_a_corrupted_state():
     assert out.stdout.strip() == (
         "step 1: every one of the first 5 sweep candidates is blocked"
     )
+
+
+_RAW_PAIR = re.compile(r"\(-?\d+, -?\d+\)")  # a scalar tuple such as (7, 3)
+
+
+def test_a_b_overlap_message_prints_points():
+    s = init_state(K3, FIRST)  # A = {-1/4, 1}
+    s._bset.add((-1, 4))
+    with pytest.raises(InvariantViolation) as err:
+        _check_invariants(s, "init")
+    msg = str(err.value)
+    assert msg == "init: A and B intersect at (-1/4, 0/1)"
+    assert not _RAW_PAIR.search(msg)
+
+
+def test_admitted_blocked_message_prints_points():
+    s = ShutterState(K3)  # B = {-2, 2}
+    # the crossing of [(0, 1), (-4, -1)] is the blocked (-2, 0)
+    with pytest.raises(InvariantViolation) as err:
+        _admit(s, FIRST, point(0, 1).key, [point(-4, -1).key], 0, [])
+    msg = str(err.value)
+    assert msg == "init: witness sweep admitted blocked (-2/1, 0/1)"
+    assert not _RAW_PAIR.search(msg)
 
 
 def test_k3_run():
