@@ -80,12 +80,6 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    if args.k < 2:
-        print("gen: --k must be >= 2", file=sys.stderr)
-        return 2
-    if args.n < 2:
-        print("gen: --n must be >= 2", file=sys.stderr)
-        return 2
     c = build_family(make_polygon(args.k, args.seed), args.n)
     doc = docio.construction_to_doc(c)
     svg = render_construction(c) if args.svg_out else None
@@ -171,9 +165,6 @@ def _cmd_shutter(args) -> int:
             )
             return 2
     else:
-        if args.k < 2:
-            print("shutter: --k must be >= 2", file=sys.stderr)
-            return 2
         K = gen_kset(args.k, args.seed)
         tuples = gen_tuples(args.k, steps + 1, args.seed)
     state = run_schedule(K, tuples)  # raises InvariantViolation on failure

@@ -9,22 +9,22 @@ the whole story for link distances.
 
 Point location runs on integers. Next to its maximal segments a complex
 keeps their endpoint keys (the predicate core's (xn, xd, yn, yd) tuples)
-and canonical lines, an index from each line to the segments on it, the
-index of each maximal segment (a caller that names a segment, such as a
-fan, a tail edge or a document's listed segment, looks its index up there)
-and a vertex index. The vertices of the arrangement are the segment
-endpoints and the points where two maximal segments meet; the vertex index
-maps each to the segments through it. A point that is not a vertex lies on
-at most one maximal segment: two collinear maximal segments never touch
-(they would have merged), so two segments through one point meet only
-there, and that point is a vertex. Point location is therefore one lookup
-for a vertex and, for any other point, a scan that stops at the first
-segment through it. A point t lies on segment i exactly when it satisfies
-the integer line equation a*xn*yd + b*yn*xd == c*xd*yd of lines[i] and
-falls inside the segment's bounding box. A segment [p, q] lies in the
-union exactly when one maximal segment on the line through p and q
-contains both endpoints, so the line index leaves only the few segments on
-that line to check.
+and canonical lines, the index of each maximal segment (a caller that
+names a segment, such as a fan, a tail edge or a document's listed
+segment, looks its index up there) and a vertex index. The vertices of
+the arrangement are the segment endpoints and the points where two
+maximal segments meet; the vertex index maps each to the segments
+through it. A point that is not a vertex lies on at most one maximal
+segment: two collinear maximal segments never touch (they would have
+merged), so two segments through one point meet only there, and that
+point is a vertex. Point location is therefore one lookup for a vertex
+and, for any other point, a scan that stops at the first segment through
+it. A point t lies on segment i exactly when it satisfies the integer
+line equation a*xn*yd + b*yn*xd == c*xd*yd of lines[i] and falls inside
+the segment's bounding box. A segment [p, q] lies in the union exactly
+when one maximal segment contains both endpoints, so segment membership
+is point location too: the segments through p and the segments through q
+must share one.
 
 A viewer region of radius >= 1 is a union of whole maximal segments, so
 a region is a set of segment indices, and intersection_fold intersects
@@ -100,13 +100,13 @@ class SegmentComplex:
     adjacency[i] holds, in ascending order, the indices of the maximal
     segments whose closed hulls meet maximal_segments[i] (i itself
     excluded). keys[i] is the integer endpoint pair and lines[i] the
-    canonical line of maximal_segments[i]; by_line maps each line to the
-    ascending indices of the maximal segments on it, and index_of maps
-    each maximal segment to its index. vertex_segments maps the key of
-    every vertex (an endpoint, or a point where two maximal segments
-    meet) to the ascending indices of the segments through it; every
-    other point of the union lies on exactly one maximal segment. These
-    five are derived from maximal_segments, so equality ignores them.
+    canonical line of maximal_segments[i]; index_of maps each maximal
+    segment to its index. vertex_segments maps the key of every vertex
+    (an endpoint, or a point where two maximal segments meet) to the
+    ascending indices of the segments through it; every other point of
+    the union lies on exactly one maximal segment. This one location
+    index answers point and segment membership alike. These four are
+    derived from maximal_segments, so equality ignores them.
 
     distances is the segment distance table: distances[i][j] is the graph
     distance from segment i to segment j, None when they lie in different
@@ -119,7 +119,6 @@ class SegmentComplex:
     adjacency: Tuple[Tuple[int, ...], ...]
     keys: Tuple[Tuple[Key, Key], ...] = field(compare=False, repr=False)
     lines: Tuple[LineKey, ...] = field(compare=False, repr=False)
-    by_line: Dict[LineKey, Tuple[int, ...]] = field(compare=False, repr=False)
     index_of: Dict[Segment, int] = field(compare=False, repr=False)
     vertex_segments: Dict[Key, Tuple[int, ...]] = field(compare=False, repr=False)
 
@@ -202,15 +201,11 @@ def normalize(raw: Sequence[Segment]) -> SegmentComplex:
                 meet = vertices.setdefault(norm2(xn, det) + norm2(yn, det), set())
                 meet.add(i)
                 meet.add(j)
-    by_line: Dict[LineKey, List[int]] = {}
-    for i, line in enumerate(lines):
-        by_line.setdefault(line, []).append(i)
     return SegmentComplex(
         tuple(maximal),
         tuple(map(tuple, adj)),
         keys,
         lines,
-        {line: tuple(idx) for line, idx in by_line.items()},
         {s: i for i, s in enumerate(maximal)},
         {t: tuple(sorted(idx)) for t, idx in vertices.items()},
     )
@@ -251,18 +246,13 @@ def contains_segment(C: SegmentComplex, p: Point, q: Point) -> bool:
     After normalization this is exactly "some single maximal segment
     contains both": a straight in-union segment cannot bridge the gap
     between two distinct collinear maximal segments, and transversal
-    segments cover only isolated points of its line. Such a segment lies
-    on the line through p and q, so only the segments the line index
-    lists for that line need the interval check.
+    segments cover only isolated points of its line. A maximal segment is
+    convex, so it contains [p, q] exactly when it passes through p and
+    through q: the point locations of p and q share a segment.
     """
     if p == q:
         return contains_point(C, p)
-    pk, qk = p.key, q.key
-    for i in C.by_line.get(_k.line3(pk, qk), ()):
-        a, b = C.keys[i]
-        if _k.in_box(pk, a, b) and _k.in_box(qk, a, b):
-            return True
-    return False
+    return not set(_through(C, p.key)).isdisjoint(_through(C, q.key))
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from .complexes import (
     normalize,
 )
 from .kernel import GeometryError, Point, Segment, orientation
-from .links import LinkRegion, SearchTree, link_region, search_tree
+from .links import SearchTree, link_region, search_tree
 from .rng import STREAM_POLYGON, Stream, derive
 
 
@@ -144,8 +144,9 @@ class Construction:
         )
 
     @cached_property
-    def target_regions(self) -> Tuple[LinkRegion, ...]:
-        """The n-link region of each distinguished target e_i."""
+    def target_regions(self) -> Tuple[frozenset, ...]:
+        """The n-link region of each distinguished target e_i, as the
+        indices of its maximal segments."""
         return tuple(link_region(self.complex, t, self.n) for t in self.e)
 
 

@@ -15,8 +15,6 @@ from typing import NamedTuple, Tuple
 
 from . import _pure as _k
 
-Rat = Fraction
-
 
 class GeometryError(ValueError):
     """Base class for domain errors raised across the package."""

@@ -10,10 +10,12 @@ intersection graph of maximal segments:
                           through p and one through q.
 
 Minimal paths bend only where two maximal segments meet, which keeps all
-certificates exact and rational. For the same reason an n-link region is
-a union of whole maximal segments: link_region lists their indices, and
-the segments in index order are its OneSet. Regions are intersected on
-those indices (complexes.intersection_fold).
+certificates exact and rational: a bend is the crossing of the two
+segments' stored lines (C.lines), and the certificate re-check rejects
+one that lies off its segments. For the same reason an n-link region of
+radius j >= 1 is a union of whole maximal segments, so a region is the
+frozenset of their indices; regions are intersected on those indices
+(complexes.intersection_fold).
 
 Distances come from the complex's segment distance table
 (SegmentComplex.distances, one BFS per maximal segment, built on first
@@ -37,7 +39,6 @@ from typing import Optional, Sequence, Tuple
 
 from . import _pure as _k
 from .complexes import (
-    OneSet,
     SegmentComplex,
     _bfs,
     contains_point,
@@ -50,16 +51,6 @@ from .kernel import GeometryError, Point, point_from_key, point_str
 
 class VerificationFailed(GeometryError):
     """A mathematical claim check came out false."""
-
-
-@dataclass(frozen=True)
-class LinkRegion:
-    """All points reachable from source by at most radius links."""
-
-    source: Point
-    radius: int
-    region: OneSet
-    segment_indices: frozenset
 
 
 @dataclass(frozen=True)
@@ -132,22 +123,16 @@ def _lookup(tree: SearchTree, q: Point, through_q: Sequence[int]):
     return links, last
 
 
-def link_region(C: SegmentComplex, p: Point, j: int) -> LinkRegion:
-    """Exact region R_j(p); R_0 = {p}, R_j for j >= 1 is a union of full
-    maximal segments (those within graph distance j-1 of a segment
-    through p)."""
-    if j < 0:
-        raise ValueError("radius must be >= 0")
+def link_region(C: SegmentComplex, p: Point, j: int) -> frozenset:
+    """Exact region R_j(p) for j >= 1, as segment indices: R_j(p) is the
+    union of the maximal segments within graph distance j-1 of a segment
+    through p."""
+    if j < 1:
+        raise ValueError("radius must be >= 1")
     tree = search_tree(C, p)  # raises PointNotOnComplex
-    if j == 0:
-        return LinkRegion(p, 0, OneSet((), (p,)), frozenset())
-    idx = frozenset(
+    return frozenset(
         i for i, d in enumerate(tree.dist) if d is not None and d <= j - 1
     )
-    # maximal segments are sorted and no two collinear ones touch, so in
-    # index order they are already a canonical OneSet
-    region = OneSet(tuple(C.maximal_segments[i] for i in sorted(idx)))
-    return LinkRegion(p, j, region, idx)
 
 
 def link_distance(C: SegmentComplex, p: Point, q: Point) -> Optional[int]:
@@ -170,9 +155,10 @@ def link_distance(C: SegmentComplex, p: Point, q: Point) -> Optional[int]:
 
 
 def _meet_point(C: SegmentComplex, i: int, j: int) -> Point:
-    """The single point where two distinct maximal segments meet."""
-    (a, b), (c, d) = C.keys[i], C.keys[j]
-    kind, payload = _k.seg_meet(a, b, c, d)
+    """The single point where two distinct maximal segments meet: the
+    crossing of their lines. certificate_valid checks that it lies on
+    both."""
+    kind, payload = _k.line_meet(C.lines[i], C.lines[j])
     if kind != 1:
         raise VerificationFailed(
             f"maximal segments {i} and {j} do not meet in a single point"
@@ -237,5 +223,5 @@ def common_viewer(
         raise ValueError("targets must be non-empty")
     if n < 1:
         raise ValueError("link bound must be >= 1")
-    regions = [link_region(C, t, n).segment_indices for t in targets]
+    regions = [link_region(C, t, n) for t in targets]
     return intersection_fold(C, regions)[-1].least_point()

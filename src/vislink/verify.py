@@ -144,16 +144,18 @@ def verify_targets_blocked(
     regions = list(c.target_regions)
     if drop_index is not None:
         del targets[drop_index], regions[drop_index]
-    trace = intersection_fold(c.complex, [r.segment_indices for r in regions])
+    trace = intersection_fold(c.complex, regions)
     final = trace[-1]
     if drop_index is None and not final.is_empty():
         raise VerificationFailed(
             f"targets have a common {c.n}-link viewer: "
             f"{point_str(final.least_point())}"
         )
-    return EmptinessReport(
-        tuple(targets), c.n, tuple(r.region for r in regions), trace
-    )
+    # maximal segments are sorted and no two collinear ones touch, so a
+    # region's segments in index order are already a canonical OneSet
+    segs = c.complex.maximal_segments
+    per_target = tuple(OneSet(tuple(segs[i] for i in sorted(r))) for r in regions)
+    return EmptinessReport(tuple(targets), c.n, per_target, trace)
 
 
 def _draw_on_complex(C: SegmentComplex, stream: Stream) -> Point:

@@ -62,9 +62,14 @@ def test_gen_writes_stdout_without_out_flag(capsys):
     assert doc["kind"] == "construction"
 
 
-def test_gen_rejects_bad_parameters(tmp_path):
-    assert run("gen", "--k", 1, "--out", str(tmp_path / "x.json")) == 2
-    assert run("gen", "--k", 3, "--n", 1, "--out", str(tmp_path / "x.json")) == 2
+def test_gen_rejects_bad_parameters(tmp_path, capsys):
+    out = str(tmp_path / "x.json")
+    assert "k must be >= 2, got 1" in _one_line_usage_error(
+        capsys, "gen", "--k", 1, "--out", out
+    )
+    assert "n must be >= 2, got 1" in _one_line_usage_error(
+        capsys, "gen", "--k", 3, "--n", 1, "--out", out
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +167,7 @@ def test_path_through_overlapping_segments_is_a_claim_failure(
     from vislink import _pure, links
 
     overlapping = SimpleNamespace(**vars(_pure))
-    overlapping.seg_meet = lambda p1, q1, p2, q2: (2, (p1, q1))
+    overlapping.line_meet = lambda l1, l2: (2, None)
     monkeypatch.setattr(links, "_k", overlapping)
     capsys.readouterr()
     assert run("verify", "--in", s12, "--tuples", 20) == 1
@@ -314,9 +319,9 @@ def test_shutter_rejects_non_list_tuples(tmp_path, capsys):
     )
 
 
-def test_shutter_requires_k_or_input():
+def test_shutter_requires_k_or_input(capsys):
     assert run("shutter") == 2
-    assert run("shutter", "--k", 1) == 2
+    assert "k must be >= 2, got 1" in _one_line_usage_error(capsys, "shutter", "--k", 1)
     assert run("shutter", "--k", 2, "--steps", -1) == 2
 
 

@@ -21,6 +21,7 @@ from vislink.complexes import (
     normalize,
 )
 from vislink.kernel import DegenerateSegment, on_segment, point_from_key
+from vislink.links import _meet_point
 from vislink.rng import Stream, derive
 
 
@@ -335,6 +336,12 @@ def test_adjacency_matches_segment_intersection(raws):
         for i in range(len(segs))
     )
     assert C.adjacency == want
+    # a path's bend, the crossing of the stored lines, is the meet point
+    for i, row in enumerate(C.adjacency):
+        for j in row:
+            s, t = segs[i], segs[j]
+            kind, at = _k.seg_meet(s.p.key, s.q.key, t.p.key, t.q.key)
+            assert kind == 1 and _meet_point(C, i, j) == point_from_key(at)
 
 
 @settings(max_examples=200, deadline=None)

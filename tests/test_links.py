@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from oracles import RegionReference, oracle_link_distances
 from vislink import Segment, point
 from vislink.complexes import (
-    OneSet,
     PointNotOnComplex,
     _bfs,
     incident_segments,
@@ -45,28 +44,26 @@ HEX = normalize([Segment(HEX_V[i], HEX_V[(i + 1) % 6]) for i in range(6)])
 
 
 def test_region_radius_zero():
-    r = link_region(HEX, HEX_V[0], 0)
-    assert r.region == OneSet((), (HEX_V[0],))
-    assert r.segment_indices == frozenset()
+    with pytest.raises(ValueError):
+        link_region(HEX, HEX_V[0], 0)
 
 
 def test_region_radius_one_is_incident_edges():
     r = link_region(HEX, HEX_V[0], 1)
-    assert len(r.segment_indices) == 2
-    for i in r.segment_indices:
+    assert len(r) == 2
+    for i in r:
         s = HEX.maximal_segments[i]
         assert HEX_V[0] in (s.p, s.q)
 
 
 def test_region_radius_three_covers_hexagon():
-    r = link_region(HEX, HEX_V[0], 3)
-    assert r.segment_indices == frozenset(range(6))
+    assert link_region(HEX, HEX_V[0], 3) == frozenset(range(6))
 
 
 def test_region_monotone_and_stabilizes():
     prev = frozenset()
     for j in range(1, 8):
-        cur = link_region(HEX, HEX_V[0], j).segment_indices
+        cur = link_region(HEX, HEX_V[0], j)
         assert prev <= cur
         prev = cur
     assert prev == frozenset(range(6))
@@ -171,7 +168,7 @@ def test_common_viewer_matches_region_fold():
     ref = RegionReference(HEX.maximal_segments)
     for n in (1, 2):
         for targets in combinations(HEX_V, 3):
-            sets = [link_region(HEX, t, n).segment_indices for t in targets]
+            sets = [link_region(HEX, t, n) for t in targets]
             common = [ref.probes[j] for j in ref.members(sets)[-1]]
             want = min(common) if common else None
             assert common_viewer(HEX, list(targets), n) == want, (n, targets)

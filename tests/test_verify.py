@@ -203,10 +203,11 @@ def test_s43_targets_blocked():
 def test_trace_is_left_fold():
     c = build_family(make_polygon(3, seed=9))
     report = verify_targets_blocked(c)
-    assert report.per_target_regions == tuple(r.region for r in c.target_regions)
-    assert report.intersection_trace[0] == report.per_target_regions[0]
-    sets = [r.segment_indices for r in c.target_regions]
+    sets = c.target_regions
     ref = RegionReference(c.complex.maximal_segments)
+    for s, region in zip(sets, report.per_target_regions, strict=True):
+        assert ref.errors([s], (region,)) == []
+    assert report.intersection_trace[0] == report.per_target_regions[0]
     assert ref.errors(sets, report.intersection_trace) == []
     assert report.final == report.intersection_trace[-1]
 
@@ -219,14 +220,13 @@ def test_drop_controls_equal_unshared_folds():
             ref = RegionReference(c.complex.maximal_segments)
             for d in range(k + 1):
                 report = verify_targets_blocked(c, drop_index=d)
-                regions = c.target_regions[:d] + c.target_regions[d + 1 :]
-                sets = [r.segment_indices for r in regions]
+                sets = c.target_regions[:d] + c.target_regions[d + 1 :]
                 assert report.targets == c.e[:d] + c.e[d + 1 :]
-                assert report.per_target_regions == tuple(r.region for r in regions)
+                for s, region in zip(sets, report.per_target_regions, strict=True):
+                    assert ref.errors([s], (region,)) == [], (n, k, d)
                 assert ref.errors(sets, report.intersection_trace) == [], (n, k, d)
             full = verify_targets_blocked(c)
-            sets = [r.segment_indices for r in c.target_regions]
-            assert ref.errors(sets, full.intersection_trace) == []
+            assert ref.errors(c.target_regions, full.intersection_trace) == []
             assert full.final.is_empty()
 
 
