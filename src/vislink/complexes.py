@@ -7,24 +7,27 @@ segment. That reduction is what makes 1-link visibility a common-maximal-
 segment test, and it is why the intersection graph over maximal segments is
 the whole story for link distances.
 
-Point location runs on integers. Next to its maximal segments a complex
-keeps their endpoint keys (the predicate core's (xn, xd, yn, yd) tuples)
-and canonical lines, the index of each maximal segment (a caller that
-names a segment, such as a fan, a tail edge or a document's listed
-segment, looks its index up there) and a vertex index. The vertices of
-the arrangement are the segment endpoints and the points where two
-maximal segments meet; the vertex index maps each to the segments
-through it. A point that is not a vertex lies on at most one maximal
-segment: two collinear maximal segments never touch (they would have
-merged), so two segments through one point meet only there, and that
-point is a vertex. Point location is therefore one lookup for a vertex
-and, for any other point, a scan that stops at the first segment through
-it. A point t lies on segment i exactly when it satisfies the integer
-line equation a*xn*yd + b*yn*xd == c*xd*yd of lines[i] and falls inside
-the segment's bounding box. A segment [p, q] lies in the union exactly
-when one maximal segment contains both endpoints, so segment membership
-is point location too: the segments through p and the segments through q
-must share one.
+Normalization and point location run on integers. The merge compares
+points by their keys (the predicate core's (xn, xd, yn, yd) tuples)
+through _k.pt_cmp, the order Point defines, and next to its maximal
+segments a complex keeps their endpoint keys and canonical lines and a
+vertex index. The index of each maximal segment (a caller that names a
+segment, such as a fan, a tail edge or a document's listed segment,
+looks its index up there) is built on first read; a complex that is only
+queried by point never builds it. The vertices of the arrangement are
+the segment endpoints and the points where two maximal segments meet;
+the vertex index maps each to the segments through it. A point that is
+not a vertex lies on at most one maximal segment: two collinear maximal
+segments never touch (they would have merged), so two segments through
+one point meet only there, and that point is a vertex. Point location is
+therefore one lookup for a vertex and, for any other point, a scan that
+stops at the first segment through it; a query locates each of its
+points once. A point t lies on segment i exactly when it satisfies the
+integer line equation a*xn*yd + b*yn*xd == c*xd*yd of lines[i] and falls
+inside the segment's bounding box. A segment [p, q] lies in the union
+exactly when one maximal segment contains both endpoints, so segment
+membership is point location too: the segments through p and the
+segments through q must share one.
 
 A viewer region of radius >= 1 is a union of whole maximal segments, so
 a region is a set of segment indices, and intersection_fold intersects
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _pure as _k
@@ -64,33 +67,55 @@ class PointNotOnComplex(GeometryError):
     """Query point does not lie on the union."""
 
 
-def _merge_collinear(segs: Iterable[Segment]) -> List[Segment]:
+Key = Tuple[int, int, int, int]
+LineKey = Tuple[int, int, int]
+
+
+def _keys_cmp(a, b) -> int:
+    """Segment order on entries that start with an endpoint-key pair."""
+    return _k.pt_cmp(a[0][0], b[0][0]) or _k.pt_cmp(a[0][1], b[0][1])
+
+
+_entry_order = cmp_to_key(_keys_cmp)
+
+
+def _merge_collinear(
+    segs: Iterable[Segment],
+) -> List[Tuple[Tuple[Key, Key], Segment, LineKey]]:
     """Merge collinear segments with touching or overlapping closed hulls.
 
-    Lexicographic order restricted to one line is a linear order along the
-    line, so a sort-and-sweep per line group suffices.
+    Returns (endpoint keys, segment, canonical line) per merged segment,
+    in Segment order. Points are compared on their integer keys by
+    _k.pt_cmp, the order Point defines. Restricted to one line that order
+    is a linear order along the line, so a sort-and-sweep per line group
+    suffices. A merged segment is built from the input Points, and a
+    segment that absorbs nothing comes back as it went in.
     """
-    groups: Dict[Tuple[int, int, int], List[Segment]] = {}
+    groups: Dict[LineKey, List[Tuple[Tuple[Key, Key], Segment]]] = {}
     for s in segs:
-        groups.setdefault(_k.line3(s.p.key, s.q.key), []).append(s)
-    out: List[Segment] = []
-    for key in sorted(groups):
-        group = sorted(groups[key])
-        cur_p, cur_q = group[0].p, group[0].q
-        for s in group[1:]:
-            if s.p <= cur_q:
-                if cur_q < s.q:
-                    cur_q = s.q
-            else:
-                out.append(Segment(cur_p, cur_q))
-                cur_p, cur_q = s.p, s.q
-        out.append(Segment(cur_p, cur_q))
-    out.sort()
+        ks = (s.p.key, s.q.key)
+        groups.setdefault(_k.line3(*ks), []).append((ks, s))
+    cmp = _k.pt_cmp
+    out: List[Tuple[Tuple[Key, Key], Segment, LineKey]] = []
+    for line, group in groups.items():
+        group.sort(key=_entry_order)
+        (start, end), first = group[0]
+        far = first  # the segment whose second endpoint ends the run
+        for (pk, qk), s in group[1:]:
+            if cmp(pk, end) > 0:
+                out.append(_run(start, end, first, far, line))
+                start, end, first, far = pk, qk, s, s
+            elif cmp(end, qk) < 0:
+                end, far = qk, s
+        out.append(_run(start, end, first, far, line))
+    out.sort(key=_entry_order)
     return out
 
 
-Key = Tuple[int, int, int, int]
-LineKey = Tuple[int, int, int]
+def _run(start: Key, end: Key, first: Segment, far: Segment, line: LineKey):
+    """The merge entry of a run from first's first endpoint to far's second."""
+    seg = first if far is first else Segment(first.p, far.q)
+    return (start, end), seg, line
 
 
 @dataclass(frozen=True)
@@ -100,30 +125,34 @@ class SegmentComplex:
     adjacency[i] holds, in ascending order, the indices of the maximal
     segments whose closed hulls meet maximal_segments[i] (i itself
     excluded). keys[i] is the integer endpoint pair and lines[i] the
-    canonical line of maximal_segments[i]; index_of maps each maximal
-    segment to its index. vertex_segments maps the key of every vertex
-    (an endpoint, or a point where two maximal segments meet) to the
-    ascending indices of the segments through it; every other point of
-    the union lies on exactly one maximal segment. This one location
-    index answers point and segment membership alike. These four are
-    derived from maximal_segments, so equality ignores them.
+    canonical line of maximal_segments[i]. vertex_segments maps the key
+    of every vertex (an endpoint, or a point where two maximal segments
+    meet) to the ascending indices of the segments through it; every
+    other point of the union lies on exactly one maximal segment. This
+    one location index answers point and segment membership alike. These
+    three are derived from maximal_segments, so equality ignores them.
 
-    distances is the segment distance table: distances[i][j] is the graph
-    distance from segment i to segment j, None when they lie in different
-    components. Row i is _bfs(C, (i,))[0]. The first read builds it, one
-    BFS per maximal segment; the complex then keeps it, and it takes no
-    part in equality or repr.
+    Two more derived values are built on first read and then kept by the
+    complex; as cached properties they take no part in equality or repr.
+    index_of maps each maximal segment to its index, for callers that
+    name a segment. distances is the segment distance table:
+    distances[i][j] is the graph distance from segment i to segment j,
+    None when they lie in different components. Row i is
+    _bfs(C, (i,))[0], one BFS per maximal segment.
     """
 
     maximal_segments: Tuple[Segment, ...]
     adjacency: Tuple[Tuple[int, ...], ...]
     keys: Tuple[Tuple[Key, Key], ...] = field(compare=False, repr=False)
     lines: Tuple[LineKey, ...] = field(compare=False, repr=False)
-    index_of: Dict[Segment, int] = field(compare=False, repr=False)
     vertex_segments: Dict[Key, Tuple[int, ...]] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.maximal_segments)
+
+    @cached_property
+    def index_of(self) -> Dict[Segment, int]:
+        return {s: i for i, s in enumerate(self.maximal_segments)}
 
     @cached_property
     def distances(self) -> Tuple[Tuple[Optional[int], ...], ...]:
@@ -165,10 +194,8 @@ def normalize(raw: Sequence[Segment]) -> SegmentComplex:
     segs = list(raw)
     if not segs:
         raise EmptyInput("no segments")
-    maximal = _merge_collinear(segs)
+    keys, maximal, lines = zip(*_merge_collinear(segs))
     m = len(maximal)
-    keys = tuple((s.p.key, s.q.key) for s in maximal)
-    lines = tuple(_k.line3(p, q) for p, q in keys)
     # Maximal segments on one line never touch (they would have merged),
     # so two of them meet exactly when their lines cross at a point inside
     # both bounding boxes. That point is (xn/det, yn/det) with det > 0,
@@ -202,11 +229,10 @@ def normalize(raw: Sequence[Segment]) -> SegmentComplex:
                 meet.add(i)
                 meet.add(j)
     return SegmentComplex(
-        tuple(maximal),
+        maximal,
         tuple(map(tuple, adj)),
         keys,
         lines,
-        {s: i for i, s in enumerate(maximal)},
         {t: tuple(sorted(idx)) for t, idx in vertices.items()},
     )
 
@@ -227,6 +253,15 @@ def _through(C: SegmentComplex, t: Key) -> Tuple[int, ...]:
     return ()
 
 
+def _locate(C: SegmentComplex, p: Point) -> Tuple[int, ...]:
+    """_through for the point p; PointNotOnComplex when it is off the
+    union."""
+    found = _through(C, p.key)
+    if not found:
+        raise PointNotOnComplex(f"{point_str(p)} is not on the complex")
+    return found
+
+
 def contains_point(C: SegmentComplex, p: Point) -> bool:
     return bool(_through(C, p.key))
 
@@ -234,10 +269,7 @@ def contains_point(C: SegmentComplex, p: Point) -> bool:
 def incident_segments(C: SegmentComplex, p: Point) -> List[int]:
     """Indices of all maximal segments through p, ascending; error if
     there are none."""
-    found = _through(C, p.key)
-    if not found:
-        raise PointNotOnComplex(f"{point_str(p)} is not on the complex")
-    return list(found)
+    return list(_locate(C, p))
 
 
 def contains_segment(C: SegmentComplex, p: Point, q: Point) -> bool:

@@ -4,6 +4,11 @@ Coordinates are arbitrary-precision rationals (fractions.Fraction); every
 operation is exact and deterministic, there is no floating point anywhere.
 The heavy lifting happens in the integer predicate core (_pure); this
 module provides the typed value classes and thin wrappers.
+
+The core reads a point as its key, the integer 4-tuple (xn, xd, yn, yd)
+with positive denominators. _pure.pt_cmp orders keys exactly as Point
+orders points (x first, then y), so code that holds keys compares and
+sorts them without touching a Fraction.
 """
 
 from __future__ import annotations
@@ -55,13 +60,10 @@ class Point(NamedTuple):
 
     @property
     def key(self) -> Tuple[int, int, int, int]:
-        """Integer 4-tuple (xn, xd, yn, yd) for the predicate core."""
-        return (
-            self.x.numerator,
-            self.x.denominator,
-            self.y.numerator,
-            self.y.denominator,
-        )
+        """Integer 4-tuple (xn, xd, yn, yd) for the predicate core, the same
+        for Fraction and int coordinates. Built on every read: storing it
+        would give every Point a per-instance dict."""
+        return self.x.as_integer_ratio() + self.y.as_integer_ratio()
 
 
 def point(x, y) -> Point:

@@ -19,8 +19,10 @@ frozenset of their indices; regions are intersected on those indices
 
 Distances come from the complex's segment distance table
 (SegmentComplex.distances, one BFS per maximal segment, built on first
-use): link_distance is 1 plus the least table entry between a segment
-through p and one through q. Paths come from the search tree.
+use): link_distance locates p and q once each and answers 1 plus the
+least table entry between a segment through p and one through q, one
+entry when each point lies on a single segment. Paths come from the
+search tree.
 search_tree builds the BFS tree from the maximal segments through a
 source point; tree_path looks a target up in it (the p == q exit, then
 the nearest segment through the target, least index among ties, and the
@@ -41,6 +43,7 @@ from . import _pure as _k
 from .complexes import (
     SegmentComplex,
     _bfs,
+    _locate,
     contains_point,
     contains_segment,
     incident_segments,
@@ -139,19 +142,23 @@ def link_distance(C: SegmentComplex, p: Point, q: Point) -> Optional[int]:
     """Least number of links joining p to q inside the union; None when they
     lie in different connected components.
 
-    Reads the segment distance table. A multi-source BFS distance is the
-    least of the single-source ones, so this is the search tree's answer.
+    Locates each point once and reads the segment distance table. A
+    multi-source BFS distance is the least of the single-source ones, so
+    this is the search tree's answer.
     """
-    through_p = incident_segments(C, p)  # first, so an off-complex p raises
-    through_q = incident_segments(C, q)
+    through_p = _locate(C, p)  # first, so an off-complex p raises
+    through_q = _locate(C, q)
     if through_p == through_q and p == q:
         return 0
     D = C.distances
     # the segments through one point meet there, so they lie in one
     # component: the entries below are all None or all integers
-    if D[through_p[0]][through_q[0]] is None:
+    d = D[through_p[0]][through_q[0]]
+    if d is None:
         return None
-    return 1 + min(D[s][t] for s in through_p for t in through_q)
+    if len(through_p) > 1 or len(through_q) > 1:
+        d = min(D[s][t] for s in through_p for t in through_q)
+    return 1 + d
 
 
 def _meet_point(C: SegmentComplex, i: int, j: int) -> Point:

@@ -3,16 +3,19 @@
 Everything here works on the RAW segment list, never on the normalized
 complex, so agreement with the package is a genuine cross-check; the
 region reference reads no index of the complex either, only its segment
-list. The shutter references work on Fraction pairs; planted_state builds
-the shutter state with a known viewer that both scans must detect.
+list. reference_merge is the collinear merge as normalize ran it when
+it sorted and compared Segments by their Fractions. The shutter
+references work on Fraction pairs; planted_state builds the shutter
+state with a known viewer that both scans must detect.
 """
 
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
+from typing import Dict, Iterable, List, Tuple
 
 from vislink import _pure as _k
-from vislink.kernel import Point, on_segment, point_from_key
+from vislink.kernel import Point, Segment, on_segment, point_from_key
 from vislink.shutter import ShutterState, _admit_crossing
 
 
@@ -95,6 +98,31 @@ def oracle_link_distances(raws):
                     queue.append(w)
         dmat.append(dist)
     return vs, dmat
+
+
+def reference_merge(segs: Iterable[Segment]) -> List[Segment]:
+    """Merge collinear segments with touching or overlapping closed hulls.
+
+    Lexicographic order restricted to one line is a linear order along the
+    line, so a sort-and-sweep per line group suffices.
+    """
+    groups: Dict[Tuple[int, int, int], List[Segment]] = {}
+    for s in segs:
+        groups.setdefault(_k.line3(s.p.key, s.q.key), []).append(s)
+    out: List[Segment] = []
+    for key in sorted(groups):
+        group = sorted(groups[key])
+        cur_p, cur_q = group[0].p, group[0].q
+        for s in group[1:]:
+            if s.p <= cur_q:
+                if cur_q < s.q:
+                    cur_q = s.q
+            else:
+                out.append(Segment(cur_p, cur_q))
+                cur_p, cur_q = s.p, s.q
+        out.append(Segment(cur_p, cur_q))
+    out.sort()
+    return out
 
 
 class RegionReference:

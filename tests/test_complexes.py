@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import RegionReference, covered
+from oracles import RegionReference, covered, reference_merge
 from vislink import Segment, point
 from vislink import _pure as _k
 from vislink.complexes import (
@@ -14,6 +14,7 @@ from vislink.complexes import (
     OneSet,
     PointNotOnComplex,
     SegmentComplex,
+    _merge_collinear,
     contains_point,
     contains_segment,
     incident_segments,
@@ -69,6 +70,68 @@ def test_normalize_idempotent_example():
     C = normalize([seg(0, 0, 1, 0), seg(1, 0, 2, 0), seg(0, -1, 0, 1)])
     again = normalize(list(C.maximal_segments))
     assert again == C
+
+
+def test_index_of_is_built_on_first_read():
+    C = normalize([seg(0, 0, 1, 0), seg(1, 0, 2, 0), seg(0, -1, 0, 1)])
+    before = repr(C)
+    assert "index_of" not in vars(C)
+    assert C.index_of == {s: i for i, s in enumerate(C.maximal_segments)}
+    assert "index_of" in vars(C)
+    assert repr(C) == before
+    fresh = normalize(list(C.maximal_segments))
+    assert "index_of" not in vars(fresh)
+    assert fresh == C and repr(fresh) == before
+
+
+# Sub-segments a + [s, t] * d of a few base lines, with parameters on a
+# coarse grid (so that runs touch, overlap and repeat) or a fine one, in
+# either order. Some base lines are vertical. Every direction d points
+# towards larger points and the parameters are >= 0, so the anchor a is
+# the least point of its line that a piece can reach; many lines share
+# one anchor, so that merged segments on different lines share their
+# first endpoint and only their second ones order them.
+_rat16 = st.fractions(min_value=-3, max_value=3, max_denominator=16)
+_t = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(0, 8).map(lambda n: Fraction(n, 4)),
+    st.fractions(min_value=0, max_value=2, max_denominator=16),
+)
+_direction = st.one_of(
+    st.just((0, 1)),
+    st.tuples(st.integers(1, 3), st.integers(-3, 3)),
+)
+_pieces_on_line = st.lists(
+    st.tuples(_t, _t).filter(lambda e: e[0] != e[1]), min_size=1, max_size=4
+)
+
+
+@st.composite
+def _collinear_pieces(draw):
+    shared = draw(st.tuples(_rat16, _rat16))
+    anchor = st.one_of(st.just(shared), st.tuples(_rat16, _rat16))
+    lines = draw(st.lists(st.tuples(anchor, _direction), min_size=2, max_size=4))
+    segs = []
+    for a, d in lines:
+        for s, t in draw(_pieces_on_line):
+            segs.append(
+                Segment(
+                    point(a[0] + s * d[0], a[1] + s * d[1]),
+                    point(a[0] + t * d[0], a[1] + t * d[1]),
+                )
+            )
+    segs += draw(st.lists(st.sampled_from(segs), max_size=3))  # exact repeats
+    return draw(st.permutations(segs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_collinear_pieces())
+def test_merge_matches_fraction_reference(segs):
+    merged = _merge_collinear(segs)
+    assert [s for _, s, _ in merged] == reference_merge(segs)
+    for (pk, qk), s, line in merged:
+        assert (pk, qk) == (s.p.key, s.q.key)
+        assert line == _k.line3(pk, qk)
 
 
 # -------------------------------------------------------------- containment
@@ -220,8 +283,8 @@ def test_normalize_preserves_membership(pairs, probe):
 
 # ------------------------------------------- fast paths against brute force
 #
-# Point location reads the integer keys, lines and line index kept on the
-# complex, and normalize finds adjacency from the lines. Each is checked
+# Point location reads the integer keys, lines and vertex index kept on
+# the complex, and normalize finds adjacency from the lines. Each is checked
 # against the exact Point/Segment predicates over maximal_segments.
 
 _small = st.integers(min_value=-3, max_value=3)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vislink.complexes import normalize
 from vislink.construct import build_family, make_polygon
 from vislink.docio import (
     DocumentError,
@@ -35,6 +36,15 @@ def test_construction_round_trip_is_lossless():
         c = small(k, n, seed=5)
         rebuilt = construction_from_doc(construction_to_doc(c))
         assert rebuilt == c
+
+
+def test_index_of_after_reading_a_document():
+    c = construction_from_doc(construction_to_doc(small(3, 3)))
+    C = c.complex
+    assert C.index_of == {s: i for i, s in enumerate(C.maximal_segments)}
+    fresh = normalize(list(C.maximal_segments))
+    assert "index_of" not in vars(fresh)
+    assert fresh == C and repr(fresh) == repr(C)
 
 
 def test_doc_bytes_canonical():

@@ -199,3 +199,30 @@ def test_rat_round_trip():
     assert parse_rat("-7/3") == Fraction(-7, 3)
     assert parse_rat("5") == Fraction(5)
     assert parse_rat(rat_str(Fraction(22, -8))) == Fraction(-11, 4)
+
+
+# ------------------------------------------------------------ integer keys
+
+_wide_rats = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(max_denominator=16),
+    st.fractions(max_denominator=10**30),
+    st.integers(min_value=-(10**30), max_value=10**30).map(Fraction),
+)
+_coords = st.one_of(_wide_rats, st.integers(min_value=-(10**30), max_value=10**30))
+
+
+@settings(max_examples=300)
+@given(_coords, _coords)
+def test_key_is_numerators_and_denominators(x, y):
+    # int coordinates have the key of the Fraction they equal
+    p = Point(x, y)
+    fx, fy = Fraction(x), Fraction(y)
+    assert p.key == (fx.numerator, fx.denominator, fy.numerator, fy.denominator)
+    assert point_from_key(p.key) == p
+
+
+@settings(max_examples=300)
+@given(points, points)
+def test_pt_cmp_orders_keys_as_points(p, q):
+    assert _k.pt_cmp(p.key, q.key) == (p > q) - (p < q)
