@@ -24,10 +24,11 @@ therefore one lookup for a vertex and, for any other point, a scan that
 stops at the first segment through it; a query locates each of its
 points once. A point t lies on segment i exactly when it satisfies the
 integer line equation a*xn*yd + b*yn*xd == c*xd*yd of lines[i] and falls
-inside the segment's bounding box. A segment [p, q] lies in the union
-exactly when one maximal segment contains both endpoints, so segment
-membership is point location too: the segments through p and the
-segments through q must share one.
+inside the segment's bounding box (_on, the one such test). A segment
+[p, q] lies in the union exactly when one maximal segment contains both
+endpoints, so segment membership is one point location plus that test:
+p is located, and q must lie on one of the segments through p. When p
+is a vertex, that is a lookup and at most deg(p) tests, with no scan.
 
 A viewer region of radius >= 1 is a union of whole maximal segments, so
 a region is a set of segment indices, and intersection_fold intersects
@@ -46,7 +47,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key
-from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from . import _pure as _k
 from .kernel import (
@@ -237,6 +247,21 @@ def normalize(raw: Sequence[Segment]) -> SegmentComplex:
     )
 
 
+def _on(C: SegmentComplex, t: Key, candidates: Iterable[int]) -> Iterator[int]:
+    """The indices among candidates of the maximal segments through the
+    point t: t satisfies the integer line equation a*xn*yd + b*yn*xd ==
+    c*xd*yd of lines[i] and lies in the segment's bounding box. A scan
+    and a test of a few candidates both read this one generator, which
+    forms t's products once."""
+    xn, xd, yn, yd = t
+    u, v, w = xn * yd, yn * xd, xd * yd
+    lines, keys, in_box = C.lines, C.keys, _k.in_box
+    for i in candidates:
+        a, b, c = lines[i]
+        if a * u + b * v == c * w and in_box(t, *keys[i]):
+            yield i
+
+
 def _through(C: SegmentComplex, t: Key) -> Tuple[int, ...]:
     """Ascending indices of the maximal segments through the point t: its
     vertex index entry, else the first segment through it (a point that
@@ -244,12 +269,8 @@ def _through(C: SegmentComplex, t: Key) -> Tuple[int, ...]:
     found = C.vertex_segments.get(t)
     if found is not None:
         return found
-    xn, xd, yn, yd = t
-    u, v, w = xn * yd, yn * xd, xd * yd
-    in_box = _k.in_box
-    for i, ((a, b, c), (p, q)) in enumerate(zip(C.lines, C.keys)):
-        if a * u + b * v == c * w and in_box(t, p, q):
-            return (i,)
+    for i in _on(C, t, range(len(C.lines))):
+        return (i,)
     return ()
 
 
@@ -272,6 +293,14 @@ def incident_segments(C: SegmentComplex, p: Point) -> List[int]:
     return list(_locate(C, p))
 
 
+def _contains(C: SegmentComplex, p: Key, q: Key) -> bool:
+    """contains_segment on the keys of the two ends."""
+    through_p = _through(C, p)
+    if p == q:
+        return bool(through_p)
+    return next(_on(C, q, through_p), None) is not None
+
+
 def contains_segment(C: SegmentComplex, p: Point, q: Point) -> bool:
     """Whether the whole closed segment [p, q] lies inside the union.
 
@@ -280,11 +309,10 @@ def contains_segment(C: SegmentComplex, p: Point, q: Point) -> bool:
     between two distinct collinear maximal segments, and transversal
     segments cover only isolated points of its line. A maximal segment is
     convex, so it contains [p, q] exactly when it passes through p and
-    through q: the point locations of p and q share a segment.
+    through q: p is located, and q must lie on one of the segments
+    through it.
     """
-    if p == q:
-        return contains_point(C, p)
-    return not set(_through(C, p.key)).isdisjoint(_through(C, q.key))
+    return _contains(C, p.key, q.key)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,10 @@ radius j >= 1 is a union of whole maximal segments, so a region is the
 frozenset of their indices; regions are intersected on those indices
 (complexes.intersection_fold).
 
+The re-check (certificate_valid) runs on the vertices' integer keys, as
+complexes.contains_segment does, and locates from the certificate's own
+vertices, never from the search that built it.
+
 Distances come from the complex's segment distance table
 (SegmentComplex.distances, one BFS per maximal segment, built on first
 use): link_distance locates p and q once each and answers 1 plus the
@@ -43,9 +47,8 @@ from . import _pure as _k
 from .complexes import (
     SegmentComplex,
     _bfs,
+    _contains,
     _locate,
-    contains_point,
-    contains_segment,
     incident_segments,
     intersection_fold,
 )
@@ -66,18 +69,24 @@ class PathCertificate:
 
 def certificate_valid(C: SegmentComplex, cert: PathCertificate, bound: int) -> bool:
     """Independent re-check: links contained, consecutive vertices distinct,
-    intermediate vertices pairwise distinct, link count within bound."""
-    vs = cert.vertices
-    if not vs or cert.links != len(vs) - 1:
+    intermediate vertices pairwise distinct, link count within bound.
+
+    Runs on the vertices' keys, each read once. A key is canonical, so two
+    keys are equal exactly when the points are, whatever the coordinate
+    types. Each link is checked from the certificate's own vertices
+    (complexes._contains), not from the search that built it.
+    """
+    if not cert.vertices or cert.links != len(cert.vertices) - 1:
         return False
     if cert.links > bound:
         return False
-    if len(vs) == 1:
-        return contains_point(C, vs[0])
-    for a, b in zip(vs, vs[1:]):
-        if a == b or not contains_segment(C, a, b):
+    ks = [v.key for v in cert.vertices]
+    if len(ks) == 1:
+        return _contains(C, ks[0], ks[0])
+    for a, b in zip(ks, ks[1:]):
+        if a == b or not _contains(C, a, b):
             return False
-    inner = vs[1:-1]
+    inner = ks[1:-1]
     return len(set(inner)) == len(inner)
 
 

@@ -159,11 +159,17 @@ def verify_targets_blocked(
 
 
 def _draw_on_complex(C: SegmentComplex, stream: Stream) -> Point:
-    """One on-complex point: a segment index and a rational parameter in
-    [0,1] drawn from the stream, in that order."""
-    s = C.maximal_segments[stream.below(len(C.maximal_segments))]
-    t = Fraction(stream.below(65537), 65536)
-    return Point(s.p.x + t * (s.q.x - s.p.x), s.p.y + t * (s.q.y - s.p.y))
+    """One on-complex point: a segment index s and r in 0..65536 drawn from
+    the stream, in that order, give p + (r/65536)(q - p) for the endpoints
+    p, q of segment s. It is computed on their keys (C.keys[s]), one
+    Fraction per coordinate: x = (pxn*qxd*65536 + r*(qxn*pxd - pxn*qxd))
+    / (pxd*qxd*65536), and y likewise."""
+    (pxn, pxd, pyn, pyd), (qxn, qxd, qyn, qyd) = C.keys[stream.below(len(C.keys))]
+    r = stream.below(65537)
+    return Point(
+        Fraction(pxn * qxd * 65536 + r * (qxn * pxd - pxn * qxd), pxd * qxd * 65536),
+        Fraction(pyn * qyd * 65536 + r * (qyn * pyd - pyn * qyd), pyd * qyd * 65536),
+    )
 
 
 def sample_on_complex(

@@ -4,7 +4,10 @@ Everything here works on the RAW segment list, never on the normalized
 complex, so agreement with the package is a genuine cross-check; the
 region reference reads no index of the complex either, only its segment
 list. reference_merge is the collinear merge as normalize ran it when
-it sorted and compared Segments by their Fractions. The shutter
+it sorted and compared Segments by their Fractions. reference_draw is
+the sampler's point draw as a Fraction lerp along the drawn segment, and
+reference_certificate_valid the certificate re-check on Points, with
+containment decided by on_segment over the maximal segments. The shutter
 references work on Fraction pairs; planted_state builds the shutter
 state with a known viewer that both scans must detect.
 """
@@ -123,6 +126,40 @@ def reference_merge(segs: Iterable[Segment]) -> List[Segment]:
         out.append(Segment(cur_p, cur_q))
     out.sort()
     return out
+
+
+def reference_draw(C, stream):
+    """One on-complex point: a segment index and a rational parameter in
+    [0,1] drawn from the stream, in that order."""
+    s = C.maximal_segments[stream.below(len(C.maximal_segments))]
+    t = Fraction(stream.below(65537), 65536)
+    return Point(s.p.x + t * (s.q.x - s.p.x), s.p.y + t * (s.q.y - s.p.y))
+
+
+def _contains_point(C, p):
+    return any(on_segment(p, s) for s in C.maximal_segments)
+
+
+def _contains_segment(C, p, q):
+    """[p, q] in the union: one maximal segment holds both ends."""
+    return any(on_segment(p, s) and on_segment(q, s) for s in C.maximal_segments)
+
+
+def reference_certificate_valid(C, cert, bound):
+    """Independent re-check: links contained, consecutive vertices distinct,
+    intermediate vertices pairwise distinct, link count within bound."""
+    vs = cert.vertices
+    if not vs or cert.links != len(vs) - 1:
+        return False
+    if cert.links > bound:
+        return False
+    if len(vs) == 1:
+        return _contains_point(C, vs[0])
+    for a, b in zip(vs, vs[1:]):
+        if a == b or not _contains_segment(C, a, b):
+            return False
+    inner = vs[1:-1]
+    return len(set(inner)) == len(inner)
 
 
 class RegionReference:

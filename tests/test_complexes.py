@@ -356,22 +356,36 @@ def test_point_location_matches_brute_scan(raws, probes):
 @given(_complex_raws, st.lists(st.tuples(_probe, _probe), min_size=1, max_size=8))
 def test_contains_segment_matches_brute_scan(raws, pairs):
     C = normalize(raws)
-    for s in C.maximal_segments:
-        # inside, then running past either end along the segment's line
+    segs = C.maximal_segments
+    off = point(1000, Fraction(1, 7))  # off every complex drawn here
+    for s in segs:
+        inner = _lerp(s, Fraction(1, 3))
+        # inside, then running past either end along the segment's line,
+        # where only the bounding box rejects the far end
         pairs += [
             (s.p, s.q),
             (s.q, _lerp(s, Fraction(1, 2))),
             (s.p, _lerp(s, Fraction(3, 2))),
+            (s.q, _lerp(s, Fraction(3, 2))),
             (_lerp(s, -1), s.q),
+            (inner, _lerp(s, Fraction(-1, 2))),
+            (s.p, off),
         ]
+        # from a vertex and from an interior point to those of every segment
+        pairs += [
+            (a, b)
+            for t in segs
+            for a in (s.p, inner)
+            for b in (t.q, _lerp(t, Fraction(1, 5)))
+        ]
+    pairs.append((off, off))
     for p, q in pairs:
         if p == q:
             want = bool(_brute_through(C, p))
         else:
-            want = any(
-                on_segment(p, s) and on_segment(q, s) for s in C.maximal_segments
-            )
-        assert contains_segment(C, p, q) == want
+            want = any(on_segment(p, s) and on_segment(q, s) for s in segs)
+        # contains_segment locates only its first point: try both orders
+        assert contains_segment(C, p, q) == contains_segment(C, q, p) == want
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import RegionReference, oracle_link_distances
-from vislink import Segment, point
+from oracles import RegionReference, oracle_link_distances, reference_certificate_valid
+from vislink import Point, Segment, point
 from vislink.complexes import (
     PointNotOnComplex,
     _bfs,
@@ -142,6 +142,22 @@ def test_certificate_validator_rejects_garbage():
         (HEX_V[0], HEX_V[1], HEX_V[0], HEX_V[1], HEX_V[2]), 4
     )
     assert not certificate_valid(HEX, repeated, 4)
+
+
+def test_certificate_validator_compares_points_by_value():
+    # HEX_V[1] written with int coordinates: equal to the Fraction one
+    v1 = Point(2, 3)
+    # only the inner-vertex test rejects the first, only the consecutive
+    # test the second, and only point location the third
+    repeat = PathCertificate((HEX_V[0], v1, HEX_V[0], HEX_V[1], HEX_V[2]), 4)
+    stutter = PathCertificate((HEX_V[0], HEX_V[1], v1), 2)
+    off = PathCertificate((point(0, 0),), 0)
+    for cert in (repeat, stutter, off):
+        assert not certificate_valid(HEX, cert, 5)
+        assert not reference_certificate_valid(HEX, cert, 5)
+    mixed = PathCertificate((HEX_V[0], v1, HEX_V[2]), 2)
+    assert certificate_valid(HEX, mixed, 2)
+    assert reference_certificate_valid(HEX, mixed, 2)
 
 
 def test_common_viewer_single_target():

@@ -9,14 +9,18 @@ from fractions import Fraction
 import vislink
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import RegionReference
-from vislink import Segment, point
+from oracles import RegionReference, reference_certificate_valid, reference_draw
+from test_complexes import _complex_raws
+from vislink import Point, Segment, point
 from vislink.complexes import contains_point, normalize
 from vislink.construct import build_family, make_polygon
 from vislink.docio import construction_from_doc, construction_to_doc
-from vislink.kernel import parse_rat, rat_str
-from vislink.links import certificate_valid, n_visible
+from vislink.kernel import on_segment, parse_rat, rat_str
+from vislink.links import PathCertificate, certificate_valid, n_visible
+from vislink.rng import STREAM_SAMPLE, STREAM_TUPLES, Stream, derive
 from vislink.verify import (
     EmptinessReport,
     IndexOutOfRange,
@@ -316,3 +320,76 @@ def test_sample_deterministic():
     assert sample_tuples(c.complex, 2, 5, 9) == sample_tuples(
         c.complex, 2, 5, 9
     )
+
+
+def _retyped(raws, den):
+    """raws with int coordinates (den 0) or each coordinate divided by den."""
+
+    def pt(p):
+        return Point(int(p.x), int(p.y)) if den == 0 else Point(p.x / den, p.y / den)
+
+    return [Segment(pt(s.p), pt(s.q)) for s in raws]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _complex_raws,
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=1, max_value=4),
+)
+def test_sampling_matches_fraction_lerp(raws, den, seed, count, k):
+    # the draw interpolates on integer keys; the Fraction lerp it replaced
+    # gives the same points, coordinate types included
+    C = normalize(_retyped(raws, den))
+    stream = Stream(derive(seed, STREAM_SAMPLE))
+    points = sample_on_complex(C, count, seed)
+    assert points == [reference_draw(C, stream) for _ in range(count)]
+    stream = Stream(derive(seed, STREAM_TUPLES))
+    tuples = sample_tuples(C, k, count, seed)
+    assert tuples == [
+        tuple(reference_draw(C, stream) for _ in range(k)) for _ in range(count)
+    ]
+    drawn = points + [p for t in tuples for p in t]
+    assert all(type(v) is Fraction for p in drawn for v in p)
+
+
+# ------------------------------------------------------ certificate re-check
+
+
+def _mutations(C, cert):
+    """(certificate, bound, expected verdict or None) for cert and copies of
+    it with a wrong link count, a tighter bound, one inner vertex dropped,
+    or one bend moved along its incoming link's line past that segment's
+    end."""
+    vs, m = list(cert.vertices), cert.links
+    yield cert, m, True
+    yield replace(cert, links=m + 1), m + 1, False
+    if m >= 1:
+        yield cert, m - 1, False
+        yield replace(cert, links=m - 1), m, False
+    for i in range(1, m):
+        yield PathCertificate(tuple(vs[:i] + vs[i + 1 :]), m - 1), m, None
+        a, x = vs[i - 1], vs[i]
+        s = next(s for s in C.maximal_segments if on_segment(a, s) and on_segment(x, s))
+        ahead = (s.q.x - s.p.x) * (x.x - a.x) + (s.q.y - s.p.y) * (x.y - a.y) > 0
+        e = s.q if ahead else s.p
+        moved = Point(2 * e.x - a.x, 2 * e.y - a.y)  # past e, on the line of s
+        yield PathCertificate(tuple(vs[:i] + [moved] + vs[i + 1 :]), m), m, False
+
+
+@pytest.mark.parametrize("k, n", [(2, 2), (3, 4), (4, 3), (5, 5)])
+def test_certificate_recheck_matches_point_reference(k, n):
+    c = build_family(make_polygon(k, seed=7), n)
+    tuples = sample_tuples(c.complex, k, 8, seed=10 * n + k)
+    tuples.append(tuple(c.polygon.a(i) for i in range(k)))  # 0-link paths too
+    bends = 0
+    for pts in tuples:
+        for cert in verify_common_witness(c, pts).paths:
+            bends += max(cert.links - 1, 0)
+            for mutant, bound, want in _mutations(c.complex, cert):
+                got = certificate_valid(c.complex, mutant, bound)
+                assert got == reference_certificate_valid(c.complex, mutant, bound)
+                assert want is None or got == want
+    assert bends > 0
