@@ -11,12 +11,9 @@ Normalization and point location run on integers. The merge compares
 points by their keys (the predicate core's (xn, xd, yn, yd) tuples)
 through _k.pt_cmp, the order Point defines, and next to its maximal
 segments a complex keeps their endpoint keys and canonical lines and a
-vertex index. The index of each maximal segment (a caller that names a
-segment, such as a fan, a tail edge or a document's listed segment,
-looks its index up there) is built on first read; a complex that is only
-queried by point never builds it. The vertices of the arrangement are
-the segment endpoints and the points where two maximal segments meet;
-the vertex index maps each to the segments through it. A point that is
+vertex index, its one index. The vertices of the arrangement are the
+segment endpoints and the points where two maximal segments meet; the
+vertex index maps each to the segments through it. A point that is
 not a vertex lies on at most one maximal segment: two collinear maximal
 segments never touch (they would have merged), so two segments through
 one point meet only there, and that point is a vertex. Point location is
@@ -29,6 +26,9 @@ inside the segment's bounding box (_on, the one such test). A segment
 endpoints, so segment membership is one point location plus that test:
 p is located, and q must lie on one of the segments through p. When p
 is a vertex, that is a lookup and at most deg(p) tests, with no scan.
+Naming a segment (a fan, a tail edge) reads the same index: both ends of
+a maximal segment are vertices, so segment_index compares endpoint keys
+with the segments through the first end.
 
 A viewer region of radius >= 1 is a union of whole maximal segments, so
 a region is a set of segment indices, and intersection_fold intersects
@@ -139,15 +139,15 @@ class SegmentComplex:
     of every vertex (an endpoint, or a point where two maximal segments
     meet) to the ascending indices of the segments through it; every
     other point of the union lies on exactly one maximal segment. This
-    one location index answers point and segment membership alike. These
-    three are derived from maximal_segments, so equality ignores them.
+    one location index answers point and segment membership alike, and
+    names a maximal segment (segment_index): both its endpoints are
+    vertices. These three are derived from maximal_segments, so equality
+    ignores them.
 
-    Two more derived values are built on first read and then kept by the
-    complex; as cached properties they take no part in equality or repr.
-    index_of maps each maximal segment to its index, for callers that
-    name a segment. distances is the segment distance table:
-    distances[i][j] is the graph distance from segment i to segment j,
-    None when they lie in different components. Row i is
+    The segment distance table is built on first read and then kept by
+    the complex; as a cached property it takes no part in equality or
+    repr. distances[i][j] is the graph distance from segment i to
+    segment j, None when they lie in different components. Row i is
     _bfs(C, (i,))[0], one BFS per maximal segment.
     """
 
@@ -159,10 +159,6 @@ class SegmentComplex:
 
     def __len__(self) -> int:
         return len(self.maximal_segments)
-
-    @cached_property
-    def index_of(self) -> Dict[Segment, int]:
-        return {s: i for i, s in enumerate(self.maximal_segments)}
 
     @cached_property
     def distances(self) -> Tuple[Tuple[Optional[int], ...], ...]:
@@ -274,23 +270,27 @@ def _through(C: SegmentComplex, t: Key) -> Tuple[int, ...]:
     return ()
 
 
-def _locate(C: SegmentComplex, p: Point) -> Tuple[int, ...]:
-    """_through for the point p; PointNotOnComplex when it is off the
-    union."""
+def contains_point(C: SegmentComplex, p: Point) -> bool:
+    return bool(_through(C, p.key))
+
+
+def incident_segments(C: SegmentComplex, p: Point) -> Tuple[int, ...]:
+    """Ascending indices of all maximal segments through p;
+    PointNotOnComplex when there are none."""
     found = _through(C, p.key)
     if not found:
         raise PointNotOnComplex(f"{point_str(p)} is not on the complex")
     return found
 
 
-def contains_point(C: SegmentComplex, p: Point) -> bool:
-    return bool(_through(C, p.key))
-
-
-def incident_segments(C: SegmentComplex, p: Point) -> List[int]:
-    """Indices of all maximal segments through p, ascending; error if
-    there are none."""
-    return list(_locate(C, p))
+def segment_index(C: SegmentComplex, s: Segment) -> Optional[int]:
+    """The index of s among C's maximal segments; None when s is not one
+    (a proper part of one, or not in the union)."""
+    ks = (s.p.key, s.q.key)
+    for i in C.vertex_segments.get(ks[0], ()):
+        if C.keys[i] == ks:
+            return i
+    return None
 
 
 def _contains(C: SegmentComplex, p: Key, q: Key) -> bool:

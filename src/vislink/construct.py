@@ -44,6 +44,7 @@ from .complexes import (
     contains_segment,
     incident_segments,
     normalize,
+    segment_index,
 )
 from .kernel import GeometryError, Point, Segment, orientation
 from .links import SearchTree, link_region, search_tree
@@ -107,6 +108,8 @@ class PolygonSpec:
 class Construction:
     """A generated family member with all features indexed.
 
+    Fans and pieces hold maximal-segment indices, each found from the
+    segment's endpoints through the complex's vertex index (segment_index).
     What verification and rendering derive from the geometry is built once
     per construction, on first use, and kept on it: the pieces, one search
     tree per formula witness and the targets' link regions.
@@ -124,16 +127,12 @@ class Construction:
     @cached_property
     def pieces(self) -> Tuple[frozenset, ...]:
         """Maximal-segment indices of each piece C_i = B_i plus its tail."""
-        index_of = self.complex.index_of
-        out = []
-        for i in range(self.k + 1):
-            idxs = set(self.B[i])
-            if self.gamma:
-                t = self.gamma[i]
-                for r in range(len(t) - 1):
-                    idxs.add(index_of[Segment(t[r], t[r + 1])])
-            out.append(frozenset(idxs))
-        return tuple(out)
+        C = self.complex
+        tails = self.gamma or ((),) * (self.k + 1)
+        return tuple(
+            frozenset(b).union(segment_index(C, Segment(*e)) for e in zip(t, t[1:]))
+            for b, t in zip(self.B, tails)
+        )
 
     @cached_property
     def witness_trees(self) -> Tuple[SearchTree, ...]:
@@ -370,7 +369,7 @@ def build_family(p: PolygonSpec, n: int = 2) -> Construction:
         raise SideConditionFailed(
             "construction segments must survive normalization unmerged"
         )
-    B = tuple(tuple(sorted(C.index_of[raw[r]] for r in g)) for g in groups)
+    B = tuple(tuple(sorted(segment_index(C, raw[r]) for r in g)) for g in groups)
 
     for i in range(k1):
         # midpoint of each kept boundary edge lies on exactly that edge,
@@ -378,7 +377,7 @@ def build_family(p: PolygonSpec, n: int = 2) -> Construction:
         try:
             hits = incident_segments(C, mids[i])
         except PointNotOnComplex:
-            hits = []
+            hits = ()
         if len(hits) != (1 if n == 2 else 2):
             raise SideConditionFailed(
                 f"edge midpoint {i} lies on unexpected segments"

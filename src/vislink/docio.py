@@ -32,7 +32,7 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .complexes import OneSet, normalize
+from .complexes import OneSet, normalize, segment_index
 from .construct import Construction, PolygonSpec
 from .kernel import GeometryError, Point, Segment, parse_rat, rat_str
 from .links import PathCertificate
@@ -144,9 +144,9 @@ def _nested_list_field(doc: Dict[str, Any], key: str, what: str) -> List[List[An
 def construction_from_doc(doc: Any) -> Construction:
     """Rebuild a Construction from its serialized geometry.
 
-    The complex is re-normalized from the listed segments; fan indices are
-    remapped through the result, so a document whose listed segments are
-    not maximal (merged or covered by another) is rejected as inconsistent.
+    The complex is re-normalized from the listed segments; a document
+    whose listed segments or tail edges are not maximal in it (merged or
+    covered by another) is rejected, and fan indices are remapped.
     """
     _check_schema(doc, "construction")
     k = _need(doc, "k")
@@ -174,24 +174,19 @@ def construction_from_doc(doc: Any) -> Construction:
     if not listed:
         raise DocumentError("construction document lists no segments")
     complex_ = normalize(listed)
-    index_of = complex_.index_of
+    named = [segment_index(complex_, s) for s in listed]
+    if None in named:
+        s = segment_to_doc(listed[named.index(None)])
+        raise DocumentError(f"listed segment {s} is not maximal in the listed complex")
     fans_doc = _nested_list_field(doc, "fans", "index lists")
     if len(fans_doc) != k + 1:
         raise DocumentError(f"need {k + 1} fans, got {len(fans_doc)}")
     fans: List[Tuple[int, ...]] = []
     for g in fans_doc:
-        idxs = []
         for j in g:
             if not _is_int(j) or not 0 <= j < len(listed):
                 raise DocumentError(f"fan index {j!r} out of range")
-            s = listed[j]
-            if s not in index_of:
-                raise DocumentError(
-                    f"fan segment {segment_to_doc(s)} is not maximal in the "
-                    "listed complex"
-                )
-            idxs.append(index_of[s])
-        fans.append(tuple(sorted(idxs)))
+        fans.append(tuple(sorted(named[j] for j in g)))
     mids = tuple(point_from_doc(v) for v in _list_field(doc, "c"))
     gamma = tuple(
         tuple(point_from_doc(v) for v in t)
@@ -204,7 +199,7 @@ def construction_from_doc(doc: Any) -> Construction:
         raise DocumentError("tails must be absent or one per fan")
     for t in gamma:
         for p, q in zip(t, t[1:]):
-            if p == q or Segment(p, q) not in index_of:
+            if p == q or segment_index(complex_, Segment(p, q)) is None:
                 raise DocumentError(
                     f"tail segment {point_to_doc(p)}-{point_to_doc(q)} is "
                     "not maximal in the listed complex"

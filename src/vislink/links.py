@@ -48,7 +48,6 @@ from .complexes import (
     SegmentComplex,
     _bfs,
     _contains,
-    _locate,
     incident_segments,
     intersection_fold,
 )
@@ -155,8 +154,8 @@ def link_distance(C: SegmentComplex, p: Point, q: Point) -> Optional[int]:
     multi-source BFS distance is the least of the single-source ones, so
     this is the search tree's answer.
     """
-    through_p = _locate(C, p)  # first, so an off-complex p raises
-    through_q = _locate(C, q)
+    through_p = incident_segments(C, p)  # first, so an off-complex p raises
+    through_q = incident_segments(C, q)
     if through_p == through_q and p == q:
         return 0
     D = C.distances

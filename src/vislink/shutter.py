@@ -113,6 +113,10 @@ class InvariantViolation(GeometryError):
     """A process invariant failed; carries the offending data."""
 
 
+class NoBasis(GeometryError):
+    """advance was given a state with nothing admitted yet."""
+
+
 class PointNotInT(GeometryError):
     """An axis point outside A was used where membership in the screen
     is required."""
@@ -417,6 +421,8 @@ def advance(s: ShutterState, tup: Sequence[Point]) -> ShutterState:
     sight lines of phase (4). Sight lines that no scan has seen (a state
     built by hand) are scanned first.
     """
+    if not s._aidx:
+        raise NoBasis("advance needs a state built by init_state; A is empty")
     tup = _check_tuple(s, tup, "tuple")
     context = f"step {s.step + 1}"
     if s._scanned < len(s._lines):

@@ -190,6 +190,22 @@ def test_verify_malformed_inputs(s22, tmp_path):
     assert run("verify", "--in", s22, "--tuples", "-3") == 2
 
 
+def test_covered_listed_segment_is_a_usage_error(s22, tmp_path, capsys):
+    doc = read_doc(s22)
+    (px, py), (qx, qy) = (map(parse_rat, v) for v in doc["segments"][0])
+    half = [rat_str((px + qx) / 2), rat_str((py + qy) / 2)]
+    doc["segments"].append([doc["segments"][0][0], half])
+    bad = str(tmp_path / "covered.json")
+    write_doc(bad, doc)
+    svg = str(tmp_path / "fig.svg")
+    for argv in (("verify", "--in", bad), ("render", "--in", bad, "--svg-out", svg)):
+        capsys.readouterr()
+        assert run(*argv) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "listed segment" in lines[0]
+    assert not os.path.exists(svg)
+
+
 def test_verify_rejects_non_integer_seed(s22, tmp_path, capsys):
     doc = read_doc(s22)
     doc["seed"] = "x"

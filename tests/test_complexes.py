@@ -20,6 +20,7 @@ from vislink.complexes import (
     incident_segments,
     intersection_fold,
     normalize,
+    segment_index,
 )
 from vislink.kernel import DegenerateSegment, on_segment, point_from_key
 from vislink.links import _meet_point
@@ -70,18 +71,6 @@ def test_normalize_idempotent_example():
     C = normalize([seg(0, 0, 1, 0), seg(1, 0, 2, 0), seg(0, -1, 0, 1)])
     again = normalize(list(C.maximal_segments))
     assert again == C
-
-
-def test_index_of_is_built_on_first_read():
-    C = normalize([seg(0, 0, 1, 0), seg(1, 0, 2, 0), seg(0, -1, 0, 1)])
-    before = repr(C)
-    assert "index_of" not in vars(C)
-    assert C.index_of == {s: i for i, s in enumerate(C.maximal_segments)}
-    assert "index_of" in vars(C)
-    assert repr(C) == before
-    fresh = normalize(list(C.maximal_segments))
-    assert "index_of" not in vars(fresh)
-    assert fresh == C and repr(fresh) == before
 
 
 # Sub-segments a + [s, t] * d of a few base lines, with parameters on a
@@ -172,7 +161,7 @@ def test_contains_segment_not_fooled_by_crossing():
 
 def test_incident_segments():
     C = normalize([seg(0, -1, 0, 1), seg(-1, 0, 1, 0)])
-    assert incident_segments(C, point(0, 0)) == [0, 1]
+    assert incident_segments(C, point(0, 0)) == (0, 1)
     single = incident_segments(C, point(1, 0))
     assert len(single) == 1
     with pytest.raises(PointNotOnComplex):
@@ -181,7 +170,7 @@ def test_incident_segments():
 
 def test_single_segment_incident():
     C = normalize([seg(0, 0, 3, 0)])
-    assert incident_segments(C, point(1, 0)) == [0]
+    assert incident_segments(C, point(1, 0)) == (0,)
 
 
 # ------------------------------------------------------------------ oracles
@@ -321,7 +310,7 @@ _probe = st.tuples(
 
 
 def _brute_through(C, p):
-    return [i for i, s in enumerate(C.maximal_segments) if on_segment(p, s)]
+    return tuple(i for i, s in enumerate(C.maximal_segments) if on_segment(p, s))
 
 
 def _meet_points(C):
@@ -350,6 +339,21 @@ def test_point_location_matches_brute_scan(raws, probes):
         else:
             with pytest.raises(PointNotOnComplex):
                 incident_segments(C, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complex_raws)
+def test_segment_index_names_exactly_the_maximal_segments(raws):
+    C = normalize(raws)
+    for i, s in enumerate(C.maximal_segments):
+        assert segment_index(C, s) == i
+        half = _lerp(s, Fraction(1, 2))
+        assert segment_index(C, Segment(s.p, half)) is None
+        assert segment_index(C, Segment(half, s.q)) is None
+    for r in raws:
+        if r not in C.maximal_segments:  # a merge absorbed it
+            assert segment_index(C, r) is None
+    assert segment_index(C, seg(1000, 0, 1001, 0)) is None  # off the union
 
 
 @settings(max_examples=200, deadline=None)
@@ -396,7 +400,7 @@ def test_vertex_index_matches_brute_force(raws):
     C = normalize(raws)
     vertices = [p for s in C.maximal_segments for p in (s.p, s.q)]
     vertices += _meet_points(C)
-    want = {p.key: tuple(_brute_through(C, p)) for p in vertices}
+    want = {p.key: _brute_through(C, p) for p in vertices}
     assert C.vertex_segments == want
 
 

@@ -28,6 +28,7 @@ from vislink.kernel import Point, point, point_from_key
 from vislink.shutter import (
     DegenerateK,
     InvariantViolation,
+    NoBasis,
     PointNotInT,
     SameSideInput,
     ShutterState,
@@ -519,6 +520,13 @@ def test_advance_rejects_bad_tuples():
         advance(s, (point(0, -5), point(0, -5)))
     with pytest.raises(DegenerateK):
         advance(s, (point(0, -5), point(1, 5)))
+
+
+def test_advance_needs_a_basis():
+    s = ShutterState(K3)  # nothing admitted, so no line to sweep along
+    with pytest.raises(NoBasis, match="init_state"):
+        advance(s, FIRST)
+    assert s.step == 0 and not s.audit and s.b0_size == len(s.B)
 
 
 _CORRUPTED_SWEEP = """
