@@ -36,10 +36,12 @@ regions through the vertex index alone. Two distinct maximal segments
 meet at most in one point, a vertex, so the common part of some regions
 is the segments every region holds plus the vertices every region touches
 that no such segment passes through. OneSet is the value the fold
-reports: finitely many segments plus isolated points, each sorted, no
-listed point on a listed segment. Transversal crossings between listed
-segments are expected; regions routinely contain whole pencils of
-segments through one point.
+reports, in index form: the ascending indices of those segments and the
+keys of those isolated vertices, sorted by _k.pt_cmp, no listed vertex on
+a listed segment. Transversal crossings between listed segments are
+expected; regions routinely contain whole pencils of segments through one
+point. A Point is built from a OneSet only by least_point; documents
+write its indices and keys directly.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -87,6 +90,7 @@ def _keys_cmp(a, b) -> int:
 
 
 _entry_order = cmp_to_key(_keys_cmp)
+_key_order = cmp_to_key(_k.pt_cmp)
 
 
 def _merge_collinear(
@@ -315,24 +319,27 @@ def contains_segment(C: SegmentComplex, p: Point, q: Point) -> bool:
     return _contains(C, p.key, q.key)
 
 
-@dataclass(frozen=True)
-class OneSet:
-    """Canonical finite union of closed segments and isolated points."""
+class OneSet(NamedTuple):
+    """Canonical finite union of closed maximal segments and isolated
+    vertices of a complex: segments holds their ascending indices, points
+    the vertices' keys sorted by _k.pt_cmp."""
 
-    segments: Tuple[Segment, ...] = ()
-    points: Tuple[Point, ...] = ()
+    segments: Tuple[int, ...] = ()
+    points: Tuple[Key, ...] = ()
 
     def is_empty(self) -> bool:
         return not self.segments and not self.points
 
-    def least_point(self) -> Optional[Point]:
-        """Lexicographically least point of the union, if any.
 
-        The least point of a canonical segment is its stored first endpoint,
-        so the minimum ranges over endpoints and isolated points.
-        """
-        candidates = list(self.points) + [s.p for s in self.segments]
-        return min(candidates) if candidates else None
+def least_point(C: SegmentComplex, s: OneSet) -> Optional[Point]:
+    """Lexicographically least point of s, None when s is empty.
+
+    The least point of a maximal segment is its first endpoint, and
+    maximal segments are stored in Segment order, so the least endpoint
+    of s's segments is that of its first; its points are sorted.
+    """
+    firsts = s.points[:1] + tuple(C.keys[i][0] for i in s.segments[:1])
+    return point_from_key(min(firsts, key=_key_order)) if firsts else None
 
 
 def intersection_fold(
@@ -341,15 +348,14 @@ def intersection_fold(
     """The left fold of the regions given by index_sets, each a set of
     maximal-segment indices of C: entry i is the intersection of regions
     0..i. Its segments are those every set 0..i holds, in index order; its
-    points are the vertices every set touches that no kept segment passes
-    through, sorted."""
+    points are the keys of the vertices every set touches that no kept
+    segment passes through, sorted by _k.pt_cmp."""
     out: List[OneSet] = []
     kept: Optional[AbstractSet[int]] = None
     touched = list(C.vertex_segments.items())
     for idx in index_sets:
         kept = frozenset(idx) if kept is None else kept & idx
         touched = [(v, t) for v, t in touched if not idx.isdisjoint(t)]
-        points = sorted(point_from_key(v) for v, t in touched if kept.isdisjoint(t))
-        segments = tuple(C.maximal_segments[j] for j in sorted(kept))
-        out.append(OneSet(segments, tuple(points)))
+        points = sorted((v for v, t in touched if kept.isdisjoint(t)), key=_key_order)
+        out.append(OneSet(tuple(sorted(kept)), tuple(points)))
     return tuple(out)

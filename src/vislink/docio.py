@@ -17,7 +17,9 @@ instead. It yields the text in pieces: doc_bytes joins them, and
 write_doc writes them as they come, so a file never needs the whole text
 in memory (a 200-step k=3 audit log is about 32 MB). Audit logs are written from the shutter's integer scalars: the
 axis point with canonical abscissa (n, d) is ["n/d", "0/1"], the strings
-rat_str gives for it.
+rat_str gives for it. Report regions are written from the complex's
+integer keys the same way: the point with key (xn, xd, yn, yd) is
+["xn/xd", "yn/yd"].
 
 Readers validate shape and reconstruct full domain objects from the
 serialized geometry alone. A construction document carries its complex
@@ -32,7 +34,7 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .complexes import OneSet, normalize, segment_index
+from .complexes import Key, OneSet, SegmentComplex, normalize, segment_index
 from .construct import Construction, PolygonSpec
 from .kernel import GeometryError, Point, Segment, parse_rat, rat_str
 from .links import PathCertificate
@@ -78,10 +80,18 @@ def segment_from_doc(v: Any) -> Segment:
         raise DocumentError(str(e)) from None
 
 
-def oneset_to_doc(s: OneSet) -> Dict[str, Any]:
+def _key_doc(k: Key) -> Tuple[str, str]:
+    """point_to_doc of the point with key k, as a pair (see _axis_doc): a
+    key is reduced with a positive denominator, as rat_str writes."""
+    xn, xd, yn, yd = k
+    return (f"{xn}/{xd}", f"{yn}/{yd}")
+
+
+def oneset_to_doc(C: SegmentComplex, s: OneSet) -> Dict[str, Any]:
+    keys = C.keys
     return {
-        "segments": [segment_to_doc(x) for x in s.segments],
-        "points": [point_to_doc(p) for p in s.points],
+        "segments": [list(map(_key_doc, keys[i])) for i in s.segments],
+        "points": [_key_doc(v) for v in s.points],
     }
 
 
@@ -248,12 +258,13 @@ def witness_report_to_doc(r: WitnessReport) -> Dict[str, Any]:
 
 
 def emptiness_report_to_doc(r: EmptinessReport) -> Dict[str, Any]:
+    C = r.complex
     return {
         "targets": [point_to_doc(p) for p in r.targets],
         "n": r.n,
-        "per_target_regions": [oneset_to_doc(s) for s in r.per_target_regions],
-        "intersection_trace": [oneset_to_doc(s) for s in r.intersection_trace],
-        "final": oneset_to_doc(r.final),
+        "per_target_regions": [oneset_to_doc(C, s) for s in r.per_target_regions],
+        "intersection_trace": [oneset_to_doc(C, s) for s in r.intersection_trace],
+        "final": oneset_to_doc(C, r.final),
         "final_empty": r.final.is_empty(),
     }
 

@@ -50,6 +50,7 @@ from .complexes import (
     _contains,
     incident_segments,
     intersection_fold,
+    least_point,
 )
 from .kernel import GeometryError, Point, point_from_key, point_str
 
@@ -239,4 +240,4 @@ def common_viewer(
     if n < 1:
         raise ValueError("link bound must be >= 1")
     regions = [link_region(C, t, n) for t in targets]
-    return intersection_fold(C, regions)[-1].least_point()
+    return least_point(C, intersection_fold(C, regions)[-1])

@@ -18,13 +18,15 @@ Negative claim: the k+1 distinguished targets (edge midpoints c_i when
 n = 2, outer tail endpoints otherwise) have no common viewer. This is
 checked by exact emptiness of the fold of their n-link regions over the
 regions' segment indices, with the whole intersection trace exposed for
-independent re-checking. Dropping any single target must flip the answer
-to non-empty, which guards against a vacuously empty region engine.
+independent re-checking. Regions and trace entries stay in the fold's
+index form (OneSet); a Point is built from one only for the failure
+message. Dropping any single target must flip the answer to non-empty,
+which guards against a vacuously empty region engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, List, Optional, Sequence, Tuple
 
@@ -34,6 +36,7 @@ from .complexes import (
     SegmentComplex,
     incident_segments,
     intersection_fold,
+    least_point,
 )
 from .construct import Construction
 from .kernel import GeometryError, Point, point_str
@@ -70,8 +73,13 @@ class WitnessReport:
 
 @dataclass(frozen=True)
 class EmptinessReport:
-    """Region-intersection trace proving the targets share no viewer."""
+    """Region-intersection trace proving the targets share no viewer.
 
+    Each region and trace entry is a OneSet of indices into
+    complex.maximal_segments and keys of its vertices, so the complex
+    travels with the report."""
+
+    complex: SegmentComplex = field(repr=False)
     targets: Tuple[Point, ...]
     n: int
     per_target_regions: Tuple[OneSet, ...]
@@ -149,13 +157,10 @@ def verify_targets_blocked(
     if drop_index is None and not final.is_empty():
         raise VerificationFailed(
             f"targets have a common {c.n}-link viewer: "
-            f"{point_str(final.least_point())}"
+            f"{point_str(least_point(c.complex, final))}"
         )
-    # maximal segments are sorted and no two collinear ones touch, so a
-    # region's segments in index order are already a canonical OneSet
-    segs = c.complex.maximal_segments
-    per_target = tuple(OneSet(tuple(segs[i] for i in sorted(r))) for r in regions)
-    return EmptinessReport(tuple(targets), c.n, per_target, trace)
+    per_target = tuple(OneSet(tuple(sorted(r))) for r in regions)
+    return EmptinessReport(c.complex, tuple(targets), c.n, per_target, trace)
 
 
 def _draw_on_complex(C: SegmentComplex, stream: Stream) -> Point:

@@ -3,13 +3,16 @@
 Everything here works on the RAW segment list, never on the normalized
 complex, so agreement with the package is a genuine cross-check; the
 region reference reads no index of the complex either, only its segment
-list. reference_merge is the collinear merge as normalize ran it when
-it sorted and compared Segments by their Fractions. reference_draw is
-the sampler's point draw as a Fraction lerp along the drawn segment, and
-reference_certificate_valid the certificate re-check on Points, with
-containment decided by on_segment over the maximal segments. The shutter
-references work on Fraction pairs; planted_state builds the shutter
-state with a known viewer that both scans must detect.
+list. cycle_rank is the exception: it reads the complex's vertex index
+and intersection graph, and serves a theorem control of the region fold
+(Helly on trees), not a recomputation. reference_merge is the collinear
+merge as normalize ran it when it sorted and compared Segments by their
+Fractions. reference_draw is the sampler's point draw as a Fraction lerp
+along the drawn segment, and reference_certificate_valid the certificate
+re-check on Points, with containment decided by on_segment over the
+maximal segments. The shutter references work on Fraction pairs;
+planted_state builds the shutter state with a known viewer that both
+scans must detect.
 """
 
 from collections import deque
@@ -187,8 +190,7 @@ class RegionReference:
             {i for i, s in enumerate(self.segs) if on_segment(p, s)}
             for p in self.probes
         ]
-        self.vertex_at = {v: j for j, v in enumerate(vs)}
-        self.index_of = {s: i for i, s in enumerate(self.segs)}
+        self.vertex_at = {v.key: j for j, v in enumerate(vs)}
 
     def members(self, index_sets):
         """Entry i: the probes through which every set 0..i has a segment."""
@@ -200,31 +202,59 @@ class RegionReference:
         return out
 
     def errors(self, index_sets, trace):
-        """Where trace, a tuple of OneSets, is not the left fold of the
-        regions: a probe it gets wrong, a listed point that is not a
+        """Where trace, a tuple of OneSets (indices into segs and vertex
+        keys), is not the left fold of the regions: a probe it gets wrong,
+        a listed index that is not one of segs, a listed key that is not a
         vertex or lies on a listed segment, or an unsorted tuple."""
         want = self.members(index_sets)
         if len(trace) != len(want):
             return [f"{len(trace)} entries for {len(want)} regions"]
         out = []
         for i, (X, inside) in enumerate(zip(trace, want)):
-            listed = {self.index_of[s] for s in X.segments if s in self.index_of}
+            listed = {s for s in X.segments if s in range(len(self.segs))}
             if len(listed) != len(X.segments):
                 out.append(f"entry {i} lists a segment that is not in segs")
-            points = {self.vertex_at.get(p) for p in X.points}
+            points = {self.vertex_at.get(v) for v in X.points}
             if None in points:
                 out.append(f"entry {i} lists a point that is not a vertex")
             for j, through in enumerate(self.through):
                 got = j in points or bool(through & listed)
                 if got != (j in inside):
                     out.append(f"entry {i}: probe {self.probes[j]} in it is {got}")
-            for p in X.points:
-                if any(on_segment(p, s) for s in X.segments):
+            pts = [point_from_key(v) for v in X.points]
+            for p in pts:
+                if any(on_segment(p, self.segs[s]) for s in listed):
                     out.append(f"entry {i}: point {p} lies on a listed segment")
-            for part in (X.segments, X.points):
-                if list(part) != sorted(part):
+            for part in (list(X.segments), pts):
+                if part != sorted(part):
                     out.append(f"entry {i} is not sorted")
         return out
+
+
+def cycle_rank(C):
+    """The first Betti number E - V + C of the union, read from the
+    complex's vertex index: V vertices, E subdivision edges (the vertices
+    on each maximal segment less one, summed) and C components of the
+    intersection graph."""
+    on_segment_count = [0] * len(C)
+    for through in C.vertex_segments.values():
+        for i in through:
+            on_segment_count[i] += 1
+    edges = sum(on_segment_count) - len(C)
+    seen = set()
+    components = 0
+    for start in range(len(C)):
+        if start in seen:
+            continue
+        components += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            for j in C.adjacency[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+    return edges - len(C.vertex_segments) + components
 
 
 # ---------------------------------------------------------------------------

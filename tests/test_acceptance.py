@@ -16,7 +16,7 @@ import time
 import pytest
 
 import vislink
-from oracles import oracle_link_distances, planted_state
+from oracles import cycle_rank, oracle_link_distances, planted_state
 from vislink.cli import main
 from vislink.complexes import normalize
 from vislink.construct import build_family, make_polygon
@@ -82,6 +82,13 @@ def test_criterion_3_segment_count_laws(grid):
         assert len(c.complex.maximal_segments) == expected, (n, k)
     assert len(grid[(2, 2)].complex.maximal_segments) == 6
     assert len(grid[(2, 3)].complex.maximal_segments) == 12
+
+
+def test_every_grid_member_has_a_cycle(grid):
+    # on an acyclic union regions that meet pairwise share a point (Helly
+    # on trees), so a family without a common viewer needs a cycle
+    for (n, k), c in grid.items():
+        assert cycle_rank(c.complex) >= 1, (n, k)
 
 
 def _random_raw(stream, count):
@@ -209,6 +216,26 @@ PINNED_ARTIFACTS = (
 def test_criterion_7_artifacts_match_pinned_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv, want in PINNED_ARTIFACTS:
+        assert main(argv) == 0, argv
+        got = hashlib.sha256(open(argv[-1], "rb").read()).hexdigest()
+        assert got == want, argv
+
+
+# sha256 of the verify and drop-control reports at n = 2, where the
+# targets are edge midpoints, taken before regions were written from keys
+PINNED_N2_REPORTS = (
+    (["gen", "--k", "3", "--n", "2", "--seed", "7", "--out", "c.json"],
+     "79deeb3604c83eca9200f3216ec5ccfc03b0cbd1c64e9147587a20b021506128"),
+    (["verify", "--in", "c.json", "--tuples", "20", "--out", "r.json"],
+     "23495537948383fab8455d14c011da1ec7958887c47e5e7288f506d165a8a9ec"),
+    (["verify", "--in", "c.json", "--drop-target", "1", "--out", "d.json"],
+     "04761be13dccd2a43587e4907d32d5247a54417829e7efc2f0827d940429f14b"),
+)
+
+
+def test_n2_reports_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv, want in PINNED_N2_REPORTS:
         assert main(argv) == 0, argv
         got = hashlib.sha256(open(argv[-1], "rb").read()).hexdigest()
         assert got == want, argv

@@ -17,14 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vislink.cli import main
+from vislink.complexes import intersection_fold
 from vislink.construct import build_family, make_polygon
 from vislink.docio import (
+    construction_from_doc,
     construction_to_doc,
     read_doc,
     shutter_input_to_doc,
     write_doc,
 )
-from vislink.kernel import parse_rat, point, rat_str
+from vislink.kernel import parse_rat, point, point_from_key, point_str, rat_str
 
 K3 = (point(-1, -1), point(0, -2), point(1, -1))
 
@@ -131,7 +133,14 @@ def test_verify_corrupted_document_fails(s22, tmp_path, capsys):
     capsys.readouterr()
     assert run("verify", "--in", bad, "--tuples", 5) == 1
     err = capsys.readouterr().err
-    assert "common 2-link viewer: (" in err and "Fraction(" not in err
+    # the message names the least point of the common region: the least
+    # isolated point or first endpoint of a kept segment, as Points
+    c = construction_from_doc(read_doc(bad))
+    final = intersection_fold(c.complex, c.target_regions)[-1]
+    firsts = [point_from_key(v) for v in final.points]
+    firsts += [c.complex.maximal_segments[i].p for i in final.segments]
+    assert f"common 2-link viewer: {point_str(min(firsts))}\n" in err
+    assert "Fraction(" not in err
 
 
 def test_formula_miss_fails_the_claim_without_a_report(s22, tmp_path, capsys):

@@ -19,6 +19,7 @@ from vislink.complexes import (
     contains_segment,
     incident_segments,
     intersection_fold,
+    least_point,
     normalize,
     segment_index,
 )
@@ -237,15 +238,17 @@ def test_contains_segment_covering_oracle():
 def test_fold_keeps_a_crossing_as_a_point():
     C = normalize([seg(0, -1, 0, 1), seg(-1, 0, 1, 0)])
     first, both = intersection_fold(C, [frozenset({0}), frozenset({1})])
-    assert first == OneSet((C.maximal_segments[0],))
-    assert both == OneSet((), (point(0, 0),))
-    assert both.least_point() == point(0, 0)
+    assert C.maximal_segments[0] == seg(-1, 0, 1, 0)
+    assert first == OneSet((0,))
+    assert least_point(C, first) == point(-1, 0)
+    assert both == OneSet((), (point(0, 0).key,))
+    assert least_point(C, both) == point(0, 0)
 
 
 def test_fold_of_disjoint_regions_is_empty():
     C = normalize([seg(0, 0, 1, 0), seg(2, 0, 3, 0)])
     got = intersection_fold(C, [frozenset({0}), frozenset({1})])[-1]
-    assert got.is_empty() and got.least_point() is None
+    assert got.is_empty() and least_point(C, got) is None
 
 
 _coord = st.integers(min_value=-4, max_value=4)
@@ -437,3 +440,9 @@ def test_fold_matches_region_reference(raws, data):
     )
     trace = intersection_fold(C, sets)
     assert RegionReference(C.maximal_segments).errors(sets, trace) == []
+    # the least point by its definition: the least isolated point or first
+    # endpoint of a kept segment, as Points
+    for X in trace:
+        firsts = [point_from_key(v) for v in X.points]
+        firsts += [C.maximal_segments[i].p for i in X.segments]
+        assert least_point(C, X) == (min(firsts) if firsts else None)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from test_acceptance import build_grid
 from vislink.complexes import segment_index
 from vislink.construct import build_family, make_polygon
 from vislink.docio import (
@@ -14,16 +15,19 @@ from vislink.docio import (
     construction_from_doc,
     construction_to_doc,
     doc_bytes,
+    emptiness_report_to_doc,
     point_from_doc,
     point_to_doc,
     read_doc,
     segment_from_doc,
+    segment_to_doc,
     shutter_input_from_doc,
     shutter_input_to_doc,
     write_doc,
 )
-from vislink.kernel import point
+from vislink.kernel import point, point_from_key
 from vislink.shutter import gen_tuples, run_schedule
+from vislink.verify import verify_targets_blocked
 
 K3 = (point(-1, -1), point(0, -2), point(1, -1))
 
@@ -124,6 +128,38 @@ def test_real_documents_match_json_dumps():
     s = run_schedule(K3, gen_tuples(2, 6, seed=2))
     for doc in (construction_to_doc(c), audit_to_doc(s, seed=2), shutter_input_to_doc(K3)):
         assert doc_bytes(doc) == reference_bytes(doc)
+
+
+def _points_route(r):
+    """emptiness_report_to_doc as written from Points: each region's
+    segments as maximal Segments and its vertex keys as Points."""
+    segs = r.complex.maximal_segments
+
+    def region(X):
+        return {
+            "segments": [segment_to_doc(segs[i]) for i in X.segments],
+            "points": [point_to_doc(point_from_key(v)) for v in X.points],
+        }
+
+    return {
+        "targets": [point_to_doc(p) for p in r.targets],
+        "n": r.n,
+        "per_target_regions": [region(X) for X in r.per_target_regions],
+        "intersection_trace": [region(X) for X in r.intersection_trace],
+        "final": region(r.final),
+        "final_empty": r.final.is_empty(),
+    }
+
+
+def test_region_writer_matches_points_route():
+    # every grid cell's full fold and drop controls, written from keys,
+    # give the bytes the Points give
+    for c in build_grid().values():
+        reports = [verify_targets_blocked(c)]
+        reports += [verify_targets_blocked(c, drop_index=d) for d in range(c.k + 1)]
+        for r in reports:
+            got = doc_bytes(emptiness_report_to_doc(r))
+            assert got == doc_bytes(_points_route(r)), (c.k, c.n)
 
 
 def test_write_read_round_trip(tmp_path):

@@ -6,14 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import RegionReference, oracle_link_distances, reference_certificate_valid
+from oracles import (
+    RegionReference,
+    cycle_rank,
+    oracle_link_distances,
+    reference_certificate_valid,
+)
+from test_complexes import _complex_raws
 from vislink import Point, Segment, point
 from vislink.complexes import (
     PointNotOnComplex,
     _bfs,
     incident_segments,
+    intersection_fold,
     normalize,
 )
+from vislink.kernel import point_from_key
 from vislink.links import (
     PathCertificate,
     _lookup,
@@ -188,6 +196,27 @@ def test_common_viewer_matches_region_fold():
             common = [ref.probes[j] for j in ref.members(sets)[-1]]
             want = min(common) if common else None
             assert common_viewer(HEX, list(targets), n) == want, (n, targets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_complex_raws, st.data())
+def test_helly_on_acyclic_complexes(raws, data):
+    # an n-link region is a connected union of whole segments, a subtree
+    # when the union has no cycle, and subtrees that meet pairwise share
+    # a point: there the fold of regions meeting pairwise is not empty
+    C = normalize(raws)
+    if cycle_rank(C) != 0:
+        return
+    vertices = st.sampled_from(sorted(C.vertex_segments))
+    keys = data.draw(st.lists(vertices, min_size=3, max_size=5))
+    targets = [point_from_key(v) for v in keys]
+    for n in (1, 2, 3):
+        regions = [link_region(C, t, n) for t in targets]
+        if all(
+            not intersection_fold(C, pair)[-1].is_empty()
+            for pair in combinations(regions, 2)
+        ):
+            assert not intersection_fold(C, regions)[-1].is_empty(), n
 
 
 def test_common_viewer_result_sees_all_targets():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from oracles import RegionReference, reference_certificate_valid, reference_draw
 from test_complexes import _complex_raws
 from vislink import Point, Segment, point
-from vislink.complexes import contains_point, normalize
+from vislink.complexes import OneSet, contains_point, normalize
 from vislink.construct import build_family, make_polygon
 from vislink.docio import construction_from_doc, construction_to_doc
 from vislink.kernel import on_segment, parse_rat, rat_str
@@ -210,6 +210,7 @@ def test_trace_is_left_fold():
     sets = c.target_regions
     ref = RegionReference(c.complex.maximal_segments)
     for s, region in zip(sets, report.per_target_regions, strict=True):
+        assert region == OneSet(tuple(sorted(s)))
         assert ref.errors([s], (region,)) == []
     assert report.intersection_trace[0] == report.per_target_regions[0]
     assert ref.errors(sets, report.intersection_trace) == []
