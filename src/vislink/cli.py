@@ -87,7 +87,7 @@ def _cmd_gen(args) -> int:
         docio.write_doc(args.out, doc)
         print(
             f"gen: k={args.k} n={args.n} seed={args.seed} "
-            f"segments={len(c.complex.maximal_segments)} -> {args.out}"
+            f"segments={len(c.complex)} -> {args.out}"
         )
     else:
         sys.stdout.write(docio.doc_bytes(doc).decode("ascii"))
@@ -195,7 +195,7 @@ def _cmd_render(args) -> int:
     with open(args.svg_out, "wb") as f:
         f.write(svg.encode("ascii"))
     print(
-        f"render: {len(c.complex.maximal_segments)} segments, "
+        f"render: {len(c.complex)} segments, "
         f"{len(c.polygon.vertices)} vertices -> {args.svg_out}"
     )
     return 0

@@ -7,27 +7,29 @@ segment. That reduction is what makes 1-link visibility a common-maximal-
 segment test, and it is why the intersection graph over maximal segments is
 the whole story for link distances.
 
-Normalization and point location run on integers. The merge compares
-points by their keys (the predicate core's (xn, xd, yn, yd) tuples)
-through _k.pt_cmp, the order Point defines, and next to its maximal
-segments a complex keeps their endpoint keys and canonical lines and a
-vertex index, its one index. The vertices of the arrangement are the
-segment endpoints and the points where two maximal segments meet; the
-vertex index maps each to the segments through it. A point that is
-not a vertex lies on at most one maximal segment: two collinear maximal
-segments never touch (they would have merged), so two segments through
-one point meet only there, and that point is a vertex. Point location is
-therefore one lookup for a vertex and, for any other point, a scan that
-stops at the first segment through it; a query locates each of its
-points once. A point t lies on segment i exactly when it satisfies the
-integer line equation a*xn*yd + b*yn*xd == c*xd*yd of lines[i] and falls
-inside the segment's bounding box (_on, the one such test). A segment
-[p, q] lies in the union exactly when one maximal segment contains both
-endpoints, so segment membership is one point location plus that test:
-p is located, and q must lie on one of the segments through p. When p
-is a vertex, that is a lookup and at most deg(p) tests, with no scan.
-Naming a segment (a fan, a tail edge) reads the same index: both ends of
-a maximal segment are vertices, so segment_index compares endpoint keys
+Normalization and point location run on integers. A complex stores each
+maximal segment only as its endpoint keys (the predicate core's (xn, xd,
+yn, yd) tuples), lesser end first by _k.pt_cmp, the order Point defines;
+the merge compares points the same way. Beside them it keeps their
+canonical lines and a vertex index, its one index. Its Segments
+(maximal_segments) are a view, built on first read for callers that want
+Points. The vertices of the arrangement are the segment endpoints and the
+points where two maximal segments meet; the vertex index maps each to the
+segments through it. A point that is not a vertex lies on at most one
+maximal segment: two collinear maximal segments never touch (they would
+have merged), so two segments through one point meet only there, and
+that point is a vertex. Point location is therefore one lookup for a
+vertex and, for any other point, a scan that stops at the first segment
+through it; a query locates each of its points once. A point t lies on
+segment i exactly when it satisfies the integer line equation
+a*xn*yd + b*yn*xd == c*xd*yd of lines[i] and falls inside the segment's
+bounding box (_on, the one such test). A segment [p, q] lies in the
+union exactly when one maximal segment contains both endpoints, so
+segment membership is one point location plus that test: p is located,
+and q must lie on one of the segments through p. When p is a vertex,
+that is a lookup and at most deg(p) tests, with no scan. Naming a
+segment (a fan, a tail edge) reads the same index: both ends of a
+maximal segment are vertices, so segment_index compares endpoint keys
 with the segments through the first end.
 
 A viewer region of radius >= 1 is a union of whole maximal segments, so
@@ -84,85 +86,84 @@ Key = Tuple[int, int, int, int]
 LineKey = Tuple[int, int, int]
 
 
-def _keys_cmp(a, b) -> int:
-    """Segment order on entries that start with an endpoint-key pair."""
-    return _k.pt_cmp(a[0][0], b[0][0]) or _k.pt_cmp(a[0][1], b[0][1])
+def _pair_cmp(a: Tuple[Key, Key], b: Tuple[Key, Key]) -> int:
+    """Segment order on endpoint-key pairs."""
+    return _k.pt_cmp(a[0], b[0]) or _k.pt_cmp(a[1], b[1])
 
 
-_entry_order = cmp_to_key(_keys_cmp)
+_pair_order = cmp_to_key(_pair_cmp)
 _key_order = cmp_to_key(_k.pt_cmp)
 
 
 def _merge_collinear(
     segs: Iterable[Segment],
-) -> List[Tuple[Tuple[Key, Key], Segment, LineKey]]:
+) -> List[Tuple[Tuple[Key, Key], LineKey]]:
     """Merge collinear segments with touching or overlapping closed hulls.
 
-    Returns (endpoint keys, segment, canonical line) per merged segment,
-    in Segment order. Points are compared on their integer keys by
-    _k.pt_cmp, the order Point defines. Restricted to one line that order
-    is a linear order along the line, so a sort-and-sweep per line group
-    suffices. A merged segment is built from the input Points, and a
-    segment that absorbs nothing comes back as it went in.
+    Returns (endpoint keys, canonical line) per merged segment, in Segment
+    order. Points are compared on their integer keys by _k.pt_cmp, the
+    order Point defines. Restricted to one line that order is a linear
+    order along the line, so a sort-and-sweep per line group suffices, and
+    each merged pair keeps its lesser end first, as Segment stores it.
     """
-    groups: Dict[LineKey, List[Tuple[Tuple[Key, Key], Segment]]] = {}
+    groups: Dict[LineKey, List[Tuple[Key, Key]]] = {}
     for s in segs:
         ks = (s.p.key, s.q.key)
-        groups.setdefault(_k.line3(*ks), []).append((ks, s))
+        groups.setdefault(_k.line3(*ks), []).append(ks)
     cmp = _k.pt_cmp
-    out: List[Tuple[Tuple[Key, Key], Segment, LineKey]] = []
+    out: List[Tuple[Tuple[Key, Key], LineKey]] = []
     for line, group in groups.items():
-        group.sort(key=_entry_order)
-        (start, end), first = group[0]
-        far = first  # the segment whose second endpoint ends the run
-        for (pk, qk), s in group[1:]:
+        group.sort(key=_pair_order)
+        start, end = group[0]
+        for pk, qk in group[1:]:
             if cmp(pk, end) > 0:
-                out.append(_run(start, end, first, far, line))
-                start, end, first, far = pk, qk, s, s
+                out.append(((start, end), line))
+                start, end = pk, qk
             elif cmp(end, qk) < 0:
-                end, far = qk, s
-        out.append(_run(start, end, first, far, line))
-    out.sort(key=_entry_order)
+                end = qk
+        out.append(((start, end), line))
+    out.sort(key=lambda e: _pair_order(e[0]))
     return out
-
-
-def _run(start: Key, end: Key, first: Segment, far: Segment, line: LineKey):
-    """The merge entry of a run from first's first endpoint to far's second."""
-    seg = first if far is first else Segment(first.p, far.q)
-    return (start, end), seg, line
 
 
 @dataclass(frozen=True)
 class SegmentComplex:
     """Normalized union of segments plus its intersection graph.
 
-    adjacency[i] holds, in ascending order, the indices of the maximal
-    segments whose closed hulls meet maximal_segments[i] (i itself
-    excluded). keys[i] is the integer endpoint pair and lines[i] the
-    canonical line of maximal_segments[i]. vertex_segments maps the key
-    of every vertex (an endpoint, or a point where two maximal segments
-    meet) to the ascending indices of the segments through it; every
-    other point of the union lies on exactly one maximal segment. This
-    one location index answers point and segment membership alike, and
-    names a maximal segment (segment_index): both its endpoints are
-    vertices. These three are derived from maximal_segments, so equality
-    ignores them.
+    keys[i] is the endpoint-key pair of maximal segment i, lesser end
+    first, in Segment order; it is the one stored form of a maximal
+    segment. adjacency[i] holds, in ascending order, the indices of the
+    maximal segments whose closed hulls meet segment i (i itself
+    excluded). lines[i] is the canonical line of segment i.
+    vertex_segments maps the key of every vertex (an endpoint, or a point
+    where two maximal segments meet) to the ascending indices of the
+    segments through it; every other point of the union lies on exactly
+    one maximal segment. This one location index answers point and
+    segment membership alike, and names a maximal segment
+    (segment_index): both its endpoints are vertices. lines and
+    vertex_segments are derived from keys, so equality ignores them.
 
-    The segment distance table is built on first read and then kept by
-    the complex; as a cached property it takes no part in equality or
-    repr. distances[i][j] is the graph distance from segment i to
-    segment j, None when they lie in different components. Row i is
+    Two views are built on first read and then kept by the complex; as
+    cached properties they take no part in equality or repr.
+    maximal_segments holds the Segment of every key pair, for callers
+    that want Points. distances[i][j] is the graph distance from segment
+    i to segment j, None when they lie in different components. Row i is
     _bfs(C, (i,))[0], one BFS per maximal segment.
     """
 
-    maximal_segments: Tuple[Segment, ...]
+    keys: Tuple[Tuple[Key, Key], ...]
     adjacency: Tuple[Tuple[int, ...], ...]
-    keys: Tuple[Tuple[Key, Key], ...] = field(compare=False, repr=False)
     lines: Tuple[LineKey, ...] = field(compare=False, repr=False)
     vertex_segments: Dict[Key, Tuple[int, ...]] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
-        return len(self.maximal_segments)
+        return len(self.keys)
+
+    @cached_property
+    def maximal_segments(self) -> Tuple[Segment, ...]:
+        return tuple(
+            Segment(point_from_key(p), point_from_key(q)) for p, q in self.keys
+        )
 
     @cached_property
     def distances(self) -> Tuple[Tuple[Optional[int], ...], ...]:
@@ -177,7 +178,7 @@ def _bfs(C: SegmentComplex, seeds: Sequence[int]):
     depend only on the complex and the seeds. Returns (dist, parent);
     unreached entries stay None.
     """
-    m = len(C.maximal_segments)
+    m = len(C.keys)
     dist: List[Optional[int]] = [None] * m
     parent: List[Optional[int]] = [None] * m
     queue = deque()
@@ -204,8 +205,8 @@ def normalize(raw: Sequence[Segment]) -> SegmentComplex:
     segs = list(raw)
     if not segs:
         raise EmptyInput("no segments")
-    keys, maximal, lines = zip(*_merge_collinear(segs))
-    m = len(maximal)
+    keys, lines = zip(*_merge_collinear(segs))
+    m = len(keys)
     # Maximal segments on one line never touch (they would have merged),
     # so two of them meet exactly when their lines cross at a point inside
     # both bounding boxes. That point is (xn/det, yn/det) with det > 0,
@@ -239,9 +240,8 @@ def normalize(raw: Sequence[Segment]) -> SegmentComplex:
                 meet.add(i)
                 meet.add(j)
     return SegmentComplex(
-        maximal,
-        tuple(map(tuple, adj)),
         keys,
+        tuple(map(tuple, adj)),
         lines,
         {t: tuple(sorted(idx)) for t, idx in vertices.items()},
     )

@@ -365,7 +365,7 @@ def build_family(p: PolygonSpec, n: int = 2) -> Construction:
                 raw.append(Segment(t[r], t[r + 1]))
 
     C = normalize(raw)
-    if len(C.maximal_segments) != len(raw):
+    if len(C) != len(raw):
         raise SideConditionFailed(
             "construction segments must survive normalization unmerged"
         )

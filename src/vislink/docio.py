@@ -15,11 +15,12 @@ non-str key or any other type. With indent set, json.dumps runs the
 pure-Python encoder; this writer joins whole lists of strings in one call
 instead. It yields the text in pieces: doc_bytes joins them, and
 write_doc writes them as they come, so a file never needs the whole text
-in memory (a 200-step k=3 audit log is about 32 MB). Audit logs are written from the shutter's integer scalars: the
-axis point with canonical abscissa (n, d) is ["n/d", "0/1"], the strings
-rat_str gives for it. Report regions are written from the complex's
-integer keys the same way: the point with key (xn, xd, yn, yd) is
-["xn/xd", "yn/yd"].
+in memory (a 200-step k=3 audit log is about 32 MB). Audit logs are
+written from the shutter's integer scalars: the axis point with canonical
+abscissa (n, d) is ["n/d", "0/1"], the strings rat_str gives for it. A
+construction's segments, report regions and witness paths are written
+from the integer keys the complex and the certificates store, the same
+way: the point with key (xn, xd, yn, yd) is ["xn/xd", "yn/yd"].
 
 Readers validate shape and reconstruct full domain objects from the
 serialized geometry alone. A construction document carries its complex
@@ -109,7 +110,7 @@ def construction_to_doc(c: Construction) -> Dict[str, Any]:
         "seed": c.polygon.seed,
         "retry_count": c.polygon.retry_count,
         "polygon": [point_to_doc(p) for p in c.polygon.vertices],
-        "segments": [segment_to_doc(s) for s in c.complex.maximal_segments],
+        "segments": [list(map(_key_doc, ks)) for ks in c.complex.keys],
         "fans": [list(g) for g in c.B],
         "c": [point_to_doc(p) for p in c.c],
         "gamma": [[point_to_doc(p) for p in t] for t in c.gamma],
@@ -243,7 +244,7 @@ def tuples_from_doc(doc: Any) -> List[Tuple[Point, ...]]:
 
 def _certificate_to_doc(cert: PathCertificate) -> Dict[str, Any]:
     return {
-        "vertices": [point_to_doc(p) for p in cert.vertices],
+        "vertices": [_key_doc(k) for k in cert.keys],
         "links": cert.links,
     }
 

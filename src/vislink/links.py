@@ -17,9 +17,12 @@ radius j >= 1 is a union of whole maximal segments, so a region is the
 frozenset of their indices; regions are intersected on those indices
 (complexes.intersection_fold).
 
-The re-check (certificate_valid) runs on the vertices' integer keys, as
-complexes.contains_segment does, and locates from the certificate's own
-vertices, never from the search that built it.
+A certificate holds the integer keys of its vertices, the form the search
+finds them in: the source's, the key of each bend as the crossing of the
+stored lines, and the target's. Its Points (PathCertificate.vertices) are
+a view for callers. The re-check (certificate_valid) runs on those keys,
+as complexes.contains_segment does, and locates from the certificate's
+own vertices, never from the search that built it.
 
 Distances come from the complex's segment distance table
 (SegmentComplex.distances, one BFS per maximal segment, built on first
@@ -45,6 +48,7 @@ from typing import Optional, Sequence, Tuple
 
 from . import _pure as _k
 from .complexes import (
+    Key,
     SegmentComplex,
     _bfs,
     _contains,
@@ -59,28 +63,43 @@ class VerificationFailed(GeometryError):
     """A mathematical claim check came out false."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PathCertificate:
-    """Witness path: vertices (p, x_1, ..., x_{m-1}, q) with m = links."""
+    """Witness path (p, x_1, ..., x_{m-1}, q) with m = links, stored as the
+    keys of its vertices; vertices is their Point view, built on each read.
 
-    vertices: Tuple[Point, ...]
+    A caller that edits a path as Points, dataclasses.replace(cert,
+    vertices=...), passes them as vertices, and their keys are stored.
+    """
+
+    keys: Tuple[Key, ...]
     links: int
+
+    def __init__(self, keys: Tuple[Key, ...], links: int, *, vertices=None):
+        if vertices is not None:
+            keys = tuple(v.key for v in vertices)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "links", links)
+
+    @property
+    def vertices(self) -> Tuple[Point, ...]:
+        return tuple(map(point_from_key, self.keys))
 
 
 def certificate_valid(C: SegmentComplex, cert: PathCertificate, bound: int) -> bool:
     """Independent re-check: links contained, consecutive vertices distinct,
     intermediate vertices pairwise distinct, link count within bound.
 
-    Runs on the vertices' keys, each read once. A key is canonical, so two
-    keys are equal exactly when the points are, whatever the coordinate
-    types. Each link is checked from the certificate's own vertices
-    (complexes._contains), not from the search that built it.
+    Runs on the certificate's keys. A key is canonical, so two keys are
+    equal exactly when the points are. Each link is checked from the
+    certificate's own vertices (complexes._contains), not from the search
+    that built it.
     """
-    if not cert.vertices or cert.links != len(cert.vertices) - 1:
+    ks = cert.keys
+    if not ks or cert.links != len(ks) - 1:
         return False
     if cert.links > bound:
         return False
-    ks = [v.key for v in cert.vertices]
     if len(ks) == 1:
         return _contains(C, ks[0], ks[0])
     for a, b in zip(ks, ks[1:]):
@@ -170,16 +189,16 @@ def link_distance(C: SegmentComplex, p: Point, q: Point) -> Optional[int]:
     return 1 + d
 
 
-def _meet_point(C: SegmentComplex, i: int, j: int) -> Point:
-    """The single point where two distinct maximal segments meet: the
-    crossing of their lines. certificate_valid checks that it lies on
-    both."""
+def _meet_point(C: SegmentComplex, i: int, j: int) -> Key:
+    """The key of the single point where two distinct maximal segments
+    meet: the crossing of their lines. certificate_valid checks that it
+    lies on both."""
     kind, payload = _k.line_meet(C.lines[i], C.lines[j])
     if kind != 1:
         raise VerificationFailed(
             f"maximal segments {i} and {j} do not meet in a single point"
         )
-    return point_from_key(payload)
+    return payload
 
 
 def tree_path(
@@ -197,18 +216,18 @@ def tree_path(
         return None
     p = tree.source
     if links == 0:
-        return PathCertificate((p,), 0)
+        return PathCertificate((p.key,), 0)
     if links == 1:
-        return PathCertificate((p, q), 1)
+        return PathCertificate((p.key, q.key), 1)
     chain = [last]
     while tree.parent[chain[-1]] is not None:
         chain.append(tree.parent[chain[-1]])
     chain.reverse()  # segment through p first
-    vertices = [p]
+    keys = [p.key]
     for a, b in zip(chain, chain[1:]):
-        vertices.append(_meet_point(C, a, b))
-    vertices.append(q)
-    cert = PathCertificate(tuple(vertices), len(chain))
+        keys.append(_meet_point(C, a, b))
+    keys.append(q.key)
+    cert = PathCertificate(tuple(keys), len(chain))
     if not certificate_valid(C, cert, n):
         raise VerificationFailed(
             f"path certificate {point_str(p)} -> {point_str(q)} fails its re-check"

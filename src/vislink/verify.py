@@ -75,9 +75,9 @@ class WitnessReport:
 class EmptinessReport:
     """Region-intersection trace proving the targets share no viewer.
 
-    Each region and trace entry is a OneSet of indices into
-    complex.maximal_segments and keys of its vertices, so the complex
-    travels with the report."""
+    Each region and trace entry is a OneSet of maximal-segment indices
+    of complex (into complex.keys) and keys of its vertices, so the
+    complex travels with the report."""
 
     complex: SegmentComplex = field(repr=False)
     targets: Tuple[Point, ...]

@@ -118,9 +118,10 @@ def _collinear_pieces(draw):
 @given(_collinear_pieces())
 def test_merge_matches_fraction_reference(segs):
     merged = _merge_collinear(segs)
-    assert [s for _, s, _ in merged] == reference_merge(segs)
-    for (pk, qk), s, line in merged:
-        assert (pk, qk) == (s.p.key, s.q.key)
+    view = [Segment(point_from_key(pk), point_from_key(qk)) for (pk, qk), _ in merged]
+    assert view == reference_merge(segs)
+    for ((pk, qk), line), s in zip(merged, view):
+        assert (pk, qk) == (s.p.key, s.q.key)  # the view swaps no endpoint
         assert line == _k.line3(pk, qk)
 
 
@@ -397,6 +398,16 @@ def test_contains_segment_matches_brute_scan(raws, pairs):
 
 @settings(max_examples=200, deadline=None)
 @given(_complex_raws)
+def test_segment_view_matches_keys(raws):
+    # the Segments are built from the stored keys without swapping an
+    # end, and they normalize back to the same complex
+    C = normalize(raws)
+    assert [(s.p.key, s.q.key) for s in C.maximal_segments] == list(C.keys)
+    assert normalize(C.maximal_segments) == C
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complex_raws)
 def test_vertex_index_matches_brute_force(raws):
     # the vertices are the endpoints and the single-point meets of two
     # maximal segments; each maps to every segment through it
@@ -425,7 +436,7 @@ def test_adjacency_matches_segment_intersection(raws):
         for j in row:
             s, t = segs[i], segs[j]
             kind, at = _k.seg_meet(s.p.key, s.q.key, t.p.key, t.q.key)
-            assert kind == 1 and _meet_point(C, i, j) == point_from_key(at)
+            assert kind == 1 and _meet_point(C, i, j) == at
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,6 +11,7 @@ from vislink.complexes import segment_index
 from vislink.construct import build_family, make_polygon
 from vislink.docio import (
     DocumentError,
+    _certificate_to_doc,
     audit_to_doc,
     construction_from_doc,
     construction_to_doc,
@@ -27,7 +28,7 @@ from vislink.docio import (
 )
 from vislink.kernel import point, point_from_key
 from vislink.shutter import gen_tuples, run_schedule
-from vislink.verify import verify_targets_blocked
+from vislink.verify import sample_tuples, verify_common_witness, verify_targets_blocked
 
 K3 = (point(-1, -1), point(0, -2), point(1, -1))
 
@@ -160,6 +161,24 @@ def test_region_writer_matches_points_route():
         for r in reports:
             got = doc_bytes(emptiness_report_to_doc(r))
             assert got == doc_bytes(_points_route(r)), (c.k, c.n)
+
+
+def test_segment_and_path_writers_match_points_route():
+    # every grid cell's segments and witness paths, written from keys,
+    # give the bytes the Segment and Point views give
+    for c in build_grid().values():
+        got = construction_to_doc(c)["segments"]
+        want = [segment_to_doc(s) for s in c.complex.maximal_segments]
+        assert doc_bytes({"segments": got}) == doc_bytes({"segments": want})
+        tuples = sample_tuples(c.complex, c.k, 5, seed=10 * c.n + c.k)
+        tuples.append(tuple(c.polygon.a(i) for i in range(c.k)))  # 0-link paths
+        for pts in tuples:
+            for cert in verify_common_witness(c, pts).paths:
+                want = {
+                    "vertices": [point_to_doc(v) for v in cert.vertices],
+                    "links": cert.links,
+                }
+                assert doc_bytes(_certificate_to_doc(cert)) == doc_bytes(want)
 
 
 def test_write_read_round_trip(tmp_path):

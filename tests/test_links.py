@@ -1,5 +1,6 @@
 """Link regions, link distances, certificates, common viewers."""
 
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -12,7 +13,6 @@ from oracles import (
     oracle_link_distances,
     reference_certificate_valid,
 )
-from test_complexes import _complex_raws
 from vislink import Point, Segment, point
 from vislink.complexes import (
     PointNotOnComplex,
@@ -37,6 +37,11 @@ from vislink.rng import Stream, derive
 
 def seg(a, b, c, d):
     return Segment(point(a, b), point(c, d))
+
+
+def path(links, *vertices):
+    """The certificate of a path given as Points."""
+    return PathCertificate(tuple(v.key for v in vertices), links)
 
 
 # convex hexagon boundary, counterclockwise
@@ -124,6 +129,17 @@ def test_certificate_two_links_bends_at_shared_vertex():
     assert certificate_valid(HEX, cert, 2)
 
 
+def test_certificate_edited_as_points_keeps_only_keys():
+    # dataclasses.replace(cert, vertices=...) is how a caller moves a
+    # vertex given as Points; the copy stores their keys
+    cert = n_visible(HEX, HEX_V[0], HEX_V[2], 2)
+    assert replace(cert, vertices=cert.vertices) == cert
+    moved = replace(cert, vertices=(HEX_V[0], Point(0, 0), HEX_V[2]))
+    assert moved.keys == (HEX_V[0].key, (0, 1, 0, 1), HEX_V[2].key)
+    assert moved.vertices == (HEX_V[0], point(0, 0), HEX_V[2])
+    assert not certificate_valid(HEX, moved, 2)
+
+
 def test_certificate_absent_when_bound_too_small():
     assert n_visible(HEX, HEX_V[0], HEX_V[2], 1) is None
     assert n_visible(HEX, HEX_V[0], HEX_V[3], 2) is None
@@ -131,7 +147,7 @@ def test_certificate_absent_when_bound_too_small():
 
 def test_certificate_same_point():
     cert = n_visible(HEX, HEX_V[1], HEX_V[1], 1)
-    assert cert == PathCertificate((HEX_V[1],), 0)
+    assert cert == path(0, HEX_V[1])
     assert certificate_valid(HEX, cert, 1)
 
 
@@ -142,13 +158,11 @@ def test_certificate_one_link():
 
 
 def test_certificate_validator_rejects_garbage():
-    bogus = PathCertificate((HEX_V[0], HEX_V[3]), 1)  # chord, not on union
+    bogus = path(1, HEX_V[0], HEX_V[3])  # chord, not on union
     assert not certificate_valid(HEX, bogus, 1)
-    wrong_count = PathCertificate((HEX_V[0], HEX_V[1]), 2)
+    wrong_count = path(2, HEX_V[0], HEX_V[1])
     assert not certificate_valid(HEX, wrong_count, 2)
-    repeated = PathCertificate(
-        (HEX_V[0], HEX_V[1], HEX_V[0], HEX_V[1], HEX_V[2]), 4
-    )
+    repeated = path(4, HEX_V[0], HEX_V[1], HEX_V[0], HEX_V[1], HEX_V[2])
     assert not certificate_valid(HEX, repeated, 4)
 
 
@@ -157,13 +171,13 @@ def test_certificate_validator_compares_points_by_value():
     v1 = Point(2, 3)
     # only the inner-vertex test rejects the first, only the consecutive
     # test the second, and only point location the third
-    repeat = PathCertificate((HEX_V[0], v1, HEX_V[0], HEX_V[1], HEX_V[2]), 4)
-    stutter = PathCertificate((HEX_V[0], HEX_V[1], v1), 2)
-    off = PathCertificate((point(0, 0),), 0)
+    repeat = path(4, HEX_V[0], v1, HEX_V[0], HEX_V[1], HEX_V[2])
+    stutter = path(2, HEX_V[0], HEX_V[1], v1)
+    off = path(0, point(0, 0))
     for cert in (repeat, stutter, off):
         assert not certificate_valid(HEX, cert, 5)
         assert not reference_certificate_valid(HEX, cert, 5)
-    mixed = PathCertificate((HEX_V[0], v1, HEX_V[2]), 2)
+    mixed = path(2, HEX_V[0], v1, HEX_V[2])
     assert certificate_valid(HEX, mixed, 2)
     assert reference_certificate_valid(HEX, mixed, 2)
 
@@ -198,25 +212,102 @@ def test_common_viewer_matches_region_fold():
             assert common_viewer(HEX, list(targets), n) == want, (n, targets)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_complex_raws, st.data())
-def test_helly_on_acyclic_complexes(raws, data):
+def _grid_point(stream):
+    return stream.below(9) - 4, stream.below(9) - 4
+
+
+def _planted_raws(stream, count):
+    """At least count segments with ends on the integer grid [-4, 4]^2.
+    One complex in three is a star: every segment runs through one grid
+    point c, ending there or going on to the mirror image of its far end.
+    One in three starts with a short cycle, the edges of a triangle or a
+    quadrilateral on random corners. The rest are random."""
+    kind = stream.below(3)
+    raws = []
+    if kind == 1:
+        m = 3 + stream.below(2)
+        corners = [_grid_point(stream) for _ in range(m)]
+        for i in range(m):
+            a, b = corners[i], corners[(i + 1) % m]
+            if a != b:
+                raws.append(seg(*a, *b))
+    c = _grid_point(stream)
+    while len(raws) < count:
+        a = _grid_point(stream)
+        if kind == 0:
+            b = c if stream.below(2) else (2 * c[0] - a[0], 2 * c[1] - a[1])
+        else:
+            b = _grid_point(stream)
+        if a != b:
+            raws.append(seg(*a, *b))
+    return raws
+
+
+def _meet(C, a, b):
+    """Whether two regions, sets of whole maximal segments given by their
+    indices, share a point: they hold a common segment or two adjacent
+    ones. Decided on the intersection graph, not by the fold."""
+    return not a.isdisjoint(b) or any(not b.isdisjoint(C.adjacency[i]) for i in a)
+
+
+def test_helly_on_acyclic_complexes():
     # an n-link region is a connected union of whole segments, a subtree
     # when the union has no cycle, and subtrees that meet pairwise share
-    # a point: there the fold of regions meeting pairwise is not empty
-    C = normalize(raws)
-    if cycle_rank(C) != 0:
-        return
-    vertices = st.sampled_from(sorted(C.vertex_segments))
-    keys = data.draw(st.lists(vertices, min_size=3, max_size=5))
-    targets = [point_from_key(v) for v in keys]
-    for n in (1, 2, 3):
-        regions = [link_region(C, t, n) for t in targets]
+    # a point: there the fold of regions meeting pairwise is not empty.
+    # The planted cycles give the contrast, pairwise meets with an empty
+    # fold, so a fold that empties too often cannot pass
+    held = contrast = 0
+    for case in range(3000):
+        stream = Stream(derive(9173, case))
+        C = normalize(_planted_raws(stream, 2 + stream.below(6)))
+        acyclic = cycle_rank(C) == 0
+        vertices = sorted(C.vertex_segments)
+        targets = [
+            point_from_key(vertices[stream.below(len(vertices))])
+            for _ in range(3 + stream.below(3))
+        ]
+        for n in (1, 2, 3):
+            regions = [link_region(C, t, n) for t in targets]
+            if all(_meet(C, a, b) for a, b in combinations(regions, 2)):
+                empty = intersection_fold(C, regions)[-1].is_empty()
+                assert not (acyclic and empty), (case, n)
+                held += acyclic
+                contrast += empty
+    assert held > 1000 and contrast > 20, (held, contrast)
+
+
+def _edge_midpoints(C):
+    """The midpoint of every subdivision edge: two consecutive vertices
+    along a maximal segment. It lies on that segment alone."""
+    out = []
+    for i in range(len(C)):
+        on = sorted(point_from_key(v) for v, t in C.vertex_segments.items() if i in t)
+        out += [Point((a.x + b.x) / 2, (a.y + b.y) / 2) for a, b in zip(on, on[1:])]
+    return out
+
+
+def test_one_link_regions_meeting_in_triples_share_a_point():
+    # n = 1: a midpoint's 1-link region is its one maximal segment. Two
+    # distinct maximal segments meet in at most one point, so if every
+    # triple of them is concurrent, all pass through one point: folds
+    # non-empty on every triple are non-empty on the whole set. Meeting
+    # pairwise is not enough (a triangle), and some case must show it
+    held = contrast = 0
+    for case in range(2000):
+        stream = Stream(derive(5501, case))
+        C = normalize(_planted_raws(stream, 2 + stream.below(7)))
+        mids = _edge_midpoints(C)
+        points = [mids[stream.below(len(mids))] for _ in range(4 + stream.below(3))]
+        regions = [link_region(C, p, 1) for p in points]
         if all(
-            not intersection_fold(C, pair)[-1].is_empty()
-            for pair in combinations(regions, 2)
+            not intersection_fold(C, t)[-1].is_empty()
+            for t in combinations(regions, 3)
         ):
-            assert not intersection_fold(C, regions)[-1].is_empty(), n
+            assert not intersection_fold(C, regions)[-1].is_empty(), case
+            held += 1
+        elif all(_meet(C, a, b) for a, b in combinations(regions, 2)):
+            contrast += 1
+    assert held > 500 and contrast > 20, (held, contrast)
 
 
 def test_common_viewer_result_sees_all_targets():

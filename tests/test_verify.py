@@ -363,21 +363,21 @@ def _mutations(C, cert):
     """(certificate, bound, expected verdict or None) for cert and copies of
     it with a wrong link count, a tighter bound, one inner vertex dropped,
     or one bend moved along its incoming link's line past that segment's
-    end."""
-    vs, m = list(cert.vertices), cert.links
+    end. The copies are built on keys; the bend is moved on Points."""
+    ks, vs, m = list(cert.keys), cert.vertices, cert.links
     yield cert, m, True
     yield replace(cert, links=m + 1), m + 1, False
     if m >= 1:
         yield cert, m - 1, False
         yield replace(cert, links=m - 1), m, False
     for i in range(1, m):
-        yield PathCertificate(tuple(vs[:i] + vs[i + 1 :]), m - 1), m, None
+        yield PathCertificate(tuple(ks[:i] + ks[i + 1 :]), m - 1), m, None
         a, x = vs[i - 1], vs[i]
         s = next(s for s in C.maximal_segments if on_segment(a, s) and on_segment(x, s))
         ahead = (s.q.x - s.p.x) * (x.x - a.x) + (s.q.y - s.p.y) * (x.y - a.y) > 0
         e = s.q if ahead else s.p
         moved = Point(2 * e.x - a.x, 2 * e.y - a.y)  # past e, on the line of s
-        yield PathCertificate(tuple(vs[:i] + [moved] + vs[i + 1 :]), m), m, False
+        yield PathCertificate(tuple(ks[:i] + [moved.key] + ks[i + 1 :]), m), m, False
 
 
 @pytest.mark.parametrize("k, n", [(2, 2), (3, 4), (4, 3), (5, 5)])
