@@ -170,13 +170,16 @@ def link_distance(C: SegmentComplex, p: Point, q: Point) -> Optional[int]:
     """Least number of links joining p to q inside the union; None when they
     lie in different connected components.
 
-    Locates each point once and reads the segment distance table. A
-    multi-source BFS distance is the least of the single-source ones, so
-    this is the search tree's answer.
+    Reads each point's key once and locates it in the vertex index,
+    falling back to incident_segments for a point that is not a vertex
+    (p first, so an off-complex p raises). Then it reads the segment
+    distance table. A multi-source BFS distance is the least of the
+    single-source ones, so this is the search tree's answer.
     """
-    through_p = incident_segments(C, p)  # first, so an off-complex p raises
-    through_q = incident_segments(C, q)
-    if through_p == through_q and p == q:
+    kp, kq = p.key, q.key
+    through_p = C.vertex_segments.get(kp) or incident_segments(C, p)
+    through_q = C.vertex_segments.get(kq) or incident_segments(C, q)
+    if kp == kq:
         return 0
     D = C.distances
     # the segments through one point meet there, so they lie in one

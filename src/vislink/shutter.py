@@ -24,14 +24,21 @@ sight lines.
 
 Each step runs that scan once, at the end of its admission, over the
 pairs of sight lines that involve a line the step added (the basis scans
-every pair). For each strictly upper crossing z it finds the least K-point
-whose crossing from z is not admitted. If there is none, z sees all of K
-and the step fails. Otherwise, if z is new, that crossing becomes a
-pending block: the next step commits it to B before its sweep and lists
-it in its record, and the last step's pending blocks are never
-committed. Pairs of two older lines need no scan: the state before the
-step had no viewer, and a viewer after it sees some K-point through a
-crossing the step admitted, so it lies on a line the step added.
+every pair). Of those it meets only the pairs that can cross strictly
+above the axis: a sight line through a_v meets one through a_u there
+exactly when a_v lies in an interval that a bisection of the sorted
+admitted points finds (the interval lemma of _pure), and every candidate
+still gets the exact test. For each strictly upper crossing z it finds
+the least K-point whose crossing from z is not admitted. If there is
+none, z sees all of K and the step fails. Otherwise, if z is new, that
+crossing becomes a pending block: the next step commits it to B before
+its sweep and lists it in its record, and the last step's pending blocks
+are never committed. Only the block is reduced to lowest terms: a
+crossing is first screened on its integer key floor(x * 2**64), and one
+whose key no admitted point has is not admitted. Pairs of two older
+lines need no scan: the state before the step had no viewer, and a
+viewer after it sees some K-point through a crossing the step admitted,
+so it lies on a line the step added.
 
 A step cannot create a viewer. A viewer z sees each K-point via its own
 A-point, since an A-point serving two K-points would put z on a K-pair
@@ -67,13 +74,15 @@ and B are checked disjoint after every step, so z never sees all of K.
 find_common_viewer, the CLI's independent cross-check of the final
 state, scans one K-pair. A viewer z sees K[0] via some a_u and K[1] via
 some a_v. If u != v, z is the upper crossing of the sight lines
-(a_u, K[0]) and (a_v, K[1]): |A|^2 pairs. If u == v, a_u is the axis
-crossing c01 of the line K[0]K[1], in B0 unless the state is corrupted;
-then z is where that line meets the sight line toward a K-point off it,
-so when c01 is admitted the line is met with every sight line too. If
-all of K is collinear and c01 is admitted, every upper point of that
-line is a viewer and no sight line crosses it above the axis; both scans
-then return the line's point at y = 1.
+(a_u, K[0]) and (a_v, K[1]); of those |A|^2 pairs it meets the ones that
+the interval lemma leaves, enumerated by the helper the step's scan
+uses. If u == v, a_u is the axis crossing c01 of the line K[0]K[1], in
+B0 unless the state is corrupted; then z is where that line meets the
+sight line toward a K-point off it, so when c01 is admitted the line is
+met with every sight line too. If all of K is collinear and c01 is
+admitted, every upper point of that line is a viewer and no sight line
+crosses it above the axis; both scans then return the line's point at
+y = 1.
 
 The basis (init_state) and every step (advance) choose their witness by
 one sweep, each over its own candidate sequence, and admit its crossings

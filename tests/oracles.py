@@ -12,15 +12,19 @@ along the drawn segment, and reference_certificate_valid the certificate
 re-check on Points, with containment decided by on_segment over the
 maximal segments. The shutter references work on Fraction pairs;
 planted_state builds the shutter state with a known viewer that both
-scans must detect.
+scans must detect, and reference_danger_scan is the shutter's per-step
+scan as it ran over every pair of sight lines, before its candidates
+were bisected.
 """
 
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import Dict, Iterable, List, Tuple
 
 from vislink import _pure as _k
+from vislink._pure import _other_coefs, norm2, orient
 from vislink.kernel import Point, Segment, on_segment, point_from_key
 from vislink.shutter import ShutterState, _admit_crossing
 
@@ -411,3 +415,54 @@ class ReferenceShutter:
             tuple((c.numerator, c.denominator) for c in a_added),
             len(self.B),
         ))
+
+
+def reference_danger_scan(lines, start, ys, aidx, pending):
+    """The shutter's danger scan as it ran before its candidates were
+    bisected: every pair p > q of a line added since the last scan with
+    an earlier line through a different forbidden point is intersected,
+    and every crossing toward the other forbidden points is reduced and
+    looked up. Same arguments, return value and pending list as
+    _pure.danger_scan, which must match it call by call."""
+    k1 = len(ys)
+    n = len(lines)
+    others = _other_coefs(ys)
+    collinear = all(orient(ys[0], ys[1], y) == 0 for y in ys[2:])
+    for p in range(start, n):
+        i = p % k1
+        rest = others[i]
+        a1, b1, c1 = lines[p]
+        for q in range(p):
+            j = q % k1
+            if j == i:
+                continue
+            a2, b2, c2 = lines[q]
+            det = a1 * b2 - a2 * b1
+            if det == 0:
+                if collinear and (a1, b1, c1) == (a2, b2, c2):
+                    return norm2(c1 - b1, a1) + (1, 1)
+                continue
+            yn = a1 * c2 - a2 * c1
+            if yn == 0 or (yn > 0) != (det > 0):
+                continue
+            xn = c1 * b2 - c2 * b1
+            if det < 0:
+                xn, yn, det = -xn, -yn, -det
+            block = None
+            new = True
+            for m, ca, cb, cc in rest[j]:
+                num = yn * ca - xn * cb
+                den = yn * cc - det * cb
+                g = gcd(num, den)
+                c = (num // g, den // g)
+                u = aidx.get(c)
+                if u is None:
+                    if block is None:
+                        block = c
+                elif u * k1 + m < p:
+                    new = False
+            if block is None:
+                return norm2(xn, det) + norm2(yn, det)
+            if new:
+                pending.append(block)
+    return None

@@ -241,6 +241,25 @@ def test_n2_reports_match_pinned_digests(tmp_path, monkeypatch):
         assert got == want, argv
 
 
+# sha256 of two longer shutter logs, taken before the danger scan met only
+# the sight-line pairs that can cross above the axis: 200 steps at k = 3
+# (31.6 MB) and 60 steps at k = 4, where each pair has three other crossings
+PINNED_LONG_LOGS = (
+    (["shutter", "--k", "3", "--steps", "200", "--seed", "7", "--out", "a3.json"],
+     "307b625c5e9f024b8515d827b05f89f52916bcb52f1dfe29ebc8670ce3097977"),
+    (["shutter", "--k", "4", "--steps", "60", "--seed", "7", "--out", "a4.json"],
+     "b9517832185e4642f714796efdb3760e259e09102ef180bb121cecf17b4bea5a"),
+)
+
+
+def test_long_shutter_logs_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv, want in PINNED_LONG_LOGS:
+        assert main(argv) == 0, argv
+        got = hashlib.sha256(open(argv[-1], "rb").read()).hexdigest()
+        assert got == want, argv
+
+
 def test_criterion_7_artifacts_are_identical_under_python_O(tmp_path):
     # `python -O` strips assert statements; no artifact may depend on them
     src = os.path.dirname(os.path.dirname(os.path.abspath(vislink.__file__)))

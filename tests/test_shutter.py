@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -20,6 +21,7 @@ from oracles import (
     ReferenceViolation,
     _meet,
     planted_state,
+    reference_danger_scan,
     reference_viewer,
 )
 import vislink
@@ -233,8 +235,9 @@ lower_points = st.builds(point, st.integers(-6, 6), st.integers(-6, -1))
 
 @st.composite
 def schedules(draw):
-    """(K, tuples): a (k+1)-set and 2-7 k-tuples of distinct lower points."""
-    k = draw(st.sampled_from((2, 3)))
+    """(K, tuples): a (k+1)-set and 2-7 k-tuples of distinct lower points.
+    At k = 4 each pair of sight lines has three other crossings."""
+    k = draw(st.sampled_from((2, 3, 4)))
     K = draw(st.lists(lower_points, min_size=k + 1, max_size=k + 1, unique=True))
     tuples = draw(
         st.lists(
@@ -455,6 +458,86 @@ def test_three_sight_lines_through_one_point_count_once():
         for r in s.audit
     ]
     assert (got, False) == reference_run(K, tuples)
+
+
+@contextmanager
+def scans_against_reference():
+    """Inside the with statement, every danger scan runs twice, the
+    package's and the all-pairs reference of tests/oracles, and each call
+    asserts that both return the same and append the same pending
+    blocks. Yields the list of checked calls, one entry per call."""
+    pruned = _k.danger_scan
+    checked = []
+
+    def both(lines, start, ys, aidx, pending):
+        want_pending = []
+        want = reference_danger_scan(lines, start, ys, aidx, want_pending)
+        before = len(pending)
+        got = pruned(lines, start, ys, aidx, pending)
+        assert (got, pending[before:]) == (want, want_pending)
+        checked.append(start)
+        return got
+
+    _k.danger_scan = both
+    try:
+        yield checked
+    finally:
+        _k.danger_scan = pruned
+
+
+@settings(max_examples=100, deadline=None)
+@given(schedules(), st.integers(0, 10**6), st.booleans())
+def test_pruned_scan_matches_reference(sched, pick, corrupt):
+    # the bisected, reduce-only-the-block scan gives the return value and
+    # the pending blocks of the all-pairs scan, on sound states and after
+    # one blocked crossing is moved into A
+    with scans_against_reference() as checked:
+        s = run_checked(*sched)
+        if s is not None and corrupt and s._bset:
+            blocked = sorted(s._bset)
+            admit_blocked(s, blocked[pick % len(blocked)])
+            try:
+                _check_invariants(s, "corrupt")
+            except InvariantViolation:
+                pass
+    assert checked
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTED) + ["coincident"])
+def test_pruned_scan_matches_reference_on_fixed_states(case):
+    # the corrupted states' viewers, among them the collinear K of (d)
+    # found on two equal sight lines, and the basis whose three sight
+    # lines meet at one point, so that an admitted crossing makes it old
+    with scans_against_reference() as checked:
+        if case == "coincident":
+            s = run_checked(COINCIDENT_K, COINCIDENT_TUPLES)
+            assert s is not None and s.step == 1
+        else:
+            K, tuples, c = CORRUPTED[case]
+            s = run_checked(K, tuples)
+            admit_blocked(s, c)
+            with pytest.raises(InvariantViolation, match="sees all of K via A"):
+                _check_invariants(s, "corrupt")
+    assert len(checked) == len(s.audit) + (case != "coincident")
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_pruned_scan_keeps_a_point_sharing_the_interval_end_key(sign):
+    # line p runs from a_u = 0 toward (0, -1), and the parallel through
+    # ys[1] = (sign/3, -1) meets the axis at w = sign/3. The earlier
+    # admitted a_v lies 2**-80 inside (0, w), so it shares w's axis key
+    # and its sight line toward ys[1] meets p far above the axis.
+    ys = [point(0, -1).key, point(Fraction(sign, 3), -1).key, point(5, -2).key]
+    a_v = (Fraction(sign, 3) - Fraction(sign, 2**80)).as_integer_ratio()
+    aidx = {a_v: 0, (0, 1): 1}
+    assert (a_v[0] << 64) // a_v[1] == (sign << 64) // 3
+    lines = [_k.line3(a + (0, 1), y) for a in aidx for y in ys]
+    want = []
+    assert reference_danger_scan(lines, 0, ys, aidx, want) is None
+    assert want
+    pending = []
+    assert _k.danger_scan(lines, 0, ys, aidx, pending) is None
+    assert pending == want
 
 
 # ---------------------------------------------------------------------------
