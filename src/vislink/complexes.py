@@ -22,9 +22,15 @@ that point is a vertex. Point location is therefore one lookup for a
 vertex and, for any other point, a scan that stops at the first segment
 through it; a query locates each of its points once. A point t lies on
 segment i exactly when it satisfies the integer line equation
-a*xn*yd + b*yn*xd == c*xd*yd of lines[i] and falls inside the segment's
-bounding box (_on, the one such test). A segment [p, q] lies in the
-union exactly when one maximal segment contains both endpoints, so
+a*xn*yd + b*yn*xd == c*xd*yd of lines[i] and passes _on, the one
+in-segment test, which compares a single coordinate. Its lemma: a point
+on the line of a maximal segment stored lesser end first lies on the
+segment exactly when it lies between the endpoints along x, or along y
+when the segment is vertical (b == 0). On a line that is not vertical, x
+determines the point and the stored ends have px < qx; on a vertical
+one, px == qx and py < qy. normalize decides with the same test whether
+the crossing of two lines lies on both segments. A segment [p, q] lies
+in the union exactly when one maximal segment contains both endpoints, so
 segment membership is one point location plus that test: p is located,
 and q must lie on one of the segments through p. When p is a vertex,
 that is a lookup and at most deg(p) tests, with no scan. Naming a
@@ -196,6 +202,18 @@ def _bfs(C: SegmentComplex, seeds: Sequence[int]):
     return dist, parent
 
 
+def _on(t: Key, pq: Tuple[Key, Key], b: int) -> bool:
+    """Whether the point t, which lies on the line a*x + b*y = c of the
+    maximal segment pq, lies on the segment. pq is stored lesser end
+    first, so t must lie between its ends along x, or along y when the
+    segment is vertical (b == 0). t's denominators must be positive;
+    they need not be reduced."""
+    p, q = pq
+    if b:
+        return p[0] * t[1] <= t[0] * p[1] and t[0] * q[1] <= q[0] * t[1]
+    return p[2] * t[3] <= t[2] * p[3] and t[2] * q[3] <= q[2] * t[3]
+
+
 def normalize(raw: Sequence[Segment]) -> SegmentComplex:
     """Build the canonical complex for a union of raw segments.
 
@@ -208,9 +226,9 @@ def normalize(raw: Sequence[Segment]) -> SegmentComplex:
     keys, lines = zip(*_merge_collinear(segs))
     m = len(keys)
     # Maximal segments on one line never touch (they would have merged),
-    # so two of them meet exactly when their lines cross at a point inside
-    # both bounding boxes. That point is (xn/det, yn/det) with det > 0,
-    # unreduced, which in_box accepts; the vertex index stores it reduced.
+    # so two of them meet exactly when their lines cross at a point on
+    # both segments (_on). That point is (xn/det, yn/det) with det > 0,
+    # unreduced, which _on accepts; the vertex index stores it reduced.
     # Row i appends i's later neighbours after the rows before it appended
     # its earlier ones, so every adjacency list comes out ascending.
     adj: List[List[int]] = [[] for _ in range(m)]
@@ -218,11 +236,10 @@ def normalize(raw: Sequence[Segment]) -> SegmentComplex:
     for i, (p, q) in enumerate(keys):
         vertices.setdefault(p, set()).add(i)
         vertices.setdefault(q, set()).add(i)
-    in_box = _k.in_box
     norm2 = _k.norm2
     for i in range(m):
         a1, b1, c1 = lines[i]
-        pi, qi = keys[i]
+        ki = keys[i]
         for j in range(i + 1, m):
             a2, b2, c2 = lines[j]
             det = a1 * b2 - a2 * b1
@@ -233,7 +250,7 @@ def normalize(raw: Sequence[Segment]) -> SegmentComplex:
             if det < 0:
                 xn, yn, det = -xn, -yn, -det
             t = (xn, det, yn, det)
-            if in_box(t, pi, qi) and in_box(t, *keys[j]):
+            if _on(t, ki, b1) and _on(t, keys[j], b2):
                 adj[i].append(j)
                 adj[j].append(i)
                 meet = vertices.setdefault(norm2(xn, det) + norm2(yn, det), set())
@@ -247,18 +264,20 @@ def normalize(raw: Sequence[Segment]) -> SegmentComplex:
     )
 
 
-def _on(C: SegmentComplex, t: Key, candidates: Iterable[int]) -> Iterator[int]:
+def _containing(
+    C: SegmentComplex, t: Key, candidates: Iterable[int]
+) -> Iterator[int]:
     """The indices among candidates of the maximal segments through the
     point t: t satisfies the integer line equation a*xn*yd + b*yn*xd ==
-    c*xd*yd of lines[i] and lies in the segment's bounding box. A scan
-    and a test of a few candidates both read this one generator, which
-    forms t's products once."""
+    c*xd*yd of lines[i] and passes _on. A scan and a test of a few
+    candidates both read this one generator, which forms t's products
+    once."""
     xn, xd, yn, yd = t
     u, v, w = xn * yd, yn * xd, xd * yd
-    lines, keys, in_box = C.lines, C.keys, _k.in_box
+    lines, keys = C.lines, C.keys
     for i in candidates:
         a, b, c = lines[i]
-        if a * u + b * v == c * w and in_box(t, *keys[i]):
+        if a * u + b * v == c * w and _on(t, keys[i], b):
             yield i
 
 
@@ -269,7 +288,7 @@ def _through(C: SegmentComplex, t: Key) -> Tuple[int, ...]:
     found = C.vertex_segments.get(t)
     if found is not None:
         return found
-    for i in _on(C, t, range(len(C.lines))):
+    for i in _containing(C, t, range(len(C.lines))):
         return (i,)
     return ()
 
@@ -302,7 +321,7 @@ def _contains(C: SegmentComplex, p: Key, q: Key) -> bool:
     through_p = _through(C, p)
     if p == q:
         return bool(through_p)
-    return next(_on(C, q, through_p), None) is not None
+    return next(_containing(C, q, through_p), None) is not None
 
 
 def contains_segment(C: SegmentComplex, p: Point, q: Point) -> bool:

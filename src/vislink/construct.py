@@ -111,8 +111,9 @@ class Construction:
     Fans and pieces hold maximal-segment indices, each found from the
     segment's endpoints through the complex's vertex index (segment_index).
     What verification and rendering derive from the geometry is built once
-    per construction, on first use, and kept on it: the pieces, one search
-    tree per formula witness and the targets' link regions.
+    per construction, on first use, and kept on it: the pieces, the least
+    piece holding each segment, one search tree per formula witness (with
+    its bend memo) and the targets' link regions.
     """
 
     n: int
@@ -133,6 +134,17 @@ class Construction:
             frozenset(b).union(segment_index(C, Segment(*e)) for e in zip(t, t[1:]))
             for b, t in zip(self.B, tails)
         )
+
+    @cached_property
+    def least_piece(self) -> Tuple[Optional[int], ...]:
+        """least_piece[s] is the least i with pieces[i] holding maximal
+        segment s, None when no piece holds it."""
+        table: List[Optional[int]] = [None] * len(self.complex)
+        for i, piece in enumerate(self.pieces):
+            for s in piece:
+                if table[s] is None:
+                    table[s] = i
+        return tuple(table)
 
     @cached_property
     def witness_trees(self) -> Tuple[SearchTree, ...]:

@@ -157,7 +157,9 @@ def construction_from_doc(doc: Any) -> Construction:
 
     The complex is re-normalized from the listed segments; a document
     whose listed segments or tail edges are not maximal in it (merged or
-    covered by another) is rejected, and fan indices are remapped.
+    covered by another) is rejected, and fan indices are remapped. So is
+    one whose tails disagree with its n: none at n = 2, k+1 tails of n-1
+    points each at n > 2.
     """
     _check_schema(doc, "construction")
     k = _need(doc, "k")
@@ -215,6 +217,13 @@ def construction_from_doc(doc: Any) -> Construction:
                     f"tail segment {point_to_doc(p)}-{point_to_doc(q)} is "
                     "not maximal in the listed complex"
                 )
+    # n = 2 has no tails; n > 2 has k+1 tails, each of n-1 points
+    want = n - 1 if n > 2 else 0
+    for t in gamma or ((),):
+        if len(t) != want:
+            raise DocumentError(
+                f"tails at n={n} need {want} points each, got {len(t)}"
+            )
     return Construction(
         n=n, k=k, polygon=poly, complex=complex_, B=tuple(fans),
         c=mids, gamma=gamma, e=e,

@@ -31,20 +31,24 @@ least table entry between a segment through p and one through q, one
 entry when each point lies on a single segment. Paths come from the
 search tree.
 search_tree builds the BFS tree from the maximal segments through a
-source point; tree_path looks a target up in it (the p == q exit, then
-the nearest segment through the target, least index among ties, and the
-parent chain back to the source) and re-checks the certificate it
-builds. n_visible pairs the two for one query; a caller that certifies
-many targets from one source (the verifier's formula witnesses) builds
-the tree once and looks every target up in it. link_region reads one
-tree too, since a region needs one search where the table needs one per
-segment.
+source point; tree_path looks a target up in it (the p == q exit, on
+keys, then the nearest segment through the target, least index among
+ties) and re-checks the certificate it builds. Every path ending on one
+segment shares its vertices up to the target: the source and the bends
+on that segment's parent chain. The tree memoizes them per end segment
+(SearchTree.bends), so the chain is walked, and its bends formed, once
+per tree, up to the nearest segment already memoized; the re-check
+still runs on every certificate. n_visible pairs the two for one query;
+a caller that certifies many targets from one source (the verifier's
+formula witnesses) builds the tree once and looks every target up in
+it. link_region reads one tree too, since a region needs one search
+where the table needs one per segment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from . import _pure as _k
 from .complexes import (
@@ -113,38 +117,50 @@ class SearchTree:
     """BFS over the intersection graph from the maximal segments through
     source: dist[i] is the graph distance of segment i from them and
     parent[i] its predecessor (None for the seeds and unreached segments).
+    key is the source's key.
+
+    bends memoizes the paths: bends[i], for a segment i the tree reaches,
+    holds the keys of the source and of the bends on i's parent chain,
+    source first, so a path ending on i is bends[i] plus its target. The
+    seeds' entries, the source alone, are set here; tree_path fills the
+    rest on first use (_chain).
 
     A plain class because the package builds it at every import, where a
     NamedTuple costs about 17 times as much and a dataclass about 100.
     """
 
-    __slots__ = ("source", "dist", "parent")
+    __slots__ = ("source", "key", "dist", "parent", "bends")
 
     def __init__(
         self,
         source: Point,
         dist: Tuple[Optional[int], ...],
         parent: Tuple[Optional[int], ...],
+        seeds: Sequence[int],
     ):
         self.source = source
+        self.key = source.key
         self.dist = dist
         self.parent = parent
+        self.bends: Dict[int, Tuple[Key, ...]] = dict.fromkeys(seeds, (self.key,))
 
 
 def search_tree(C: SegmentComplex, p: Point) -> SearchTree:
     """The search tree from p; PointNotOnComplex when p is off the union."""
-    dist, parent = _bfs(C, incident_segments(C, p))
-    return SearchTree(p, tuple(dist), tuple(parent))
+    seeds = incident_segments(C, p)
+    dist, parent = _bfs(C, seeds)
+    return SearchTree(p, tuple(dist), tuple(parent), seeds)
 
 
-def _lookup(tree: SearchTree, q: Point, through_q: Sequence[int]):
-    """Link distance from the tree's source to q (None when disconnected)
-    and the nearest segment through q, least index among ties.
+def _lookup(tree: SearchTree, q: Key, through_q: Sequence[int]):
+    """Link distance from the tree's source to the point with key q (None
+    when disconnected) and the nearest segment through it, least index
+    among ties.
 
     through_q lists the segments through q in ascending order. A segment
     at distance 0 contains the source too, so one link suffices.
     """
-    if tree.source == q:
+    if tree.key == q:
         return 0, None
     links = last = None
     for t in through_q:  # ascending, so ties keep the least index
@@ -204,36 +220,43 @@ def _meet_point(C: SegmentComplex, i: int, j: int) -> Key:
     return payload
 
 
+def _chain(C: SegmentComplex, tree: SearchTree, last: int) -> Tuple[Key, ...]:
+    """tree.bends[last], filled on first use: the walk up the parent chain
+    stops at the nearest memoized segment, and each segment passed gets
+    its parent's entry plus the bend where the two meet."""
+    bends, parent = tree.bends, tree.parent
+    walk = []
+    s = last
+    while s not in bends:
+        walk.append(s)
+        s = parent[s]
+    for s in reversed(walk):  # nearest the source first
+        up = parent[s]
+        bends[s] = bends[up] + (_meet_point(C, up, s),)
+    return bends[last]
+
+
 def tree_path(
     C: SegmentComplex,
     tree: SearchTree,
-    q: Point,
+    q: Key,
     n: int,
     through_q: Sequence[int],
 ) -> Optional[PathCertificate]:
-    """A verified certificate from the tree's source to q with at most n
-    links, or None when the link distance exceeds n (or the points are
-    disconnected). through_q must be incident_segments(C, q)."""
+    """A verified certificate from the tree's source to the point with
+    key q with at most n links, or None when the link distance exceeds n
+    (or the points are disconnected). through_q must be the ascending
+    indices of the segments through q (incident_segments)."""
     links, last = _lookup(tree, q, through_q)
     if links is None or links > n:
         return None
-    p = tree.source
     if links == 0:
-        return PathCertificate((p.key,), 0)
-    if links == 1:
-        return PathCertificate((p.key, q.key), 1)
-    chain = [last]
-    while tree.parent[chain[-1]] is not None:
-        chain.append(tree.parent[chain[-1]])
-    chain.reverse()  # segment through p first
-    keys = [p.key]
-    for a, b in zip(chain, chain[1:]):
-        keys.append(_meet_point(C, a, b))
-    keys.append(q.key)
-    cert = PathCertificate(tuple(keys), len(chain))
-    if not certificate_valid(C, cert, n):
+        return PathCertificate((q,), 0)
+    cert = PathCertificate(_chain(C, tree, last) + (q,), links)
+    if links > 1 and not certificate_valid(C, cert, n):
         raise VerificationFailed(
-            f"path certificate {point_str(p)} -> {point_str(q)} fails its re-check"
+            f"path certificate {point_str(tree.source)} -> "
+            f"{point_str(point_from_key(q))} fails its re-check"
         )
     return cert
 
@@ -245,7 +268,7 @@ def n_visible(
     distance exceeds n (or the points are disconnected)."""
     if n < 1:
         raise ValueError("link bound must be >= 1")
-    return tree_path(C, search_tree(C, p), q, n, incident_segments(C, q))
+    return tree_path(C, search_tree(C, p), q.key, n, incident_segments(C, q))
 
 
 def common_viewer(

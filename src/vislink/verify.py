@@ -9,10 +9,15 @@ verifier computes that witness and certifies every path; a tuple point the
 witness misses raises VerificationFailed, since the formula is the claim.
 
 The k+1 possible witnesses are fixed by the construction, so each gets one
-search tree per construction (Construction.witness_trees), as do the pieces
-and the targets' regions. Certifying a tuple point is then a lookup in the
-witness's tree plus a walk up its parent chain, and every multi-link path
-still passes the independent certificate_valid re-check.
+search tree per construction (Construction.witness_trees), as do the pieces,
+the least piece holding each segment (Construction.least_piece) and the
+targets' regions. A tuple point's key is read once: it locates the point,
+its incident segments assign it a piece with one min over that table, and
+it ends its path. Certifying the point is a lookup in the witness's tree
+plus the tree's bend memo (SearchTree.bends), which holds the source and
+bends of every path ending on one segment and walks a parent chain only
+the first time a path ends on it. Every multi-link path still passes the
+independent certificate_valid re-check.
 
 Negative claim: the k+1 distinguished targets (edge midpoints c_i when
 n = 2, outer tail endpoints otherwise) have no common viewer. This is
@@ -32,9 +37,8 @@ from typing import ClassVar, List, Optional, Sequence, Tuple
 
 from .complexes import (
     OneSet,
-    PointNotOnComplex,
     SegmentComplex,
-    incident_segments,
+    _through,
     intersection_fold,
     least_point,
 )
@@ -96,39 +100,39 @@ def verify_common_witness(
 ) -> WitnessReport:
     """Certify that one point sees all k tuple points within n links.
 
-    Each point is assigned to the least-index piece containing it; the
+    Each point is assigned to the least-index piece containing it, the
+    least Construction.least_piece entry over its incident segments; the
     formula witness for the least untouched index must see every point,
     else VerificationFailed names the first point it misses.
     """
     if len(pts) != c.k:
         raise WrongArity(f"need exactly k={c.k} points, got {len(pts)}")
-    pieces = c.pieces
+    C = c.complex
+    least = c.least_piece
     assigned = set()
-    through = []
+    located = []
     for x in pts:
-        try:
-            incident = incident_segments(c.complex, x)
-        except PointNotOnComplex:
-            raise TupleNotOnComplex(f"{point_str(x)} is not on the complex") from None
-        for i in range(c.k + 1):
-            if not pieces[i].isdisjoint(incident):
-                assigned.add(i)
-                break
-        else:
+        key = x.key
+        incident = _through(C, key)
+        if not incident:
+            raise TupleNotOnComplex(f"{point_str(x)} is not on the complex")
+        owners = [least[s] for s in incident if least[s] is not None]
+        if not owners:
             raise PointOnNoPiece(
                 f"{point_str(x)} lies on no piece of the construction"
             )
-        through.append(incident)
+        assigned.add(min(owners))
+        located.append((key, incident))
     j0 = min(i for i in range(c.k + 1) if i not in assigned)
     m = c.polygon.partner(j0)
     tree = c.witness_trees[m]
     paths = []
-    for i, (x, incident) in enumerate(zip(pts, through)):
-        cert = tree_path(c.complex, tree, x, c.n, incident)
+    for i, (key, incident) in enumerate(located):
+        cert = tree_path(C, tree, key, c.n, incident)
         if cert is None:
             raise VerificationFailed(
                 f"formula witness a_{m} for untouched piece {j0} does not see "
-                f"tuple point {i} {point_str(x)} within {c.n} links"
+                f"tuple point {i} {point_str(pts[i])} within {c.n} links"
             )
         paths.append(cert)
     return WitnessReport(tuple(pts), tree.source, tuple(paths))

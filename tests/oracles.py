@@ -10,7 +10,9 @@ merge as normalize ran it when it sorted and compared Segments by their
 Fractions. reference_draw is the sampler's point draw as a Fraction lerp
 along the drawn segment, and reference_certificate_valid the certificate
 re-check on Points, with containment decided by on_segment over the
-maximal segments. The shutter references work on Fraction pairs;
+maximal segments. reference_tree_path is the search tree's path lookup
+as it walked the parent chain on every call, before the tree memoized
+its bends. The shutter references work on Fraction pairs;
 planted_state builds the shutter state with a known viewer that both
 scans must detect, and reference_danger_scan is the shutter's per-step
 scan as it ran over every pair of sight lines, before its candidates
@@ -25,7 +27,13 @@ from typing import Dict, Iterable, List, Tuple
 
 from vislink import _pure as _k
 from vislink._pure import _other_coefs, norm2, orient
-from vislink.kernel import Point, Segment, on_segment, point_from_key
+from vislink.kernel import Point, Segment, on_segment, point_from_key, point_str
+from vislink.links import (
+    PathCertificate,
+    VerificationFailed,
+    _meet_point,
+    certificate_valid,
+)
 from vislink.shutter import ShutterState, _admit_crossing
 
 
@@ -167,6 +175,46 @@ def reference_certificate_valid(C, cert, bound):
             return False
     inner = vs[1:-1]
     return len(set(inner)) == len(inner)
+
+
+def _reference_lookup(tree, q, through_q):
+    """The search tree lookup as it compared the source with q as Points."""
+    if tree.source == q:
+        return 0, None
+    links = last = None
+    for t in through_q:  # ascending, so ties keep the least index
+        d = tree.dist[t]
+        if d is not None and (links is None or d + 1 < links):
+            links, last = d + 1, t
+    return links, last
+
+
+def reference_tree_path(C, tree, q, n, through_q):
+    """tree_path as it walked the parent chain on every call, forming each
+    bend anew; q is a Point. It reads the tree's source, dist and parent,
+    never its bend memo."""
+    links, last = _reference_lookup(tree, q, through_q)
+    if links is None or links > n:
+        return None
+    p = tree.source
+    if links == 0:
+        return PathCertificate((p.key,), 0)
+    if links == 1:
+        return PathCertificate((p.key, q.key), 1)
+    chain = [last]
+    while tree.parent[chain[-1]] is not None:
+        chain.append(tree.parent[chain[-1]])
+    chain.reverse()  # segment through p first
+    keys = [p.key]
+    for a, b in zip(chain, chain[1:]):
+        keys.append(_meet_point(C, a, b))
+    keys.append(q.key)
+    cert = PathCertificate(tuple(keys), len(chain))
+    if not certificate_valid(C, cert, n):
+        raise VerificationFailed(
+            f"path certificate {point_str(p)} -> {point_str(q)} fails its re-check"
+        )
+    return cert
 
 
 class RegionReference:

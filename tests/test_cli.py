@@ -281,6 +281,24 @@ def test_verify_rejects_non_list_gamma(s12, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "k, n, edited_n, tail_length",
+    [(2, 3, 2, 2), (2, 3, 4, 2), (2, 2, 3, 0)],
+)
+def test_verify_rejects_tails_that_disagree_with_n(
+    tmp_path, capsys, k, n, edited_n, tail_length
+):
+    # an n = 2 document has no tails, an n > 2 one k+1 tails of n-1 points
+    path = str(tmp_path / "doc.json")
+    assert run("gen", "--k", k, "--n", n, "--seed", 1, "--out", path) == 0
+    bad = _edited(path, tmp_path, "n", edited_n)
+    want = edited_n - 1 if edited_n > 2 else 0
+    assert (
+        f"tails at n={edited_n} need {want} points each, got {tail_length}"
+        in _one_line_usage_error(capsys, "verify", "--in", bad, "--tuples", 5)
+    )
+
+
 def test_verify_rejects_non_list_marked_points(s12, tmp_path, capsys):
     bad = _edited(s12, tmp_path, "c", 7)
     assert "c must be a list" in _one_line_usage_error(

@@ -313,6 +313,12 @@ _probe = st.tuples(
 ).map(lambda t: point(Fraction(t[0], 2), Fraction(t[1], 2)))
 
 
+# lerp parameters of points on a segment's line just outside the segment
+_JUST_OUTSIDE = (
+    Fraction(-1, 3), Fraction(4, 3), -Fraction(1, 2**40), 1 + Fraction(1, 2**40)
+)
+
+
 def _brute_through(C, p):
     return tuple(i for i, s in enumerate(C.maximal_segments) if on_segment(p, s))
 
@@ -333,6 +339,7 @@ def test_point_location_matches_brute_scan(raws, probes):
     C = normalize(raws)
     for s in C.maximal_segments:
         probes += [s.p, s.q, _lerp(s, Fraction(1, 3))]
+        probes += [_lerp(s, t) for t in _JUST_OUTSIDE]
     # meet points are mostly off the half-integer grid of the probes
     probes += _meet_points(C)
     for p in probes:
@@ -379,6 +386,7 @@ def test_contains_segment_matches_brute_scan(raws, pairs):
             (inner, _lerp(s, Fraction(-1, 2))),
             (s.p, off),
         ]
+        pairs += [(a, _lerp(s, t)) for t in _JUST_OUTSIDE for a in (s.p, s.q, inner)]
         # from a vertex and from an interior point to those of every segment
         pairs += [
             (a, b)

@@ -397,5 +397,5 @@ def test_distance_table_matches_search_tree(pairs):
     for p in probes:
         tree = search_tree(C, p)
         for q in probes:
-            want = _lookup(tree, q, incident_segments(C, q))[0]
+            want = _lookup(tree, q.key, incident_segments(C, q))[0]
             assert link_distance(C, p, q) == want, (p, q)

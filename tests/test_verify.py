@@ -12,14 +12,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import RegionReference, reference_certificate_valid, reference_draw
+from oracles import (
+    RegionReference,
+    reference_certificate_valid,
+    reference_draw,
+    reference_tree_path,
+)
+from test_acceptance import GRID_SEED, build_grid
 from test_complexes import _complex_raws
 from vislink import Point, Segment, point
 from vislink.complexes import OneSet, contains_point, normalize
 from vislink.construct import build_family, make_polygon
 from vislink.docio import construction_from_doc, construction_to_doc
 from vislink.kernel import on_segment, parse_rat, rat_str
-from vislink.links import PathCertificate, certificate_valid, n_visible
+from vislink.links import (
+    PathCertificate,
+    certificate_valid,
+    n_visible,
+    search_tree,
+    tree_path,
+)
 from vislink.rng import STREAM_SAMPLE, STREAM_TUPLES, Stream, derive
 from vislink.verify import (
     EmptinessReport,
@@ -179,6 +191,55 @@ def test_witness_tree_certificates_match_fresh_searches():
             assert [t.source for t in c.witness_trees] == [
                 c.polygon.a(m) for m in range(k + 1)
             ]
+
+
+def _interior_point(C, s):
+    """A point inside maximal segment s that is no vertex: it lies on s alone."""
+    seg = C.maximal_segments[s]
+    for t in (Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), Fraction(7, 13)):
+        x = lerp(seg, t)
+        if x.key not in C.vertex_segments:
+            return x
+    raise AssertionError(f"no interior probe of segment {s} avoids the vertices")
+
+
+def test_bend_memo_matches_reference_chain_walk():
+    # every witness tree of every acceptance-grid cell: the memoized path
+    # to a point inside each segment within graph distance n-1 of the
+    # witness is the one the per-call chain walk builds. Deep segments come first, so
+    # later lookups stop their walk at a segment already memoized.
+    for (n, k), c in build_grid().items():
+        C = c.complex
+        # a generated family's pieces are disjoint; the copy shares fan 0
+        # with every later fan, so the least piece is the first of several
+        shared = replace(c, B=tuple(tuple(sorted({*c.B[0], *b})) for b in c.B))
+        for d in (c, shared):
+            holders = [
+                [i for i, piece in enumerate(d.pieces) if s in piece]
+                for s in range(len(C))
+            ]
+            assert d.least_piece == tuple(min(h, default=None) for h in holders)
+        assert shared.least_piece[c.B[0][0]] == 0
+        for tree in c.witness_trees:
+            reach = [s for s, d in enumerate(tree.dist) if d is not None and d < n]
+            for s in sorted(reach, key=lambda s: (-tree.dist[s], s)):
+                x = _interior_point(C, s)
+                cert = tree_path(C, tree, x.key, n, (s,))
+                assert cert == reference_tree_path(C, tree, x, n, (s,)), (n, k, s)
+                assert cert.links == tree.dist[s] + 1
+                assert reference_certificate_valid(C, cert, n)
+            assert set(tree.bends) == set(reach)
+    # control: one memoized bend moved to a vertex off its segment
+    c = build_family(make_polygon(3, GRID_SEED), 4)
+    C = c.complex
+    tree = search_tree(C, c.polygon.a(0))
+    s = next(s for s, d in enumerate(tree.dist) if d == 2)
+    x = _interior_point(C, s)
+    assert tree_path(C, tree, x.key, 4, (s,)) is not None
+    off = next(v for v, through in C.vertex_segments.items() if s not in through)
+    tree.bends[s] = tree.bends[s][:-1] + (off,)
+    with pytest.raises(VerificationFailed):
+        tree_path(C, tree, x.key, 4, (s,))
 
 
 # -------------------------------------------------------- targets blocked
