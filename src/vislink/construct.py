@@ -20,13 +20,17 @@ midpoint (the edge midpoints c_i avoid every diagonal by strict
 convexity). All of this is verified exactly on integer keys; failures
 trigger a deterministic reseed of the jitter, never silent acceptance.
 
-Tail geometry is chosen so the required side conditions hold by
-construction where possible: tail vertices march outward along the edge
-normal (strictly outside the polygon after the first vertex), lateral
-offsets alternate with distinct consecutive differences (so no two
-consecutive tail edges are collinear and the tail is simple). Only
-pairwise disjointness of different tails needs an explicit exact check;
-the lateral amplitude is halved until it passes.
+Tail geometry makes the side conditions hold by construction: tail
+vertices march outward along the edge normal (strictly outside the
+polygon after the first vertex), and lateral offsets alternate with
+distinct consecutive differences (so no two consecutive tail edges are
+collinear and the tail is simple). Different tails are disjoint by the
+slab lemma: every tail vertex past c_i lies over the middle of its edge
+(edge parameter 1/2 +- 1/16) and strictly outside it, so in the open
+outward slab over that edge; the slabs over two distinct edges of a
+convex polygon are disjoint, because a point outside the polygon has
+exactly one nearest point in it. The only hypothesis, a clockwise
+strictly convex polygon, is checked exactly (NotConvex).
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .complexes import (
     normalize,
     segment_index,
 )
-from .kernel import GeometryError, Point, Segment, orientation
+from .kernel import GeometryError, Point, Segment
 from .links import SearchTree, link_region, search_tree
 from .rng import STREAM_POLYGON, Stream, derive
 
@@ -63,18 +67,13 @@ class NotConvex(GeometryError):
     """Vertex cycle is not strictly convex clockwise."""
 
 
-class GammaPlacementFailed(GeometryError):
-    """No disjoint tail placement found within the amplitude schedule."""
-
-
 class SideConditionFailed(GeometryError):
     """A structural side condition that the family's claims rely on fails."""
 
 
 _RETRY_LIMIT = 1000
-_AMP_HALVINGS = 64
 _NORMAL_STEP = Fraction(1, 4)
-_BASE_AMP = Fraction(1, 8)
+_LATERAL_AMP = Fraction(1, 8)
 
 
 @dataclass(frozen=True)
@@ -172,6 +171,17 @@ def _diagonal_index_pairs(m: int) -> List[Tuple[int, int]]:
     return out
 
 
+def _require_convex(keys: Sequence[Tuple[int, int, int, int]]) -> None:
+    """Raise NotConvex unless every vertex lies strictly to the right of
+    every edge: the cycle is strictly convex and clockwise."""
+    m = len(keys)
+    for i in range(m):
+        a, b = keys[i], keys[(i + 1) % m]
+        for j in range(m):
+            if j != i and j != (i + 1) % m and _k.orient(a, b, keys[j]) != -1:
+                raise NotConvex(f"vertex {j} is not strictly right of edge {i}")
+
+
 def check_strong_general_position(
     p: PolygonSpec,
 ) -> Tuple[bool, Optional[Tuple[Tuple[int, int], ...]]]:
@@ -187,11 +197,7 @@ def check_strong_general_position(
     if m < 6:
         raise KTooSmall("need k >= 2, i.e. at least 6 vertices")
     keys = [v.key for v in verts]
-    for i in range(m):
-        a, b = keys[i], keys[(i + 1) % m]
-        for j in range(m):
-            if j != i and j != (i + 1) % m and _k.orient(a, b, keys[j]) != -1:
-                raise NotConvex(f"vertex {j} is not strictly right of edge {i}")
+    _require_convex(keys)
     diags = _diagonal_index_pairs(m)
     lines = [_k.line3(keys[i], keys[j]) for i, j in diags]
     # crossing point key -> diagonals through it, in order of discovery;
@@ -287,29 +293,26 @@ def _fan_segments(p: PolygonSpec) -> Tuple[List[Segment], List[List[int]]]:
 
 
 def _outward_normal(p: PolygonSpec, i: int) -> Tuple[Fraction, Fraction]:
-    """Outward normal vector of boundary edge [b_i, a_{i+1}]."""
+    """Outward normal of boundary edge [b_i, a_{i+1}], as long as the edge:
+    the polygon is clockwise, so the outside is on the edge's left."""
     u, w = p.b(i), p.a(i + 1)
-    dx, dy = w.x - u.x, w.y - u.y
-    other = p.a(i)  # any vertex off the edge line marks the inner side
-    inner = orientation(u, w, other)
-    cand = Point(u.x - dy, u.y + dx)
-    if orientation(u, w, cand) == inner:
-        return (dy, -dx)
-    return (-dy, dx)
+    return (u.y - w.y, w.x - u.x)
 
 
-def _tails(p: PolygonSpec, n: int, amp: Fraction) -> List[List[Point]]:
-    """Candidate tails: outward march with alternating lateral offsets.
+def _tails(p: PolygonSpec, n: int) -> Tuple[Tuple[Point, ...], ...]:
+    """Tails: outward march with alternating lateral offsets.
 
     Vertex r sits at c_i + r*step*N + amp*alt_r*E with alt_r =
-    (-1)^(r+1) / 2^r. Consecutive offset differences are all distinct, so
+    (-1)^(r+1) / 2^r, N the outward normal and E the edge vector
+    a_{i+1} - b_i. Consecutive offset differences are all distinct, so
     no two consecutive tail edges are collinear; the strictly increasing
-    normal coordinate makes each tail simple and keeps every point after
-    the base strictly outside the polygon.
+    normal coordinate makes each tail simple. Every vertex after c_i lies
+    at edge parameter 1/2 +- 1/16 and at height r*step > 0 over the edge,
+    in its open outward slab, so on a clockwise strictly convex polygon
+    different tails never meet (the slab lemma, module docstring).
     """
-    k1 = p.k + 1
-    tails: List[List[Point]] = []
-    for i in range(k1):
+    tails = []
+    for i in range(p.k + 1):
         u, w = p.b(i), p.a(i + 1)
         ci = _midpoint(u, w)
         nx, ny = _outward_normal(p, i)
@@ -319,62 +322,36 @@ def _tails(p: PolygonSpec, n: int, amp: Fraction) -> List[List[Point]]:
             alt = Fraction((-1) ** (r + 1), 2**r)
             verts.append(
                 Point(
-                    ci.x + _NORMAL_STEP * r * nx + amp * alt * ex,
-                    ci.y + _NORMAL_STEP * r * ny + amp * alt * ey,
+                    ci.x + _NORMAL_STEP * r * nx + _LATERAL_AMP * alt * ex,
+                    ci.y + _NORMAL_STEP * r * ny + _LATERAL_AMP * alt * ey,
                 )
             )
-        tails.append(verts)
-    return tails
-
-
-def _tails_disjoint(tails: Sequence[Sequence[Point]]) -> bool:
-    """Exact pairwise disjointness across different tails."""
-    edges: List[List[Segment]] = [
-        [Segment(t[r], t[r + 1]) for r in range(len(t) - 1)] for t in tails
-    ]
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            for s1 in edges[i]:
-                for s2 in edges[j]:
-                    kind, _ = _k.seg_meet(
-                        s1.p.key, s1.q.key, s2.p.key, s2.q.key
-                    )
-                    if kind != 0:
-                        return False
-    return True
+        tails.append(tuple(verts))
+    return tuple(tails)
 
 
 def build_family(p: PolygonSpec, n: int = 2) -> Construction:
     """Assemble the (n, k) family member over an admissible polygon.
 
     n = 2 is the pure fan union; n > 2 additionally grows the tails,
-    halving the lateral amplitude until all tails are pairwise disjoint.
-    Structural side conditions that the later claims rely on are checked
-    after normalization (SideConditionFailed). k < 2 raises KTooSmall: the
+    which the slab lemma keeps pairwise disjoint. The polygon must be
+    clockwise and strictly convex (NotConvex otherwise). Structural side
+    conditions that the later claims rely on are checked after
+    normalization (SideConditionFailed). k < 2 raises KTooSmall: the
     omitted matching segments would be polygon edges, not diagonals.
     """
     if p.k < 2:
         raise KTooSmall(f"k must be >= 2, got {p.k}")
     if n < 2:
         raise GeometryError(f"n must be >= 2, got {n}")
+    _require_convex([v.key for v in p.vertices])
     k1 = p.k + 1
     raw, groups = _fan_segments(p)
 
     mids = tuple(_midpoint(p.b(i), p.a(i + 1)) for i in range(k1))
-    gamma: Tuple[Tuple[Point, ...], ...] = ()
-    if n > 2:
-        for attempt in range(_AMP_HALVINGS):
-            tails = _tails(p, n, _BASE_AMP / 2**attempt)
-            if _tails_disjoint(tails):
-                gamma = tuple(tuple(t) for t in tails)
-                break
-        else:
-            raise GammaPlacementFailed(
-                f"tails still intersect after {_AMP_HALVINGS} amplitude halvings"
-            )
-        for t in gamma:
-            for r in range(len(t) - 1):
-                raw.append(Segment(t[r], t[r + 1]))
+    gamma = _tails(p, n) if n > 2 else ()
+    for t in gamma:
+        raw.extend(Segment(*e) for e in zip(t, t[1:]))
 
     C = normalize(raw)
     if len(C) != len(raw):

@@ -2,11 +2,13 @@
 
 Purely presentational: coordinates are rounded for drawing only and carry
 no verification weight. Each fan (with its outward tail, when present)
-gets one color from a fixed 16-entry palette, cycling when k + 1 > 16; a
-segment that no piece claims (only a hand-edited document has one) is
-drawn in neutral gray. Polygon vertices are labeled a_i / b_i, edge
-midpoints are marked with crosses and outer tail endpoints with rings,
-matching the family's role assignments. Output depends only on the
+gets one color from a fixed 16-entry palette, cycling when k + 1 > 16. A
+segment takes the color of its least piece, the one verify assigns it
+(Construction.least_piece); a segment that no piece claims (only a
+hand-edited document has one) is drawn in neutral gray. Polygon
+vertices are labeled a_i / b_i, edge midpoints are marked with crosses
+and outer tail endpoints with rings, matching the family's role
+assignments. Output depends only on the
 construction, so re-rendering the same document is byte-identical. A
 coordinate too large for a float (only a hand-edited document has one)
 raises GeometryError before any text is produced.
@@ -83,11 +85,6 @@ def render_construction(c: Construction) -> str:
         # SVG y grows downward; flip so the figure matches the plane
         return _SIZE - _float(v - lo_y + margin, v, scale)
 
-    piece_of = {}
-    for i, idxs in enumerate(c.pieces):
-        for j in idxs:
-            piece_of[j] = i
-
     out: List[str] = []
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_SIZE)}" '
@@ -95,8 +92,8 @@ def render_construction(c: Construction) -> str:
     )
     out.append(f'<rect width="{int(_SIZE)}" height="{int(_SIZE)}" fill="white"/>')
 
-    for j, s in enumerate(c.complex.maximal_segments):
-        color = PALETTE[piece_of[j] % len(PALETTE)] if j in piece_of else _NO_PIECE
+    for s, i in zip(c.complex.maximal_segments, c.least_piece):
+        color = _NO_PIECE if i is None else PALETTE[i % len(PALETTE)]
         out.append(
             f'<line x1="{_fmt(sx(s.p.x))}" y1="{_fmt(sy(s.p.y))}" '
             f'x2="{_fmt(sx(s.q.x))}" y2="{_fmt(sy(s.q.y))}" '

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -187,7 +188,7 @@ def test_criterion_7_identical_seeds_give_byte_identical_artifacts(tmp_path):
         assert main(["shutter", "--k", "2", "--steps", "30", "--seed", "42", "--out", audit]) == 0
         outs.append((doc, rep, audit))
     for a, b in zip(*outs):
-        ba, bb = open(a, "rb").read(), open(b, "rb").read()
+        ba, bb = Path(a).read_bytes(), Path(b).read_bytes()
         assert ba == bb, f"{a} and {b} differ"
         assert len(ba) > 0
     # sanity: the audit log really is a full record
@@ -217,7 +218,7 @@ def test_criterion_7_artifacts_match_pinned_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv, want in PINNED_ARTIFACTS:
         assert main(argv) == 0, argv
-        got = hashlib.sha256(open(argv[-1], "rb").read()).hexdigest()
+        got = hashlib.sha256(Path(argv[-1]).read_bytes()).hexdigest()
         assert got == want, argv
 
 
@@ -237,7 +238,7 @@ def test_n2_reports_match_pinned_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv, want in PINNED_N2_REPORTS:
         assert main(argv) == 0, argv
-        got = hashlib.sha256(open(argv[-1], "rb").read()).hexdigest()
+        got = hashlib.sha256(Path(argv[-1]).read_bytes()).hexdigest()
         assert got == want, argv
 
 
@@ -256,7 +257,7 @@ def test_long_shutter_logs_match_pinned_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv, want in PINNED_LONG_LOGS:
         assert main(argv) == 0, argv
-        got = hashlib.sha256(open(argv[-1], "rb").read()).hexdigest()
+        got = hashlib.sha256(Path(argv[-1]).read_bytes()).hexdigest()
         assert got == want, argv
 
 
@@ -280,7 +281,7 @@ def test_criterion_7_artifacts_are_identical_under_python_O(tmp_path):
             )
             assert out.returncode == 0, out.stderr
         digests.append(
-            [hashlib.sha256(open(f, "rb").read()).hexdigest() for f in (doc, rep, audit)]
+            [hashlib.sha256(Path(f).read_bytes()).hexdigest() for f in (doc, rep, audit)]
         )
     assert digests[0] == digests[1]
 

@@ -11,6 +11,7 @@ import io
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -54,7 +55,7 @@ def test_gen_document_and_figure(tmp_path):
     assert doc["kind"] == "construction"
     assert doc["k"] == 2 and doc["n"] == 2 and doc["seed"] == 7
     assert len(doc["segments"]) == 6  # the hexagon
-    svg = open(svg_path).read()
+    svg = Path(svg_path).read_text()
     assert svg.startswith("<svg") and svg.count("<line") == 6
 
 
@@ -103,6 +104,23 @@ def test_verify_drop_control(s22, tmp_path):
         assert doc["kind"] == "drop-control-report"
         assert doc["nonempty"] is True
     assert run("verify", "--in", s22, "--drop-target", 99) == 2
+
+
+def test_verify_drop_control_fails_on_an_empty_fold(s22, tmp_path, monkeypatch, capsys):
+    # a control that drops no target folds every region, which is empty on
+    # a valid family: the control claim fails with one line, and the
+    # report written records the empty fold
+    from vislink import cli, verify
+
+    monkeypatch.setattr(
+        cli, "verify_targets_blocked", lambda c, drop_index: verify.verify_targets_blocked(c)
+    )
+    report = tmp_path / "drop.json"
+    capsys.readouterr()
+    assert run("verify", "--in", s22, "--drop-target", 1, "--out", report) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == ["verify: control FAILED, intersection empty without target 1"]
+    assert read_doc(str(report))["nonempty"] is False
 
 
 def test_verify_tuples_from_document(s22, tmp_path):
@@ -327,6 +345,27 @@ def test_shutter_seeded_run(tmp_path):
     assert all(r["viewer_absent"] for r in doc["records"])
 
 
+@pytest.mark.parametrize(
+    "name, stub, message",
+    [
+        ("verify_history", lambda state: False,
+         "shutter: a historical witness no longer verifies"),
+        ("find_common_viewer", lambda state: point(0, 1),
+         f"shutter: final cross-check found {point_str(point(0, 1))} seeing "
+         "all of K via A"),
+    ],
+)
+def test_shutter_final_checks_fail_the_claim(name, stub, message, tmp_path, monkeypatch, capsys):
+    from vislink import cli
+
+    monkeypatch.setattr(cli, name, stub)
+    audit = tmp_path / "audit.json"
+    capsys.readouterr()
+    assert run("shutter", "--k", 2, "--steps", 3, "--seed", 7, "--out", audit) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [message]
+    assert not audit.exists()
+
+
 def test_shutter_init_only_from_document(tmp_path):
     path = str(tmp_path / "input.json")
     write_doc(path, shutter_input_to_doc(K3, [(point(-1, -3), point(2, -1))]))
@@ -406,7 +445,7 @@ def test_shutter_input_checks_steps(tmp_path, capsys):
 def test_render_from_document(s22, tmp_path):
     svg = str(tmp_path / "fig.svg")
     assert run("render", "--in", s22, "--svg-out", svg) == 0
-    text = open(svg).read()
+    text = Path(svg).read_text()
     assert text.count("<line") == 6
     assert ">a0<" in text and ">b2<" in text
 
@@ -419,7 +458,30 @@ def test_render_draws_a_segment_on_no_piece(s22, tmp_path):
     write_doc(bad, doc)
     svg = str(tmp_path / "fig.svg")
     assert run("render", "--in", bad, "--svg-out", svg) == 0
-    assert open(svg).read().count("<line") == len(doc["segments"]) == 7
+    assert Path(svg).read_text().count("<line") == len(doc["segments"]) == 7
+
+
+def test_render_colours_a_shared_segment_by_its_least_fan(tmp_path):
+    # verify assigns a segment listed in two fans to the lesser one; the
+    # figure must draw it in that fan's colour
+    from vislink.complexes import segment_index
+    from vislink.docio import segment_from_doc
+    from vislink.render import PALETTE
+
+    path = str(tmp_path / "s3.json")
+    assert run("gen", "--k", 3, "--seed", 7, "--out", path) == 0
+    doc = read_doc(path)
+    shared, own = doc["fans"][1][:2]
+    doc["fans"][0].append(shared)
+    edited = str(tmp_path / "shared.json")
+    write_doc(edited, doc)
+    svg = str(tmp_path / "fig.svg")
+    assert run("render", "--in", edited, "--svg-out", svg) == 0
+    lines = [t for t in Path(svg).read_text().splitlines() if t.startswith("<line")]
+    C = construction_from_doc(doc).complex
+    for j, colour in ((shared, PALETTE[0]), (own, PALETTE[1])):
+        m = segment_index(C, segment_from_doc(doc["segments"][j]))
+        assert f'stroke="{colour}"' in lines[m]
 
 
 def test_render_malformed_input(tmp_path):
@@ -529,7 +591,7 @@ def test_byte_determinism(tmp_path):
         assert run("shutter", "--k", 2, "--steps", 5, "--seed", 11, "--out", audit) == 0
         pairs.append((doc, svg, rep, audit))
     for a, b in zip(*pairs):
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 # ---------------------------------------------------------------------------

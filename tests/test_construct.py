@@ -1,17 +1,17 @@
 """Polygon generation, general-position checking, family assembly."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vislink import Segment, point
 from vislink.complexes import contains_point, contains_segment, incident_segments
 from vislink.construct import (
     Construction,
-    GammaPlacementFailed,
     KTooSmall,
     NotConvex,
     PolygonSpec,
@@ -376,19 +376,55 @@ def test_tails_outside_polygon():
             assert _strictly_outside(g, p.vertices)
 
 
-def test_tails_pairwise_disjoint():
-    from vislink import _pure as _k
+@st.composite
+def _circle_specs(draw):
+    """Clockwise polygons inscribed in the unit circle. Parameters past the
+    drawn ones cluster just above the first, at a drawn spacing from
+    10**-1 down to 10**-7, so some edges are very short."""
+    k = draw(st.integers(2, 4))
+    m = 2 * k + 2
+    ts = draw(st.lists(_param, min_size=1, max_size=m, unique=True))
+    step = Fraction(1, 10 ** draw(st.integers(1, 7)))
+    ts += [ts[0] + j * step for j in range(1, m - len(ts) + 1)]
+    assume(len(set(ts)) == m)
+    pts = sorted((_on_circle(t) for t in ts), key=_clockwise_key)
+    return hand_spec([(p.x, p.y) for p in pts], k=k)
 
-    c = build_family(make_polygon(3, seed=7), 5)
-    tails = [
-        [Segment(t[r], t[r + 1]) for r in range(len(t) - 1)] for t in c.gamma
-    ]
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.builds(make_polygon, st.integers(2, 4), st.integers(0, 999)),
+        _circle_specs(),
+    ),
+    st.integers(3, 8),
+)
+@example(make_polygon(3, seed=7), 5)
+def test_tails_pairwise_disjoint(spec, n):
+    # the slab lemma: on any clockwise strictly convex polygon the tails
+    # never meet
+    assume(_midpoints_clear(spec))  # make_polygon's genericity condition
+    c = build_family(spec, n)
+    assert all(len(t) == n - 1 for t in c.gamma)
+    tails = [[Segment(*e) for e in zip(t, t[1:])] for t in c.gamma]
     for i in range(len(tails)):
         for j in range(i + 1, len(tails)):
             for s1 in tails[i]:
                 for s2 in tails[j]:
                     kind, _ = _k.seg_meet(s1.p.key, s1.q.key, s2.p.key, s2.q.key)
                     assert kind == 0
+
+
+def test_build_family_rejects_counterclockwise_and_non_convex():
+    p = make_polygon(3, seed=7)
+    ccw = dataclasses.replace(p, vertices=p.vertices[::-1])
+    v = list(p.vertices)
+    v[1], v[2] = v[2], v[1]
+    swapped = dataclasses.replace(p, vertices=tuple(v))
+    for spec in (ccw, swapped):
+        for n in (2, 4):
+            with pytest.raises(NotConvex):
+                build_family(spec, n)
 
 
 def test_tail_edges_never_consecutively_collinear():

@@ -215,6 +215,10 @@ def test_construction_document_validation():
         doc.update(changes)
         return doc
 
+    with pytest.raises(DocumentError, match="JSON object"):
+        construction_from_doc([])
+    with pytest.raises(DocumentError, match="no segments"):
+        construction_from_doc(broken(segments=[]))
     with pytest.raises(DocumentError):
         construction_from_doc(broken(schema="2"))
     with pytest.raises(DocumentError):

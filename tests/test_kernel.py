@@ -175,7 +175,16 @@ def test_segments_intersection_symmetric(a, b, c, d):
     if a == b or c == d:
         return
     s1, s2 = Segment(a, b), Segment(c, d)
-    assert meet(s1, s2) == meet(s2, s1)
+    want = meet(s1, s2)
+    assert meet(s2, s1) == want
+    # raw keys in either end order: in_box takes its reversed branches
+    for p, q in ((a, b), (b, a)):
+        for r, t in ((c, d), (d, c)):
+            assert _k.seg_meet(p.key, q.key, r.key, t.key) == want
+    probes = [a.key, b.key, c.key, d.key] + ([want[1]] if want[0] == 1 else [])
+    for t in probes:
+        for p, q in ((a, b), (c, d)):
+            assert _k.on_seg(t, q.key, p.key) == _k.on_seg(t, p.key, q.key)
 
 
 def test_segment_canonical_order_and_degenerate():
