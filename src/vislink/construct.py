@@ -14,11 +14,14 @@ From it:
   [b_i, a_{i+1}].
 
 Vertices sit in "strong general position": strictly convex, no three
-diagonals concurrent inside the polygon, and additionally no diagonal
-other than a removed matching diagonal passes through that diagonal's
-midpoint (the edge midpoints c_i avoid every diagonal by strict
-convexity). All of this is verified exactly on integer keys; failures
-trigger a deterministic reseed of the jitter, never silent acceptance.
+a-b chords concurrent inside the polygon, and no a-b chord except the
+removed one through a removed matching midpoint (the edge midpoints c_i
+avoid every diagonal by strict convexity). An a-b chord joins an
+a-vertex to a b-vertex, vertex indices of odd sum; every fan segment is
+one, and the a-a and b-b diagonals lie in no fan, so where they meet
+cannot change the complex. All of this is verified exactly on integer
+keys; failures trigger a deterministic reseed of the jitter, never
+silent acceptance.
 
 Tail geometry makes the side conditions hold by construction: tail
 vertices march outward along the edge normal (strictly outside the
@@ -78,7 +81,12 @@ _LATERAL_AMP = Fraction(1, 8)
 
 @dataclass(frozen=True)
 class PolygonSpec:
-    """Clockwise cyclic vertex list a_0, b_0, ..., a_k, b_k."""
+    """Clockwise cyclic vertex list a_0, b_0, ..., a_k, b_k.
+
+    make_polygon's specs are in strong general position: no three a-b
+    chords concurrent, and no a-b chord except the removed one through a
+    removed matching midpoint.
+    """
 
     k: int
     vertices: Tuple[Point, ...]
@@ -160,15 +168,13 @@ class Construction:
         return tuple(link_region(self.complex, t, self.n) for t in self.e)
 
 
-def _diagonal_index_pairs(m: int) -> List[Tuple[int, int]]:
-    """Vertex index pairs of all diagonals of an m-gon, sorted."""
-    out = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            if (j - i) % m in (1, m - 1):
-                continue
-            out.append((i, j))
-    return out
+def _ab_chords(m: int) -> List[Tuple[int, int]]:
+    """Vertex index pairs (i, j), i < j, of the a-b chords of an m-gon
+    (m even) that are diagonals, sorted: j - i is odd, and neither 1 nor
+    m - 1."""
+    return [
+        (i, j) for i in range(m) for j in range(i + 3, m, 2) if j - i != m - 1
+    ]
 
 
 def _require_convex(keys: Sequence[Tuple[int, int, int, int]]) -> None:
@@ -185,10 +191,11 @@ def _require_convex(keys: Sequence[Tuple[int, int, int, int]]) -> None:
 def check_strong_general_position(
     p: PolygonSpec,
 ) -> Tuple[bool, Optional[Tuple[Tuple[int, int], ...]]]:
-    """Exact no-three-concurrent-diagonals test.
+    """Exact test that no three a-b chords are concurrent.
 
-    Returns (True, None) or (False, first violating triple of diagonals),
-    each diagonal given as a pair of vertex indices. Raises NotConvex
+    Only a-b chords are scanned: they are the diagonals the fans are built
+    from. Returns (True, None) or (False, first violating triple of a-b
+    chords), each given as a pair of vertex indices. Raises NotConvex
     unless the polygon is strictly convex with its vertices in clockwise
     order: every vertex lies strictly to the right of every edge.
     """
@@ -198,16 +205,16 @@ def check_strong_general_position(
         raise KTooSmall("need k >= 2, i.e. at least 6 vertices")
     keys = [v.key for v in verts]
     _require_convex(keys)
-    diags = _diagonal_index_pairs(m)
+    diags = _ab_chords(m)
     lines = [_k.line3(keys[i], keys[j]) for i, j in diags]
-    # crossing point key -> diagonals through it, in order of discovery;
+    # crossing point key -> chords through it, in order of discovery;
     # keys of canonical scalars are equal exactly when the points are
     hits: Dict[Tuple[int, int, int, int], List[Tuple[int, int]]] = {}
     for di in range(len(diags)):
         i1, j1 = diags[di]
         for dj in range(di + 1, len(diags)):
             i2, j2 = diags[dj]
-            # in a convex polygon two diagonals cross, at a point inside
+            # in a convex polygon two chords cross, at a point inside
             # it, exactly when their endpoints interleave; diags is sorted,
             # so i1 <= i2, and none from i2 = j1 on crosses this one
             if i2 >= j1:
@@ -229,17 +236,17 @@ def _midpoint(p: Point, q: Point) -> Point:
 
 
 def _midpoints_clear(p: PolygonSpec) -> bool:
-    """No diagonal but the removed one passes through the midpoint of a
+    """No a-b chord but the removed one passes through the midpoint of a
     removed matching diagonal. That midpoint is inside the polygon, where
-    a diagonal's line meets it only along the diagonal, so the integer
-    line equation decides. Edge midpoints need no test: a diagonal of a
+    a chord's line meets it only along the chord, so the integer line
+    equation decides. Edge midpoints need no test: a diagonal of a
     strictly convex polygon (proved first by
     check_strong_general_position) meets the boundary only at its two
     vertices, and build_family re-checks their incident segments.
     """
     verts = p.vertices
     keys = [v.key for v in verts]
-    diags = _diagonal_index_pairs(len(verts))
+    diags = _ab_chords(len(verts))
     lines = [_k.line3(keys[i], keys[j]) for i, j in diags]
     for i in range(p.k + 1):
         match = tuple(sorted((2 * p.partner(i), 2 * i + 1)))

@@ -36,7 +36,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .complexes import Key, OneSet, SegmentComplex, normalize, segment_index
-from .construct import Construction, PolygonSpec
+from .construct import Construction, NotConvex, PolygonSpec, _require_convex
 from .kernel import GeometryError, Point, Segment, parse_rat, rat_str
 from .links import PathCertificate
 from .shutter import Scalar, ShutterState, StepRecord
@@ -158,8 +158,9 @@ def construction_from_doc(doc: Any) -> Construction:
     The complex is re-normalized from the listed segments; a document
     whose listed segments or tail edges are not maximal in it (merged or
     covered by another) is rejected, and fan indices are remapped. So is
-    one whose tails disagree with its n: none at n = 2, k+1 tails of n-1
-    points each at n > 2.
+    one whose polygon is not clockwise and strictly convex, as build_family
+    requires, and one whose tails disagree with its n: none at n = 2, k+1
+    tails of n-1 points each at n > 2.
     """
     _check_schema(doc, "construction")
     k = _need(doc, "k")
@@ -171,6 +172,12 @@ def construction_from_doc(doc: Any) -> Construction:
         raise DocumentError(
             f"polygon needs {2 * (k + 1)} vertices, got {len(vertices)}"
         )
+    try:
+        _require_convex([v.key for v in vertices])
+    except NotConvex as exc:
+        raise DocumentError(
+            f"polygon is not strictly convex clockwise: {exc}"
+        ) from None
     kappa = _need(doc, "kappa")  # written for readers; fixed by k
     if not _is_int(kappa) or kappa != k // 2:
         raise DocumentError(f"kappa must be {k // 2}, got {kappa!r}")

@@ -16,17 +16,20 @@ its bends. The shutter references work on Fraction pairs;
 planted_state builds the shutter state with a known viewer that both
 scans must detect, and reference_danger_scan is the shutter's per-step
 scan as it ran over every pair of sight lines, before its candidates
-were bisected.
+were bisected. full_general_position and full_midpoints_clear are the
+polygon genericity checks as they ran over every diagonal, a-a and b-b
+included, before they were restricted to the a-b chords the fans hold.
 """
 
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from vislink import _pure as _k
 from vislink._pure import _other_coefs, norm2, orient
+from vislink.construct import KTooSmall, PolygonSpec, _midpoint, _require_convex
 from vislink.kernel import Point, Segment, on_segment, point_from_key, point_str
 from vislink.links import (
     PathCertificate,
@@ -514,3 +517,79 @@ def reference_danger_scan(lines, start, ys, aidx, pending):
             if new:
                 pending.append(block)
     return None
+
+
+def _diagonal_index_pairs(m: int) -> List[Tuple[int, int]]:
+    """Vertex index pairs of all diagonals of an m-gon, sorted."""
+    out = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            if (j - i) % m in (1, m - 1):
+                continue
+            out.append((i, j))
+    return out
+
+
+def full_general_position(
+    p: PolygonSpec,
+) -> Tuple[bool, Optional[Tuple[Tuple[int, int], ...]]]:
+    """Exact no-three-concurrent-diagonals test.
+
+    Returns (True, None) or (False, first violating triple of diagonals),
+    each diagonal given as a pair of vertex indices. Raises NotConvex
+    unless the polygon is strictly convex with its vertices in clockwise
+    order: every vertex lies strictly to the right of every edge.
+    """
+    verts = p.vertices
+    m = len(verts)
+    if m < 6:
+        raise KTooSmall("need k >= 2, i.e. at least 6 vertices")
+    keys = [v.key for v in verts]
+    _require_convex(keys)
+    diags = _diagonal_index_pairs(m)
+    lines = [_k.line3(keys[i], keys[j]) for i, j in diags]
+    # crossing point key -> diagonals through it, in order of discovery;
+    # keys of canonical scalars are equal exactly when the points are
+    hits: Dict[Tuple[int, int, int, int], List[Tuple[int, int]]] = {}
+    for di in range(len(diags)):
+        i1, j1 = diags[di]
+        for dj in range(di + 1, len(diags)):
+            i2, j2 = diags[dj]
+            # in a convex polygon two diagonals cross, at a point inside
+            # it, exactly when their endpoints interleave; diags is sorted,
+            # so i1 <= i2, and none from i2 = j1 on crosses this one
+            if i2 >= j1:
+                break
+            if i2 == i1 or j2 <= j1:
+                continue
+            z = _k.line_meet(lines[di], lines[dj])[1]
+            bucket = hits.setdefault(z, [])
+            for d in (diags[di], diags[dj]):
+                if d not in bucket:
+                    bucket.append(d)
+            if len(bucket) >= 3:
+                return False, tuple(sorted(bucket[:3]))
+    return True, None
+
+
+def full_midpoints_clear(p: PolygonSpec) -> bool:
+    """No diagonal but the removed one passes through the midpoint of a
+    removed matching diagonal. That midpoint is inside the polygon, where
+    a diagonal's line meets it only along the diagonal, so the integer
+    line equation decides. Edge midpoints need no test: a diagonal of a
+    strictly convex polygon (proved first by
+    check_strong_general_position) meets the boundary only at its two
+    vertices, and build_family re-checks their incident segments.
+    """
+    verts = p.vertices
+    keys = [v.key for v in verts]
+    diags = _diagonal_index_pairs(len(verts))
+    lines = [_k.line3(keys[i], keys[j]) for i, j in diags]
+    for i in range(p.k + 1):
+        match = tuple(sorted((2 * p.partner(i), 2 * i + 1)))
+        xn, xd, yn, yd = _midpoint(verts[match[0]], verts[match[1]]).key
+        u, v, w = xn * yd, yn * xd, xd * yd
+        for d, (a, b, c) in zip(diags, lines):
+            if d != match and a * u + b * v == c * w:
+                return False
+    return True

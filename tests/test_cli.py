@@ -300,6 +300,26 @@ def test_verify_rejects_non_list_gamma(s12, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "edit",
+    [lambda v: v[::-1], lambda v: [v[1], v[0]] + v[2:]],
+    ids=["counterclockwise", "vertices-0-1-swapped"],
+)
+def test_verify_rejects_a_polygon_that_is_not_clockwise_convex(
+    tmp_path, capsys, edit
+):
+    # build_family refuses such a polygon; read from a document it is an
+    # input error, not a failed claim
+    path = str(tmp_path / "doc.json")
+    assert run("gen", "--k", 3, "--seed", 7, "--out", path) == 0
+    bad = _edited(path, tmp_path, "polygon", edit(read_doc(path)["polygon"]))
+    assert (
+        "polygon is not strictly convex clockwise: vertex 2 is not strictly "
+        "right of edge 0"
+        in _one_line_usage_error(capsys, "verify", "--in", bad, "--tuples", 5)
+    )
+
+
+@pytest.mark.parametrize(
     "k, n, edited_n, tail_length",
     [(2, 3, 2, 2), (2, 3, 4, 2), (2, 2, 3, 0)],
 )

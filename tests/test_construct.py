@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import full_general_position, full_midpoints_clear
 from vislink import Segment, point
 from vislink.complexes import contains_point, contains_segment, incident_segments
 from vislink.construct import (
@@ -63,6 +64,17 @@ def test_make_polygon_clockwise():
             p.vertices[i], p.vertices[(i + 1) % m], p.vertices[(i + 2) % m]
         )
         assert o == Orientation.CW
+
+
+def test_make_polygon_never_retries_and_passes_the_full_checks():
+    # the a-b chord checks accept whatever the all-diagonal checks accept,
+    # so a polygon the full checks took at retry 0 stays where it was
+    for k in range(2, 9):
+        for s in range(30):
+            p = make_polygon(k, s)
+            assert p.retry_count == 0, (k, s)
+            assert full_general_position(p) == (True, None), (k, s)
+            assert full_midpoints_clear(p), (k, s)
 
 
 def test_make_polygon_deterministic():
@@ -131,19 +143,24 @@ def test_quadrilateral_precondition():
         check_strong_general_position(spec)
 
 
-def _reference_general_position(spec):
-    """The concurrency scan on Point values: pairs of diagonals in order,
-    crossing points bucketed by Point. On a strictly convex polygon two
-    diagonals with four distinct endpoints meet in a point or not at
-    all."""
-    verts = spec.vertices
-    m = len(verts)
-    diags = [
+def _ab_diagonals(m):
+    """Index pairs of the diagonals of an m-gon that join an a-vertex
+    (even index) to a b-vertex (odd index)."""
+    return [
         (i, j)
         for i in range(m)
         for j in range(i + 1, m)
-        if (j - i) % m not in (1, m - 1)
+        if (j - i) % m not in (1, m - 1) and (i + j) % 2 == 1
     ]
+
+
+def _reference_general_position(spec):
+    """The concurrency scan on Point values: pairs of a-b diagonals in
+    order, crossing points bucketed by Point. On a strictly convex polygon
+    two diagonals with four distinct endpoints meet in a point or not at
+    all."""
+    verts = spec.vertices
+    diags = _ab_diagonals(len(verts))
     hits = {}
     for di, (i1, j1) in enumerate(diags):
         for i2, j2 in diags[di + 1:]:
@@ -183,7 +200,7 @@ _param = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(_param, min_size=3, max_size=4, unique=True),
+    st.lists(_param, min_size=3, max_size=3, unique=True),
     st.lists(_param, min_size=0, max_size=2, unique=True),
     st.tuples(
         st.fractions(min_value=-Fraction(1, 3), max_value=Fraction(1, 3),
@@ -195,21 +212,45 @@ _param = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 def test_general_position_matches_reference_on_planted_concurrency(
     chords, extra, center
 ):
-    # chords of the unit circle through one inner point o: at least three
-    # diagonals of the inscribed polygon are concurrent at o
+    # three chords of the unit circle through one inner point o. Their six
+    # ends interleave, so each chord has one end of each other chord on
+    # either side: an odd index difference, an a-b chord. Extra vertices
+    # come in neighbouring pairs, which keeps every difference odd
     o = point(*center)
-    pts = []
+    pts, planted = [], []
     for t in chords:
         p = _on_circle(t)
-        pts += [p, _through_center(p, o)]
-    pts += [_on_circle(t) for t in extra]
-    assume(len(set(pts)) == len(pts) and len(pts) % 2 == 0)
-    # clockwise around the origin, which lies inside the polygon
+        planted.append((p, _through_center(p, o)))
+        pts += planted[-1]
+    for t in extra:
+        pts += [_on_circle(t), _on_circle(t + Fraction(1, 1000))]
+    assume(len(set(pts)) == len(pts))
+    # clockwise around the origin, the centre of the circle
     pts.sort(key=lambda p: -math.atan2(p.y, p.x))
+    assume(all((pts.index(p) + pts.index(q)) % 2 == 1 for p, q in planted))
     spec = hand_spec([(p.x, p.y) for p in pts], k=len(pts) // 2 - 1)
     got = check_strong_general_position(spec)
     assert got == _reference_general_position(spec)
     assert not got[0]
+
+
+def test_diagonals_that_no_fan_holds_are_not_checked():
+    # four chords through the centre of the circle join vertices four
+    # apart, a to a or b to b: the all-diagonal scan rejects the octagon
+    ts = [Fraction(1, 3), Fraction(4, 5), Fraction(2), Fraction(7)]
+    pts = [_on_circle(t) for t in ts] + [_on_circle(-1 / t) for t in ts]
+    octagon = hand_spec(
+        [(p.x, p.y) for p in sorted(pts, key=_clockwise_key)], k=3
+    )
+    assert not full_general_position(octagon)[0]
+    assert check_strong_general_position(octagon) == (True, None)
+    # b-b diagonal 1-5 passes through the centre, the midpoint of removed
+    # matching diagonal 0-3
+    pts = [_on_circle(Fraction(t)) for t in ("0", "-1/2", "-3", "5", "2")]
+    pts.insert(3, point(-1, 0))  # the circle's point at t = infinity
+    hexagon = hand_spec([(p.x, p.y) for p in pts], k=2)
+    assert not full_midpoints_clear(hexagon)
+    assert _midpoints_clear(hexagon)
 
 
 def _mid(p, q):
@@ -218,17 +259,11 @@ def _mid(p, q):
 
 def _reference_midpoints_clear(spec):
     """The midpoint genericity test on Segment values: every edge midpoint
-    c_i and every removed-matching midpoint against every diagonal, the
-    removed diagonal itself excepted for its own midpoint."""
+    c_i and every removed-matching midpoint against every a-b diagonal,
+    the removed diagonal itself excepted for its own midpoint."""
     verts = spec.vertices
-    m = len(verts)
     k1 = spec.k + 1
-    diags = [
-        (i, j)
-        for i in range(m)
-        for j in range(i + 1, m)
-        if (j - i) % m not in (1, m - 1)
-    ]
+    diags = _ab_diagonals(len(verts))
     for i in range(k1):
         ci = _mid(spec.b(i), spec.a(i + 1))
         match = tuple(sorted((2 * ((i - spec.kappa) % k1), 2 * i + 1)))
@@ -246,8 +281,9 @@ def _clockwise_key(p):
 
 def _plant_through_matching_midpoint(pts, k, i, v):
     """pts (on the unit circle, clockwise) with one vertex replaced so that
-    the diagonal from vertex v passes through the midpoint of removed
-    matching diagonal i; None when the replacement point is a vertex."""
+    the a-b diagonal from vertex v passes through the midpoint of removed
+    matching diagonal i; None when the replacement point is a vertex or
+    would replace an end of the matching diagonal."""
     k1 = k + 1
     a, b = 2 * ((i - k // 2) % k1), 2 * i + 1
     if v in (a, b):
@@ -257,12 +293,15 @@ def _plant_through_matching_midpoint(pts, k, i, v):
         return None
     # w lies on the far side of [a, b] from v, between two consecutive
     # vertices u and u + 1; replacing either keeps the clockwise order,
-    # and one of them is neither a nor b since [a, b] is a diagonal
+    # and the one of parity opposite to v's makes [v, w] an a-b chord
     m = len(pts)
     keys = [_clockwise_key(p) for p in pts]
     u = sum(1 for t in keys if t < _clockwise_key(w)) - 1
+    x = u % m if (u + v) % 2 == 1 else (u + 1) % m
+    if x in (a, b):
+        return None
     out = list(pts)
-    out[u % m if u % m not in (a, b) else (u + 1) % m] = w
+    out[x] = w
     return out
 
 
@@ -291,6 +330,31 @@ def test_midpoints_clear_matches_reference_on_planted_diagonals(ts, i, v, plant)
     assert got == _reference_midpoints_clear(spec)
     if plant:
         assert not got
+
+
+@st.composite
+def _circle_specs(draw):
+    """Clockwise polygons inscribed in the unit circle. Parameters past the
+    drawn ones cluster just above the first, at a drawn spacing from
+    10**-1 down to 10**-7, so some edges are very short."""
+    k = draw(st.integers(2, 4))
+    m = 2 * k + 2
+    ts = draw(st.lists(_param, min_size=1, max_size=m, unique=True))
+    step = Fraction(1, 10 ** draw(st.integers(1, 7)))
+    ts += [ts[0] + j * step for j in range(1, m - len(ts) + 1)]
+    assume(len(set(ts)) == m)
+    pts = sorted((_on_circle(t) for t in ts), key=_clockwise_key)
+    return hand_spec([(p.x, p.y) for p in pts], k=k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_circle_specs())
+def test_ab_chord_checks_accept_what_the_full_checks_accept(spec):
+    # the a-b chords are a subset of the diagonals
+    if full_general_position(spec)[0]:
+        assert check_strong_general_position(spec) == (True, None)
+    if full_midpoints_clear(spec):
+        assert _midpoints_clear(spec)
 
 
 # ------------------------------------------------------------ build_family
@@ -374,21 +438,6 @@ def test_tails_outside_polygon():
         assert not _strictly_outside(t[0], p.vertices)  # base on boundary
         for g in t[1:]:
             assert _strictly_outside(g, p.vertices)
-
-
-@st.composite
-def _circle_specs(draw):
-    """Clockwise polygons inscribed in the unit circle. Parameters past the
-    drawn ones cluster just above the first, at a drawn spacing from
-    10**-1 down to 10**-7, so some edges are very short."""
-    k = draw(st.integers(2, 4))
-    m = 2 * k + 2
-    ts = draw(st.lists(_param, min_size=1, max_size=m, unique=True))
-    step = Fraction(1, 10 ** draw(st.integers(1, 7)))
-    ts += [ts[0] + j * step for j in range(1, m - len(ts) + 1)]
-    assume(len(set(ts)) == m)
-    pts = sorted((_on_circle(t) for t in ts), key=_clockwise_key)
-    return hand_spec([(p.x, p.y) for p in pts], k=k)
 
 
 @settings(max_examples=100, deadline=None)

@@ -23,7 +23,8 @@ from test_complexes import _complex_raws
 from vislink import Point, Segment, point
 from vislink.complexes import OneSet, contains_point, normalize
 from vislink.construct import build_family, make_polygon
-from vislink.docio import construction_from_doc, construction_to_doc
+from vislink.cli import main
+from vislink.docio import construction_from_doc, construction_to_doc, read_doc
 from vislink.kernel import on_segment, parse_rat, rat_str
 from vislink.links import (
     PathCertificate,
@@ -302,6 +303,20 @@ def test_drop_one_target_restores_viewer():
         report = verify_targets_blocked(c, drop_index=drop)
         assert not report.final.is_empty(), drop
         assert len(report.targets) == 3
+
+
+def test_beyond_the_grid_k16_n8(tmp_path):
+    # one cell past the acceptance grid: gen, then both claims on the
+    # document it writes
+    path = str(tmp_path / "s8-16.json")
+    assert main(["gen", "--k", "16", "--n", "8", "--seed", "7", "--out", path]) == 0
+    c = construction_from_doc(read_doc(path))
+    assert (c.k, c.n, c.polygon.retry_count) == (16, 8, 0)
+    assert verify_targets_blocked(c).final.is_empty()
+    for d in range(17):
+        assert not verify_targets_blocked(c, drop_index=d).final.is_empty(), d
+    for pts in sample_tuples(c.complex, 16, 20, 7):
+        assert len(verify_common_witness(c, pts).paths) == 16
 
 
 def test_drop_index_range():
