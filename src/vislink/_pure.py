@@ -71,26 +71,6 @@ def orient(p, q, r):
     return (t > 0) - (t < 0)
 
 
-def in_box(t, p, q):
-    """t inside the coordinate bounding box of [p, q] (closed)."""
-    lo = p[0] * q[1] - q[0] * p[1]  # sign of px - qx
-    if lo <= 0:
-        xok = p[0] * t[1] - t[0] * p[1] <= 0 and t[0] * q[1] - q[0] * t[1] <= 0
-    else:
-        xok = q[0] * t[1] - t[0] * q[1] <= 0 and t[0] * p[1] - p[0] * t[1] <= 0
-    if not xok:
-        return False
-    lo = p[2] * q[3] - q[2] * p[3]
-    if lo <= 0:
-        return p[2] * t[3] - t[2] * p[3] <= 0 and t[2] * q[3] - q[2] * t[3] <= 0
-    return q[2] * t[3] - t[2] * q[3] <= 0 and t[2] * p[3] - p[2] * t[3] <= 0
-
-
-def on_seg(t, p, q):
-    """t on the closed segment [p, q]."""
-    return orient(p, q, t) == 0 and in_box(t, p, q)
-
-
 def line3(p, q):
     """Canonical line through two distinct points. Pre: p != q."""
     pxn, pxd, pyn, pyd = p
@@ -138,43 +118,6 @@ def axis_cross(l):
         return (2, 0, 1) if c == 0 else (0, 0, 1)
     n, d = norm2(c, a)
     return (1, n, d)
-
-
-def seg_meet(p1, q1, p2, q2):
-    """Exact intersection of closed segments [p1,q1] and [p2,q2].
-
-    Returns (0, None), (1, point), or (2, (lo, hi)) for a collinear overlap
-    with lo < hi lexicographically.
-    """
-    o1 = orient(p1, q1, p2)
-    o2 = orient(p1, q1, q2)
-    o3 = orient(p2, q2, p1)
-    o4 = orient(p2, q2, q1)
-    if o1 == 0 and o2 == 0:
-        # all four collinear: 1-D interval intersection in lex order
-        lo1, hi1 = (p1, q1) if pt_cmp(p1, q1) <= 0 else (q1, p1)
-        lo2, hi2 = (p2, q2) if pt_cmp(p2, q2) <= 0 else (q2, p2)
-        lo = lo1 if pt_cmp(lo1, lo2) >= 0 else lo2
-        hi = hi1 if pt_cmp(hi1, hi2) <= 0 else hi2
-        s = pt_cmp(lo, hi)
-        if s > 0:
-            return (0, None)
-        if s == 0:
-            return (1, lo)
-        return (2, (lo, hi))
-    # endpoint touching a segment (at most one contact point possible)
-    if o1 == 0 and in_box(p2, p1, q1):
-        return (1, p2)
-    if o2 == 0 and in_box(q2, p1, q1):
-        return (1, q2)
-    if o3 == 0 and in_box(p1, p2, q2):
-        return (1, p1)
-    if o4 == 0 and in_box(q1, p2, q2):
-        return (1, q1)
-    if o1 != o2 and o3 != o4 and o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0:
-        kind, z = line_meet(line3(p1, q1), line3(p2, q2))
-        return (1, z)
-    return (0, None)
 
 
 def cross_lower(z, y):

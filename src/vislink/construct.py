@@ -45,11 +45,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _pure as _k
 from .complexes import (
-    PointNotOnComplex,
     SegmentComplex,
+    _through,
     contains_point,
     contains_segment,
-    incident_segments,
     normalize,
     segment_index,
 )
@@ -81,7 +80,8 @@ _LATERAL_AMP = Fraction(1, 8)
 
 @dataclass(frozen=True)
 class PolygonSpec:
-    """Clockwise cyclic vertex list a_0, b_0, ..., a_k, b_k.
+    """Clockwise cyclic vertex list a_0, b_0, ..., a_k, b_k; a vertex
+    count other than 2k+2 raises GeometryError.
 
     make_polygon's specs are in strong general position: no three a-b
     chords concurrent, and no a-b chord except the removed one through a
@@ -92,6 +92,13 @@ class PolygonSpec:
     vertices: Tuple[Point, ...]
     seed: int
     retry_count: int
+
+    def __post_init__(self):
+        if len(self.vertices) != 2 * (self.k + 1):
+            raise GeometryError(
+                f"k={self.k} needs {2 * (self.k + 1)} vertices, "
+                f"got {len(self.vertices)}"
+            )
 
     @property
     def kappa(self) -> int:
@@ -370,11 +377,7 @@ def build_family(p: PolygonSpec, n: int = 2) -> Construction:
     for i in range(k1):
         # midpoint of each kept boundary edge lies on exactly that edge,
         # plus the base tail edge when tails are present
-        try:
-            hits = incident_segments(C, mids[i])
-        except PointNotOnComplex:
-            hits = ()
-        if len(hits) != (1 if n == 2 else 2):
+        if len(_through(C, mids[i].key)) != (1 if n == 2 else 2):
             raise SideConditionFailed(
                 f"edge midpoint {i} lies on unexpected segments"
             )

@@ -1,9 +1,10 @@
-"""Exact rational 2-D primitives: points, segments, predicates.
+"""Exact rational 2-D primitives: points and segments.
 
 Coordinates are arbitrary-precision rationals (fractions.Fraction); every
 operation is exact and deterministic, there is no floating point anywhere.
-The heavy lifting happens in the integer predicate core (_pure); this
-module provides the typed value classes and thin wrappers.
+The predicates live in the integer core (_pure), which callers reach on
+keys; this module provides the typed value classes, their keys and their
+text forms.
 
 The core reads a point as its key, the integer 4-tuple (xn, xd, yn, yd)
 with positive denominators. _pure.pt_cmp orders keys exactly as Point
@@ -14,11 +15,8 @@ sorts them without touching a Fraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 from fractions import Fraction
 from typing import NamedTuple, Tuple
-
-from . import _pure as _k
 
 
 class GeometryError(ValueError):
@@ -27,12 +25,6 @@ class GeometryError(ValueError):
 
 class DegenerateSegment(GeometryError):
     """A segment with equal endpoints."""
-
-
-class Orientation(IntEnum):
-    CW = -1
-    COLLINEAR = 0
-    CCW = 1
 
 
 def rat_str(r: Fraction) -> str:
@@ -89,10 +81,3 @@ class Segment:
             object.__setattr__(self, "p", q)
             object.__setattr__(self, "q", p)
 
-
-def orientation(p: Point, q: Point, r: Point) -> Orientation:
-    return Orientation(_k.orient(p.key, q.key, r.key))
-
-
-def on_segment(t: Point, s: Segment) -> bool:
-    return _k.on_seg(t.key, s.p.key, s.q.key)

@@ -125,8 +125,9 @@ class SearchTree:
     seeds' entries, the source alone, are set here; tree_path fills the
     rest on first use (_chain).
 
-    A plain class because the package builds it at every import, where a
-    NamedTuple costs about 17 times as much and a dataclass about 100.
+    A plain class because every import of the package defines it, and
+    defining a NamedTuple instead costs about 17 times as much, a
+    dataclass about 100.
     """
 
     __slots__ = ("source", "key", "dist", "parent", "bends")

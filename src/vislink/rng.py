@@ -3,8 +3,8 @@
 Every random choice in the package flows from one 64-bit seed through this
 fixed recurrence (splitmix64): the state advances by a fixed odd constant and
 each output is a bijective bit mix of the state. Independent purposes
-(polygon parameters, point sampling, tuple schedules, distinguished sets) draw
-from sub-streams derived by folding a small integer tag into the seed, so
+(polygon parameters, tuple schedules, distinguished sets) draw from
+sub-streams derived by folding a small integer tag into the seed, so
 regenerating any artifact needs only the seed recorded in its document.
 """
 
@@ -17,9 +17,9 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 # Sub-stream tags. Keep stable: documents are reproducible only if the
-# tag-to-purpose mapping never changes. Tag 2 is unused.
+# tag-to-purpose mapping never changes. Tags 2 and 3 are unused; do not
+# reuse them.
 STREAM_POLYGON = 1
-STREAM_SAMPLE = 3
 STREAM_TUPLES = 4
 STREAM_KSET = 5
 

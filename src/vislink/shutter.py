@@ -94,8 +94,7 @@ The integer containers are the state (A as one dict from abscissa to
 admission index); the Point views A and B are built from them on
 demand. The audit records hold their admitted and blocked
 crossings the same way, as canonical (n, d) abscissae (d > 0,
-gcd(n, d) = 1), and build Points only when a caller reads a_added or
-b_added; the audit document is written from the scalars.
+gcd(n, d) = 1), and the audit document is written from those scalars.
 """
 
 from __future__ import annotations
@@ -111,7 +110,8 @@ from .rng import STREAM_KSET, STREAM_TUPLES, Stream, derive
 
 
 class SameSideInput(GeometryError):
-    """sees_via needs one strictly upper and one strictly lower point."""
+    """An axis crossing needs one strictly upper and one strictly lower
+    point."""
 
 
 class DegenerateK(GeometryError):
@@ -143,7 +143,7 @@ class StepRecord:
     """One audit-log entry (step 0 is initialization).
 
     The crossings the step blocked and admitted are kept as canonical
-    scalars; b_added and a_added are their Point views."""
+    scalars."""
 
     step: int
     tuple: Tuple[Point, ...]
@@ -155,16 +155,6 @@ class StepRecord:
     b_size: int
     # a step whose scan finds a viewer raises instead of recording it
     viewer_absent: ClassVar[bool] = True
-
-    @property
-    def b_added(self) -> Tuple[Point, ...]:
-        """The axis points this step blocked, built on demand."""
-        return _axis_points(self.b_scalars)
-
-    @property
-    def a_added(self) -> Tuple[Point, ...]:
-        """The axis points this step admitted, built on demand."""
-        return _axis_points(self.a_scalars)
 
 
 class ShutterState:
@@ -265,12 +255,6 @@ def _crossing(z: Point, y: Point) -> Scalar:
     if z.y <= 0 or y.y >= 0:
         raise SameSideInput("need z strictly above and y strictly below")
     return _k.cross_lower(z.key, y.key)
-
-
-def sees_via(z: Point, y: Point, A: Sequence[Point]) -> Optional[Point]:
-    """Axis crossing of [z, y] if it is an admitted point, else None."""
-    c = _crossing(z, y)
-    return point_from_key(c + (0, 1)) if c in _admitted(A) else None
 
 
 def _admit_crossing(s: ShutterState, c: Scalar) -> bool:
@@ -466,9 +450,10 @@ def run_schedule(
 def verify_history(s: ShutterState) -> bool:
     """Re-check every stored witness against the final A.
 
-    sees_via certificates are monotone in A, so all of them must still
-    hold; used by the acceptance suite at end of run. Each crossing is
-    looked up in the state's admitted index.
+    A witness sees its tuple through admitted crossings, and A only
+    grows, so all of them must still hold; used by the acceptance suite
+    at end of run. Each crossing is looked up in the state's admitted
+    index.
     """
     return all(_crossing(z, a) in s._aidx for tup, z in s.history for a in tup)
 

@@ -45,7 +45,7 @@ from .complexes import (
 from .construct import Construction
 from .kernel import GeometryError, Point, point_str
 from .links import PathCertificate, VerificationFailed, tree_path
-from .rng import STREAM_SAMPLE, STREAM_TUPLES, Stream, derive
+from .rng import STREAM_TUPLES, Stream, derive
 
 
 class IndexOutOfRange(GeometryError):
@@ -179,15 +179,6 @@ def _draw_on_complex(C: SegmentComplex, stream: Stream) -> Point:
         Fraction(pxn * qxd * 65536 + r * (qxn * pxd - pxn * qxd), pxd * qxd * 65536),
         Fraction(pyn * qyd * 65536 + r * (qyn * pyd - pyn * qyd), pyd * qyd * 65536),
     )
-
-
-def sample_on_complex(
-    C: SegmentComplex, count: int, seed: int
-) -> List[Point]:
-    """Deterministic on-complex points drawn from the seeded mixing
-    generator."""
-    stream = Stream(derive(seed, STREAM_SAMPLE))
-    return [_draw_on_complex(C, stream) for _ in range(count)]
 
 
 def sample_tuples(

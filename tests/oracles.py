@@ -1,5 +1,14 @@
 """Brute-force reference computations used by several test modules.
 
+The general segment predicates live here, not in the package: seg_meet
+meets two closed segments on keys (a point, a collinear overlap or
+nothing), in_box is its bounding-box test, and on_segment decides a Point
+on a Segment by orientation and that box. The package needs none of
+them: normalize meets only maximal segments, and a point is located by
+complexes._on and the stored line equation. They are the references that
+covered, subdivision_vertices and the normalize and adjacency tests
+compare against.
+
 Everything here works on the RAW segment list, never on the normalized
 complex, so agreement with the package is a genuine cross-check; the
 region reference reads no index of the complex either, only its segment
@@ -30,7 +39,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from vislink import _pure as _k
 from vislink._pure import _other_coefs, norm2, orient
 from vislink.construct import KTooSmall, PolygonSpec, _midpoint, _require_convex
-from vislink.kernel import Point, Segment, on_segment, point_from_key, point_str
+from vislink.kernel import Point, Segment, point_from_key, point_str
 from vislink.links import (
     PathCertificate,
     VerificationFailed,
@@ -38,6 +47,64 @@ from vislink.links import (
     certificate_valid,
 )
 from vislink.shutter import ShutterState, _admit_crossing
+
+
+def in_box(t, p, q):
+    """t inside the coordinate bounding box of [p, q] (closed)."""
+    lo = p[0] * q[1] - q[0] * p[1]  # sign of px - qx
+    if lo <= 0:
+        xok = p[0] * t[1] - t[0] * p[1] <= 0 and t[0] * q[1] - q[0] * t[1] <= 0
+    else:
+        xok = q[0] * t[1] - t[0] * q[1] <= 0 and t[0] * p[1] - p[0] * t[1] <= 0
+    if not xok:
+        return False
+    lo = p[2] * q[3] - q[2] * p[3]
+    if lo <= 0:
+        return p[2] * t[3] - t[2] * p[3] <= 0 and t[2] * q[3] - q[2] * t[3] <= 0
+    return q[2] * t[3] - t[2] * q[3] <= 0 and t[2] * p[3] - p[2] * t[3] <= 0
+
+
+def on_segment(t, s):
+    """The Point t on the closed Segment s."""
+    p, q = s.p.key, s.q.key
+    return _k.orient(p, q, t.key) == 0 and in_box(t.key, p, q)
+
+
+def seg_meet(p1, q1, p2, q2):
+    """Exact intersection of closed segments [p1,q1] and [p2,q2].
+
+    Returns (0, None), (1, point), or (2, (lo, hi)) for a collinear overlap
+    with lo < hi lexicographically.
+    """
+    o1 = _k.orient(p1, q1, p2)
+    o2 = _k.orient(p1, q1, q2)
+    o3 = _k.orient(p2, q2, p1)
+    o4 = _k.orient(p2, q2, q1)
+    if o1 == 0 and o2 == 0:
+        # all four collinear: 1-D interval intersection in lex order
+        lo1, hi1 = (p1, q1) if _k.pt_cmp(p1, q1) <= 0 else (q1, p1)
+        lo2, hi2 = (p2, q2) if _k.pt_cmp(p2, q2) <= 0 else (q2, p2)
+        lo = lo1 if _k.pt_cmp(lo1, lo2) >= 0 else lo2
+        hi = hi1 if _k.pt_cmp(hi1, hi2) <= 0 else hi2
+        s = _k.pt_cmp(lo, hi)
+        if s > 0:
+            return (0, None)
+        if s == 0:
+            return (1, lo)
+        return (2, (lo, hi))
+    # endpoint touching a segment (at most one contact point possible)
+    if o1 == 0 and in_box(p2, p1, q1):
+        return (1, p2)
+    if o2 == 0 and in_box(q2, p1, q1):
+        return (1, q2)
+    if o3 == 0 and in_box(p1, p2, q2):
+        return (1, p1)
+    if o4 == 0 and in_box(q1, p2, q2):
+        return (1, q1)
+    if o1 != o2 and o3 != o4 and o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0:
+        kind, z = _k.line_meet(_k.line3(p1, q1), _k.line3(p2, q2))
+        return (1, z)
+    return (0, None)
 
 
 def covered(raws, p, q):
@@ -50,7 +117,7 @@ def covered(raws, p, q):
     lo, hi = (p, q) if p <= q else (q, p)
     traces = []
     for r in raws:
-        kind, payload = _k.seg_meet(lo.key, hi.key, r.p.key, r.q.key)
+        kind, payload = seg_meet(lo.key, hi.key, r.p.key, r.q.key)
         if kind == 1:
             z = point_from_key(payload)
             traces.append((z, z))
@@ -80,7 +147,7 @@ def subdivision_vertices(raws):
         a = raws[i]
         for j in range(i + 1, len(raws)):
             b = raws[j]
-            kind, payload = _k.seg_meet(a.p.key, a.q.key, b.p.key, b.q.key)
+            kind, payload = seg_meet(a.p.key, a.q.key, b.p.key, b.q.key)
             if kind == 1:
                 pts.add(point_from_key(payload))
             elif kind == 2:

@@ -303,9 +303,60 @@ def test_package_has_no_assert():
     assert not found, f"assert statements in the package: {found}"
 
 
+def test_every_core_function_is_called_by_the_package():
+    # a predicate that only the tests call belongs with them (oracles.py),
+    # not in the exact core: each top-level function of _pure must be
+    # referenced, as a name or a `_k.` attribute, by package code outside
+    # its own def (docstrings are not code)
+    pkg = os.path.dirname(os.path.abspath(vislink.__file__))
+    refs = set()
+    core = None
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read(), filename=name)
+        if name == "_pure.py":
+            core = tree
+        for top in tree.body:
+            owner = getattr(top, "name", None) if name == "_pure.py" else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    used = node.id
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "_k"
+                ):
+                    used = node.attr
+                else:
+                    continue
+                if used != owner:
+                    refs.add(used)
+    defined = [n.name for n in core.body if isinstance(n, ast.FunctionDef)]
+    assert [f for f in defined if f not in refs] == []
+
+
 def test_public_names_resolve_and_are_unique():
-    # a stale __all__ entry makes `from vislink import *` fail
+    # a stale __all__ entry makes `from vislink import *` fail; the list
+    # is pinned, so the API changes only on purpose
     names = vislink.__all__
+    assert names == [
+        "Construction", "DegenerateK", "DegenerateSegment", "EmptinessReport",
+        "EmptyInput", "GeometryError", "IndexOutOfRange", "InvariantViolation",
+        "KTooSmall", "NotConvex", "OneSet", "PathCertificate",
+        "Point", "PointNotInT", "PointNotOnComplex", "PointOnNoPiece",
+        "PolygonSpec", "RetryLimitExceeded", "SameSideInput", "Segment",
+        "SegmentComplex", "ShutterState", "SideConditionFailed", "StepRecord",
+        "TupleNotOnComplex", "VerificationFailed", "WitnessReport", "WrongArity",
+        "advance", "build_family", "certificate_valid",
+        "check_strong_general_position", "common_viewer", "contains_point",
+        "contains_segment", "find_common_viewer", "gen_kset", "gen_tuples",
+        "incident_segments", "init_state", "link_distance", "link_region",
+        "make_polygon", "n_visible", "normalize", "parse_rat", "point",
+        "rat_str", "run_schedule", "sample_tuples", "sees_through_screen",
+        "verify_common_witness", "verify_history", "verify_targets_blocked",
+    ]
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(vislink, n)] == []
     namespace = {}

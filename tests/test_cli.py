@@ -320,6 +320,22 @@ def test_verify_rejects_a_polygon_that_is_not_clockwise_convex(
 
 
 @pytest.mark.parametrize(
+    "edit, count", [(lambda v: v[:-1], 7), (lambda v: v + v[:2], 10)]
+)
+def test_verify_rejects_a_polygon_with_the_wrong_vertex_count(
+    tmp_path, capsys, edit, count
+):
+    # the document's own check names the counts before any PolygonSpec
+    # is built
+    path = str(tmp_path / "doc.json")
+    assert run("gen", "--k", 3, "--seed", 7, "--out", path) == 0
+    bad = _edited(path, tmp_path, "polygon", edit(read_doc(path)["polygon"]))
+    assert f"polygon needs 8 vertices, got {count}" in _one_line_usage_error(
+        capsys, "verify", "--in", bad, "--tuples", 5
+    )
+
+
+@pytest.mark.parametrize(
     "k, n, edited_n, tail_length",
     [(2, 3, 2, 2), (2, 3, 4, 2), (2, 2, 3, 0)],
 )

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import RegionReference, covered, reference_merge
+from oracles import RegionReference, covered, on_segment, reference_merge, seg_meet
 from vislink import Segment, point
 from vislink import _pure as _k
 from vislink.complexes import (
@@ -23,7 +23,7 @@ from vislink.complexes import (
     normalize,
     segment_index,
 )
-from vislink.kernel import DegenerateSegment, on_segment, point_from_key
+from vislink.kernel import DegenerateSegment, point_from_key
 from vislink.links import _meet_point
 from vislink.rng import Stream, derive
 
@@ -328,7 +328,7 @@ def _meet_points(C):
     keys = [(s.p.key, s.q.key) for s in C.maximal_segments]
     for i, (a, b) in enumerate(keys):
         for c, d in keys[i + 1 :]:
-            kind, payload = _k.seg_meet(a, b, c, d)
+            kind, payload = seg_meet(a, b, c, d)
             if kind == 1:
                 yield point_from_key(payload)
 
@@ -430,7 +430,7 @@ def test_vertex_index_matches_brute_force(raws):
 @given(_complex_raws)
 def test_adjacency_matches_segment_intersection(raws):
     def meet(s, t):
-        return _k.seg_meet(s.p.key, s.q.key, t.p.key, t.q.key)[0] != 0
+        return seg_meet(s.p.key, s.q.key, t.p.key, t.q.key)[0] != 0
 
     C = normalize(raws)
     segs = C.maximal_segments
@@ -443,7 +443,7 @@ def test_adjacency_matches_segment_intersection(raws):
     for i, row in enumerate(C.adjacency):
         for j in row:
             s, t = segs[i], segs[j]
-            kind, at = _k.seg_meet(s.p.key, s.q.key, t.p.key, t.q.key)
+            kind, at = seg_meet(s.p.key, s.q.key, t.p.key, t.q.key)
             assert kind == 1 and _meet_point(C, i, j) == at
 
 

