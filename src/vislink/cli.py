@@ -12,6 +12,7 @@ Exit codes: 0 all checks pass, 1 a mathematical claim failed verification,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -85,15 +86,21 @@ def _cmd_gen(args) -> int:
     svg = render_construction(c) if args.svg_out else None
     if args.out:
         docio.write_doc(args.out, doc)
+    else:
+        sys.stdout.write(docio.doc_bytes(doc).decode("ascii"))
+    if svg is not None:
+        try:
+            with open(args.svg_out, "wb") as f:
+                f.write(svg.encode("ascii"))
+        except OSError:
+            if args.out:
+                os.remove(args.out)  # exit 2 leaves neither file
+            raise
+    if args.out:
         print(
             f"gen: k={args.k} n={args.n} seed={args.seed} "
             f"segments={len(c.complex)} -> {args.out}"
         )
-    else:
-        sys.stdout.write(docio.doc_bytes(doc).decode("ascii"))
-    if svg is not None:
-        with open(args.svg_out, "wb") as f:
-            f.write(svg.encode("ascii"))
     return 0
 
 

@@ -19,9 +19,9 @@ removed one through a removed matching midpoint (the edge midpoints c_i
 avoid every diagonal by strict convexity). An a-b chord joins an
 a-vertex to a b-vertex, vertex indices of odd sum; every fan segment is
 one, and the a-a and b-b diagonals lie in no fan, so where they meet
-cannot change the complex. All of this is verified exactly on integer
-keys; failures trigger a deterministic reseed of the jitter, never
-silent acceptance.
+cannot change the complex. PolygonSpec checks k >= 2, 2k+2 vertices and
+strict convexity, check_strong_general_position the rest, all exactly on
+integer keys; make_polygon reseeds the jitter until the latter passes.
 
 Tail geometry makes the side conditions hold by construction: tail
 vertices march outward along the edge normal (strictly outside the
@@ -33,7 +33,7 @@ slab lemma: every tail vertex past c_i lies over the middle of its edge
 outward slab over that edge; the slabs over two distinct edges of a
 convex polygon are disjoint, because a point outside the polygon has
 exactly one nearest point in it. The only hypothesis, a clockwise
-strictly convex polygon, is checked exactly (NotConvex).
+strictly convex polygon, holds for every PolygonSpec.
 """
 
 from __future__ import annotations
@@ -78,14 +78,29 @@ _NORMAL_STEP = Fraction(1, 4)
 _LATERAL_AMP = Fraction(1, 8)
 
 
+def _require_convex(keys: Sequence[Tuple[int, int, int, int]]) -> None:
+    """Raise NotConvex unless every vertex lies strictly to the right of
+    every edge: the cycle is strictly convex and clockwise."""
+    m = len(keys)
+    for i in range(m):
+        a, b = keys[i], keys[(i + 1) % m]
+        for j in range(m):
+            if j != i and j != (i + 1) % m and _k.orient(a, b, keys[j]) != -1:
+                raise NotConvex(
+                    "polygon is not strictly convex clockwise: "
+                    f"vertex {j} is not strictly right of edge {i}"
+                )
+
+
 @dataclass(frozen=True)
 class PolygonSpec:
-    """Clockwise cyclic vertex list a_0, b_0, ..., a_k, b_k; a vertex
-    count other than 2k+2 raises GeometryError.
+    """Clockwise cyclic vertex list a_0, b_0, ..., a_k, b_k.
 
-    make_polygon's specs are in strong general position: no three a-b
-    chords concurrent, and no a-b chord except the removed one through a
-    removed matching midpoint.
+    Construction (and dataclasses.replace) checks the family's hypotheses
+    in this order: k < 2 raises KTooSmall (the omitted matching segments
+    would be polygon edges, not diagonals), a vertex count other than
+    2k+2 GeometryError, a cycle not clockwise strictly convex NotConvex.
+    make_polygon's specs are also in strong general position.
     """
 
     k: int
@@ -94,11 +109,14 @@ class PolygonSpec:
     retry_count: int
 
     def __post_init__(self):
+        if self.k < 2:
+            raise KTooSmall(f"k must be >= 2, got {self.k}")
         if len(self.vertices) != 2 * (self.k + 1):
             raise GeometryError(
                 f"k={self.k} needs {2 * (self.k + 1)} vertices, "
                 f"got {len(self.vertices)}"
             )
+        _require_convex([v.key for v in self.vertices])
 
     @property
     def kappa(self) -> int:
@@ -184,35 +202,32 @@ def _ab_chords(m: int) -> List[Tuple[int, int]]:
     ]
 
 
-def _require_convex(keys: Sequence[Tuple[int, int, int, int]]) -> None:
-    """Raise NotConvex unless every vertex lies strictly to the right of
-    every edge: the cycle is strictly convex and clockwise."""
-    m = len(keys)
-    for i in range(m):
-        a, b = keys[i], keys[(i + 1) % m]
-        for j in range(m):
-            if j != i and j != (i + 1) % m and _k.orient(a, b, keys[j]) != -1:
-                raise NotConvex(f"vertex {j} is not strictly right of edge {i}")
+def _midpoint(p: Point, q: Point) -> Point:
+    return Point((p.x + q.x) / 2, (p.y + q.y) / 2)
 
 
 def check_strong_general_position(
     p: PolygonSpec,
 ) -> Tuple[bool, Optional[Tuple[Tuple[int, int], ...]]]:
-    """Exact test that no three a-b chords are concurrent.
+    """Exact test of strong general position; every PolygonSpec is
+    already strictly convex.
 
-    Only a-b chords are scanned: they are the diagonals the fans are built
-    from. Returns (True, None) or (False, first violating triple of a-b
-    chords), each given as a pair of vertex indices. Raises NotConvex
-    unless the polygon is strictly convex with its vertices in clockwise
-    order: every vertex lies strictly to the right of every edge.
+    Only a-b chords are scanned, the diagonals the fans are built from,
+    on one table of their integer line equations. No three may be
+    concurrent, and none but the removed one may pass through the
+    midpoint of a removed matching diagonal: that midpoint is inside the
+    polygon, where a chord's line meets it only along the chord. Edge
+    midpoints need no test: a diagonal of a strictly convex polygon meets
+    the boundary only at its two vertices, and build_family re-checks
+    their incident segments.
+
+    Returns (True, None), or (False, witness) for the first violation:
+    the three concurrent chords, sorted, or (removed matching diagonal,
+    chord through its midpoint); each chord is a pair of vertex indices.
     """
     verts = p.vertices
-    m = len(verts)
-    if m < 6:
-        raise KTooSmall("need k >= 2, i.e. at least 6 vertices")
     keys = [v.key for v in verts]
-    _require_convex(keys)
-    diags = _ab_chords(m)
+    diags = _ab_chords(len(verts))
     lines = [_k.line3(keys[i], keys[j]) for i, j in diags]
     # crossing point key -> chords through it, in order of discovery;
     # keys of canonical scalars are equal exactly when the points are
@@ -235,34 +250,14 @@ def check_strong_general_position(
                     bucket.append(d)
             if len(bucket) >= 3:
                 return False, tuple(sorted(bucket[:3]))
-    return True, None
-
-
-def _midpoint(p: Point, q: Point) -> Point:
-    return Point((p.x + q.x) / 2, (p.y + q.y) / 2)
-
-
-def _midpoints_clear(p: PolygonSpec) -> bool:
-    """No a-b chord but the removed one passes through the midpoint of a
-    removed matching diagonal. That midpoint is inside the polygon, where
-    a chord's line meets it only along the chord, so the integer line
-    equation decides. Edge midpoints need no test: a diagonal of a
-    strictly convex polygon (proved first by
-    check_strong_general_position) meets the boundary only at its two
-    vertices, and build_family re-checks their incident segments.
-    """
-    verts = p.vertices
-    keys = [v.key for v in verts]
-    diags = _ab_chords(len(verts))
-    lines = [_k.line3(keys[i], keys[j]) for i, j in diags]
     for i in range(p.k + 1):
         match = tuple(sorted((2 * p.partner(i), 2 * i + 1)))
         xn, xd, yn, yd = _midpoint(verts[match[0]], verts[match[1]]).key
         u, v, w = xn * yd, yn * xd, xd * yd
         for d, (a, b, c) in zip(diags, lines):
             if d != match and a * u + b * v == c * w:
-                return False
-    return True
+                return False, (match, d)
+    return True, None
 
 
 def make_polygon(k: int, seed: int) -> PolygonSpec:
@@ -272,10 +267,9 @@ def make_polygon(k: int, seed: int) -> PolygonSpec:
     through t = s(3 - s^2) / (2(1 - s^2)); the image points
     ((1-t^2)/(1+t^2), 2t/(1+t^2)) trace the unit circle monotonically, so
     strict convexity holds by construction. The jitter is re-derived from
-    (seed, retry) until the exact genericity checks pass.
+    (seed, retry) until check_strong_general_position passes; k < 2
+    raises KTooSmall from PolygonSpec.
     """
-    if k < 2:
-        raise KTooSmall(f"k must be >= 2, got {k}")
     m = 2 * k + 2
     for retry in range(_RETRY_LIMIT):
         stream = Stream(derive(seed, STREAM_POLYGON, retry))
@@ -288,8 +282,7 @@ def make_polygon(k: int, seed: int) -> PolygonSpec:
             pts.append(Point((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)))
         pts.reverse()  # monotone parameter runs counterclockwise; flip
         spec = PolygonSpec(k=k, vertices=tuple(pts), seed=seed, retry_count=retry)
-        ok, _ = check_strong_general_position(spec)
-        if ok and _midpoints_clear(spec):
+        if check_strong_general_position(spec)[0]:
             return spec
     raise RetryLimitExceeded(f"no admissible polygon after {_RETRY_LIMIT} retries")
 
@@ -348,17 +341,13 @@ def build_family(p: PolygonSpec, n: int = 2) -> Construction:
     """Assemble the (n, k) family member over an admissible polygon.
 
     n = 2 is the pure fan union; n > 2 additionally grows the tails,
-    which the slab lemma keeps pairwise disjoint. The polygon must be
-    clockwise and strictly convex (NotConvex otherwise). Structural side
-    conditions that the later claims rely on are checked after
-    normalization (SideConditionFailed). k < 2 raises KTooSmall: the
-    omitted matching segments would be polygon edges, not diagonals.
+    which the slab lemma keeps pairwise disjoint. Every PolygonSpec has
+    k >= 2 and is clockwise strictly convex, so only n < 2 is refused
+    here (GeometryError). Structural side conditions that the later
+    claims rely on are checked after normalization (SideConditionFailed).
     """
-    if p.k < 2:
-        raise KTooSmall(f"k must be >= 2, got {p.k}")
     if n < 2:
         raise GeometryError(f"n must be >= 2, got {n}")
-    _require_convex([v.key for v in p.vertices])
     k1 = p.k + 1
     raw, groups = _fan_segments(p)
 

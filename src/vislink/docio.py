@@ -36,7 +36,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .complexes import Key, OneSet, SegmentComplex, normalize, segment_index
-from .construct import Construction, NotConvex, PolygonSpec, _require_convex
+from .construct import Construction, PolygonSpec
 from .kernel import GeometryError, Point, Segment, parse_rat, rat_str
 from .links import PathCertificate
 from .shutter import Scalar, ShutterState, StepRecord
@@ -158,26 +158,17 @@ def construction_from_doc(doc: Any) -> Construction:
     The complex is re-normalized from the listed segments; a document
     whose listed segments or tail edges are not maximal in it (merged or
     covered by another) is rejected, and fan indices are remapped. So is
-    one whose polygon is not clockwise and strictly convex, as build_family
-    requires, and one whose tails disagree with its n: none at n = 2, k+1
-    tails of n-1 points each at n > 2.
+    one whose polygon PolygonSpec refuses (k < 2, a vertex count other
+    than 2k+2, or a cycle that is not clockwise and strictly convex), and
+    one whose tails disagree with its n: none at n = 2, k+1 tails of n-1
+    points each at n > 2.
     """
     _check_schema(doc, "construction")
     k = _need(doc, "k")
     n = _need(doc, "n")
-    if not (_is_int(k) and k >= 2 and _is_int(n) and n >= 2):
+    if not (_is_int(k) and _is_int(n) and n >= 2):
         raise DocumentError(f"bad parameters k={k!r} n={n!r}")
     vertices = tuple(point_from_doc(v) for v in _list_field(doc, "polygon"))
-    if len(vertices) != 2 * (k + 1):
-        raise DocumentError(
-            f"polygon needs {2 * (k + 1)} vertices, got {len(vertices)}"
-        )
-    try:
-        _require_convex([v.key for v in vertices])
-    except NotConvex as exc:
-        raise DocumentError(
-            f"polygon is not strictly convex clockwise: {exc}"
-        ) from None
     kappa = _need(doc, "kappa")  # written for readers; fixed by k
     if not _is_int(kappa) or kappa != k // 2:
         raise DocumentError(f"kappa must be {k // 2}, got {kappa!r}")
@@ -189,7 +180,12 @@ def construction_from_doc(doc: Any) -> Construction:
         raise DocumentError(
             f"retry_count must be a non-negative integer, got {retry_count!r}"
         )
-    poly = PolygonSpec(k=k, vertices=vertices, seed=seed, retry_count=retry_count)
+    try:
+        poly = PolygonSpec(
+            k=k, vertices=vertices, seed=seed, retry_count=retry_count
+        )
+    except GeometryError as exc:
+        raise DocumentError(str(exc)) from None
     listed = [segment_from_doc(v) for v in _list_field(doc, "segments")]
     if not listed:
         raise DocumentError("construction document lists no segments")
@@ -368,7 +364,8 @@ def _step_record_to_doc(r: StepRecord) -> Dict[str, Any]:
         "a_added": _axis_doc(r.a_scalars),
         "a_size": r.a_size,
         "b_size": r.b_size,
-        "viewer_absent": r.viewer_absent,
+        # a step whose scan finds a viewer raises; no record is written
+        "viewer_absent": True,
     }
 
 

@@ -279,11 +279,10 @@ def common_viewer(
 
     Folds the segment indices of the targets' n-link regions
     (intersection_fold); path reversibility makes membership in every
-    region equivalent to seeing every target.
+    region equivalent to seeing every target. Empty targets raise
+    ValueError, and so does n < 1, from link_region.
     """
     if not targets:
         raise ValueError("targets must be non-empty")
-    if n < 1:
-        raise ValueError("link bound must be >= 1")
     regions = [link_region(C, t, n) for t in targets]
     return least_point(C, intersection_fold(C, regions)[-1])

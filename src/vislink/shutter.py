@@ -102,7 +102,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import ClassVar, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import _pure as _k
 from .kernel import GeometryError, Point, point_from_key, point_str
@@ -153,8 +153,6 @@ class StepRecord:
     witness: Point
     a_size: int
     b_size: int
-    # a step whose scan finds a viewer raises instead of recording it
-    viewer_absent: ClassVar[bool] = True
 
 
 class ShutterState:

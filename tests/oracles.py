@@ -26,8 +26,9 @@ planted_state builds the shutter state with a known viewer that both
 scans must detect, and reference_danger_scan is the shutter's per-step
 scan as it ran over every pair of sight lines, before its candidates
 were bisected. full_general_position and full_midpoints_clear are the
-polygon genericity checks as they ran over every diagonal, a-a and b-b
-included, before they were restricted to the a-b chords the fans hold.
+two halves of the polygon genericity check as they ran over every
+diagonal, a-a and b-b included, before they were restricted to the a-b
+chords the fans hold.
 """
 
 from collections import deque
@@ -38,7 +39,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from vislink import _pure as _k
 from vislink._pure import _other_coefs, norm2, orient
-from vislink.construct import KTooSmall, PolygonSpec, _midpoint, _require_convex
+from vislink.construct import PolygonSpec, _midpoint
 from vislink.kernel import Point, Segment, point_from_key, point_str
 from vislink.links import (
     PathCertificate,
@@ -603,16 +604,12 @@ def full_general_position(
     """Exact no-three-concurrent-diagonals test.
 
     Returns (True, None) or (False, first violating triple of diagonals),
-    each diagonal given as a pair of vertex indices. Raises NotConvex
-    unless the polygon is strictly convex with its vertices in clockwise
-    order: every vertex lies strictly to the right of every edge.
+    each diagonal given as a pair of vertex indices. The polygon is
+    clockwise and strictly convex, as every PolygonSpec is.
     """
     verts = p.vertices
     m = len(verts)
-    if m < 6:
-        raise KTooSmall("need k >= 2, i.e. at least 6 vertices")
     keys = [v.key for v in verts]
-    _require_convex(keys)
     diags = _diagonal_index_pairs(m)
     lines = [_k.line3(keys[i], keys[j]) for i, j in diags]
     # crossing point key -> diagonals through it, in order of discovery;
@@ -644,9 +641,9 @@ def full_midpoints_clear(p: PolygonSpec) -> bool:
     removed matching diagonal. That midpoint is inside the polygon, where
     a diagonal's line meets it only along the diagonal, so the integer
     line equation decides. Edge midpoints need no test: a diagonal of a
-    strictly convex polygon (proved first by
-    check_strong_general_position) meets the boundary only at its two
-    vertices, and build_family re-checks their incident segments.
+    strictly convex polygon (every PolygonSpec is one) meets the boundary
+    only at its two vertices, and build_family re-checks their incident
+    segments.
     """
     verts = p.vertices
     keys = [v.key for v in verts]

@@ -307,7 +307,7 @@ def test_verify_rejects_non_list_gamma(s12, tmp_path, capsys):
 def test_verify_rejects_a_polygon_that_is_not_clockwise_convex(
     tmp_path, capsys, edit
 ):
-    # build_family refuses such a polygon; read from a document it is an
+    # PolygonSpec refuses such a polygon; read from a document it is an
     # input error, not a failed claim
     path = str(tmp_path / "doc.json")
     assert run("gen", "--k", 3, "--seed", 7, "--out", path) == 0
@@ -325,12 +325,11 @@ def test_verify_rejects_a_polygon_that_is_not_clockwise_convex(
 def test_verify_rejects_a_polygon_with_the_wrong_vertex_count(
     tmp_path, capsys, edit, count
 ):
-    # the document's own check names the counts before any PolygonSpec
-    # is built
+    # PolygonSpec names the counts; the reader reports them as a usage error
     path = str(tmp_path / "doc.json")
     assert run("gen", "--k", 3, "--seed", 7, "--out", path) == 0
     bad = _edited(path, tmp_path, "polygon", edit(read_doc(path)["polygon"]))
-    assert f"polygon needs 8 vertices, got {count}" in _one_line_usage_error(
+    assert f"k=3 needs 8 vertices, got {count}" in _one_line_usage_error(
         capsys, "verify", "--in", bad, "--tuples", 5
     )
 
@@ -576,6 +575,8 @@ def test_unwritable_output_is_a_usage_error(argv, s12, tmp_path, capsys):
     }
     argv = [str(a).format(**paths) for a in argv]
     assert paths["bad"] in _one_line_usage_error(capsys, *argv)
+    # a failed gen leaves no document behind its unwritable figure
+    assert not os.path.exists(paths["ok"])
 
 
 def test_usage_errors():

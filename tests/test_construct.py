@@ -16,7 +16,6 @@ from vislink.construct import (
     KTooSmall,
     NotConvex,
     PolygonSpec,
-    _midpoints_clear,
     build_family,
     check_strong_general_position,
     make_polygon,
@@ -112,32 +111,26 @@ def test_symmetric_hexagon_rejected():
 
 
 def test_not_convex_rejected():
-    spec = hand_spec(
-        [(2, 0), (1, -2), (-1, -2), (-2, 0), (0, 1), (1, 2)], k=2
-    )
     with pytest.raises(NotConvex):
-        check_strong_general_position(spec)
+        hand_spec([(2, 0), (1, -2), (-1, -2), (-2, 0), (0, 1), (1, 2)], k=2)
 
 
 def test_polygon_winding_twice_rejected():
     # every vertex triple turns clockwise, but the boundary winds twice
     # round the centre, so diagonals that interleave need not cross
     ts = ("0", "-10/7", "7/4", "1/11", "-6/5", "15/7")
-    spec = hand_spec(
-        [(p.x, p.y) for p in (_on_circle(Fraction(t)) for t in ts)], k=2
-    )
-    m = len(spec.vertices)
-    keys = [v.key for v in spec.vertices]
+    pts = [_on_circle(Fraction(t)) for t in ts]
+    keys = [p.key for p in pts]
+    m = len(keys)
     for i in range(m):
         assert _k.orient(keys[i], keys[(i + 1) % m], keys[(i + 2) % m]) == -1
     with pytest.raises(NotConvex):
-        check_strong_general_position(spec)
+        hand_spec([(p.x, p.y) for p in pts], k=2)
 
 
 def test_quadrilateral_precondition():
-    spec = hand_spec([(1, 1), (1, -1), (-1, -1), (-1, 1)], k=1)
     with pytest.raises(KTooSmall):
-        check_strong_general_position(spec)
+        hand_spec([(1, 1), (1, -1), (-1, -1), (-1, 1)], k=1)
 
 
 def _ab_diagonals(m):
@@ -240,14 +233,17 @@ def test_diagonals_that_no_fan_holds_are_not_checked():
         [(p.x, p.y) for p in sorted(pts, key=_clockwise_key)], k=3
     )
     assert not full_general_position(octagon)[0]
-    assert check_strong_general_position(octagon) == (True, None)
+    # no three a-b chords meet; only the midpoint half fails, on a-b
+    # chord 1-4 through the midpoint of removed matching diagonal 0-3
+    assert check_strong_general_position(octagon) == (False, ((0, 3), (1, 4)))
+    assert _through_matching_midpoint(octagon, (0, 3), (1, 4))
     # b-b diagonal 1-5 passes through the centre, the midpoint of removed
     # matching diagonal 0-3
     pts = [_on_circle(Fraction(t)) for t in ("0", "-1/2", "-3", "5", "2")]
     pts.insert(3, point(-1, 0))  # the circle's point at t = infinity
     hexagon = hand_spec([(p.x, p.y) for p in pts], k=2)
     assert not full_midpoints_clear(hexagon)
-    assert _midpoints_clear(hexagon)
+    assert check_strong_general_position(hexagon) == (True, None)
 
 
 def _mid(p, q):
@@ -302,6 +298,13 @@ def _plant_through_matching_midpoint(pts, k, i, v):
     return out
 
 
+def _through_matching_midpoint(spec, match, chord):
+    """The a-b diagonal chord passes through the midpoint of match."""
+    verts = spec.vertices
+    mmid = _mid(verts[match[0]], verts[match[1]])
+    return on_segment(mmid, Segment(verts[chord[0]], verts[chord[1]]))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from((6, 8)).flatmap(
@@ -318,15 +321,35 @@ def test_midpoints_clear_matches_reference_on_planted_diagonals(ts, i, v, plant)
     if plant:
         pts = _plant_through_matching_midpoint(pts, k, i, v)
         assume(pts is not None)
-    spec = hand_spec([(p.x, p.y) for p in pts], k=k)
     try:
-        check_strong_general_position(spec)  # the strict convexity it needs
-    except NotConvex:
+        spec = hand_spec([(p.x, p.y) for p in pts], k=k)
+    except NotConvex:  # the strict convexity the check needs
         assume(False)
-    got = _midpoints_clear(spec)
-    assert got == _reference_midpoints_clear(spec)
+    got = check_strong_general_position(spec)
+    concurrency = _reference_general_position(spec)
+    if not concurrency[0]:
+        assert got == concurrency
+        return
+    assert got[0] == _reference_midpoints_clear(spec)
+    if not got[0]:
+        match, chord = got[1]
+        assert _through_matching_midpoint(spec, match, chord)
     if plant:
-        assert not got
+        assert not got[0]
+
+
+@pytest.mark.parametrize("i, v", [(0, 2), (1, 4), (2, 0), (3, 5), (2, 7)])
+def test_planted_chord_through_a_matching_midpoint_is_the_witness(i, v):
+    ts = ("-5", "-2", "-3/4", "-1/5", "1/3", "6/7", "7/3", "9")
+    pts = sorted((_on_circle(Fraction(t)) for t in ts), key=_clockwise_key)
+    planted = _plant_through_matching_midpoint(pts, 3, i, v)
+    (x,) = [j for j in range(len(pts)) if planted[j] != pts[j]]
+    spec = hand_spec([(p.x, p.y) for p in planted], k=3)
+    match = tuple(sorted((2 * spec.partner(i), 2 * i + 1)))
+    assert check_strong_general_position(spec) == (
+        False, (match, tuple(sorted((v, x))))
+    )
+    assert not _reference_midpoints_clear(spec)
 
 
 @st.composite
@@ -347,11 +370,13 @@ def _circle_specs(draw):
 @settings(max_examples=100, deadline=None)
 @given(_circle_specs())
 def test_ab_chord_checks_accept_what_the_full_checks_accept(spec):
-    # the a-b chords are a subset of the diagonals
+    # the a-b chords are a subset of the diagonals: a triple witness needs
+    # concurrent diagonals, a pair witness a diagonal through a midpoint
+    ok, witness = check_strong_general_position(spec)
     if full_general_position(spec)[0]:
-        assert check_strong_general_position(spec) == (True, None)
+        assert ok or len(witness) == 2
     if full_midpoints_clear(spec):
-        assert _midpoints_clear(spec)
+        assert ok or len(witness) == 3
 
 
 # ------------------------------------------------------------ build_family
@@ -449,7 +474,8 @@ def test_tails_outside_polygon():
 def test_tails_pairwise_disjoint(spec, n):
     # the slab lemma: on any clockwise strictly convex polygon the tails
     # never meet
-    assume(_midpoints_clear(spec))  # make_polygon's genericity condition
+    # make_polygon's genericity condition
+    assume(check_strong_general_position(spec)[0])
     c = build_family(spec, n)
     assert all(len(t) == n - 1 for t in c.gamma)
     tails = [[Segment(*e) for e in zip(t, t[1:])] for t in c.gamma]
@@ -462,15 +488,13 @@ def test_tails_pairwise_disjoint(spec, n):
 
 
 def test_build_family_rejects_counterclockwise_and_non_convex():
+    # build_family takes only a PolygonSpec, and no such spec can exist
     p = make_polygon(3, seed=7)
-    ccw = dataclasses.replace(p, vertices=p.vertices[::-1])
     v = list(p.vertices)
     v[1], v[2] = v[2], v[1]
-    swapped = dataclasses.replace(p, vertices=tuple(v))
-    for spec in (ccw, swapped):
-        for n in (2, 4):
-            with pytest.raises(NotConvex):
-                build_family(spec, n)
+    for vertices in (p.vertices[::-1], tuple(v)):
+        with pytest.raises(NotConvex):
+            dataclasses.replace(p, vertices=vertices)
 
 
 def test_tail_edges_never_consecutively_collinear():
@@ -506,7 +530,7 @@ def test_n_too_small():
 
 def test_side_condition_failure_is_an_explicit_error():
     # at k = 1, kappa = 0 pairs each b_i with its neighbour a_i: the removed
-    # matching segment would be a polygon edge, not a diagonal
-    p = hand_spec([(0, 1), (1, 0), (0, -1), (-1, 0)], 1)
+    # matching segment would be a polygon edge, not a diagonal; no spec
+    # with k = 1 reaches build_family
     with pytest.raises(KTooSmall):
-        build_family(p)
+        hand_spec([(0, 1), (1, 0), (0, -1), (-1, 0)], 1)

@@ -200,6 +200,12 @@ def test_common_viewer_absent():
     assert common_viewer(C, [point(0, 0), point(0, 1)], 3) is None
 
 
+def test_common_viewer_needs_a_link_bound_of_at_least_one():
+    # link_region owns the bound
+    with pytest.raises(ValueError):
+        common_viewer(HEX, [HEX_V[0]], 0)
+
+
 def test_common_viewer_matches_region_fold():
     # the least probe of the reference's common region is its least
     # point: a closed segment's least point is an endpoint, a vertex

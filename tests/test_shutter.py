@@ -168,7 +168,6 @@ def test_init_audit_record():
     assert rec.tuple == FIRST
     assert rec.witness == point(0, 1)
     assert rec.a_size == 2 and rec.b_size == 2
-    assert rec.viewer_absent is True
     assert rec.a_scalars == ((-1, 4), (1, 1))
 
 
