@@ -157,20 +157,17 @@ def _cmd_verify(args) -> int:
 
 def _cmd_shutter(args) -> int:
     if args.steps is not None and args.steps < 0:
-        print("shutter: --steps must be >= 0", file=sys.stderr)
-        return 2
+        raise DocumentError("--steps must be >= 0")
     steps = 10 if args.steps is None else args.steps
     if args.in_ is not None:
         K, tuples = docio.shutter_input_from_doc(docio.read_doc(args.in_))
         if tuples is None:
             tuples = gen_tuples(len(K) - 1, steps + 1, args.seed)
         elif args.steps not in (None, len(tuples) - 1):
-            print(
-                f"shutter: --steps {args.steps} does not match the "
-                f"{len(tuples)} tuples of --in",
-                file=sys.stderr,
+            raise DocumentError(
+                f"--steps {args.steps} does not match the "
+                f"{len(tuples)} tuples of --in"
             )
-            return 2
     else:
         K = gen_kset(args.k, args.seed)
         tuples = gen_tuples(args.k, steps + 1, args.seed)

@@ -145,7 +145,7 @@ class Construction:
     What verification and rendering derive from the geometry is built once
     per construction, on first use, and kept on it: the pieces, the least
     piece holding each segment, one search tree per formula witness (with
-    its bend memo) and the targets' link regions.
+    its bend table, built with the tree) and the targets' link regions.
     """
 
     n: int
@@ -299,31 +299,27 @@ def _fan_segments(p: PolygonSpec) -> Tuple[List[Segment], List[List[int]]]:
     return raw, groups
 
 
-def _outward_normal(p: PolygonSpec, i: int) -> Tuple[Fraction, Fraction]:
-    """Outward normal of boundary edge [b_i, a_{i+1}], as long as the edge:
-    the polygon is clockwise, so the outside is on the edge's left."""
-    u, w = p.b(i), p.a(i + 1)
-    return (u.y - w.y, w.x - u.x)
-
-
-def _tails(p: PolygonSpec, n: int) -> Tuple[Tuple[Point, ...], ...]:
+def _tails(
+    p: PolygonSpec, mids: Sequence[Point], n: int
+) -> Tuple[Tuple[Point, ...], ...]:
     """Tails: outward march with alternating lateral offsets.
 
-    Vertex r sits at c_i + r*step*N + amp*alt_r*E with alt_r =
-    (-1)^(r+1) / 2^r, N the outward normal and E the edge vector
-    a_{i+1} - b_i. Consecutive offset differences are all distinct, so
-    no two consecutive tail edges are collinear; the strictly increasing
-    normal coordinate makes each tail simple. Every vertex after c_i lies
-    at edge parameter 1/2 +- 1/16 and at height r*step > 0 over the edge,
-    in its open outward slab, so on a clockwise strictly convex polygon
-    different tails never meet (the slab lemma, module docstring).
+    Vertex r sits at c_i + r*step*N + amp*alt_r*E with c_i = mids[i],
+    alt_r = (-1)^(r+1) / 2^r, E the edge vector a_{i+1} - b_i and N
+    the outward normal, E turned a quarter counterclockwise (the polygon
+    is clockwise, so the outside is on the edge's left). Consecutive
+    offset differences are all distinct, so no two consecutive tail edges
+    are collinear; the strictly increasing normal coordinate makes each
+    tail simple. Every vertex after c_i lies at edge parameter 1/2 +- 1/16
+    and at height r*step > 0 over the edge, in its open outward slab, so
+    on a clockwise strictly convex polygon different tails never meet (the
+    slab lemma, module docstring).
     """
     tails = []
-    for i in range(p.k + 1):
+    for i, ci in enumerate(mids):
         u, w = p.b(i), p.a(i + 1)
-        ci = _midpoint(u, w)
-        nx, ny = _outward_normal(p, i)
         ex, ey = w.x - u.x, w.y - u.y
+        nx, ny = -ey, ex
         verts = [ci]
         for r in range(1, n - 1):
             alt = Fraction((-1) ** (r + 1), 2**r)
@@ -352,7 +348,7 @@ def build_family(p: PolygonSpec, n: int = 2) -> Construction:
     raw, groups = _fan_segments(p)
 
     mids = tuple(_midpoint(p.b(i), p.a(i + 1)) for i in range(k1))
-    gamma = _tails(p, n) if n > 2 else ()
+    gamma = _tails(p, mids, n) if n > 2 else ()
     for t in gamma:
         raw.extend(Segment(*e) for e in zip(t, t[1:]))
 

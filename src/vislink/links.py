@@ -35,13 +35,13 @@ source point; tree_path looks a target up in it (the p == q exit, on
 keys, then the nearest segment through the target, least index among
 ties) and re-checks the certificate it builds. Every path ending on one
 segment shares its vertices up to the target: the source and the bends
-on that segment's parent chain. The tree memoizes them per end segment
-(SearchTree.bends), so the chain is walked, and its bends formed, once
-per tree, up to the nearest segment already memoized; the re-check
-still runs on every certificate. n_visible pairs the two for one query;
-a caller that certifies many targets from one source (the verifier's
-formula witnesses) builds the tree once and looks every target up in
-it. link_region reads one tree too, since a region needs one search
+on that segment's parent chain. The tree holds them per end segment
+(SearchTree.bends), built with the tree, parents first, so each bend is
+formed once per tree; the re-check still runs on every certificate.
+n_visible pairs the two for one query; a caller that certifies many
+targets from one source (the verifier's formula witnesses) builds the
+tree once and looks every target up in it. link_region reads one BFS
+from the segments through its point, since a region needs one search
 where the table needs one per segment.
 """
 
@@ -119,11 +119,10 @@ class SearchTree:
     parent[i] its predecessor (None for the seeds and unreached segments).
     key is the source's key.
 
-    bends memoizes the paths: bends[i], for a segment i the tree reaches,
-    holds the keys of the source and of the bends on i's parent chain,
-    source first, so a path ending on i is bends[i] plus its target. The
-    seeds' entries, the source alone, are set here; tree_path fills the
-    rest on first use (_chain).
+    bends holds the paths, built with the tree: bends[i], for each
+    segment i the tree reaches, holds the keys of the source and of the
+    bends on i's parent chain, source first, so a path ending on i is
+    bends[i] plus its target.
 
     A plain class because every import of the package defines it, and
     defining a NamedTuple instead costs about 17 times as much, a
@@ -137,20 +136,28 @@ class SearchTree:
         source: Point,
         dist: Tuple[Optional[int], ...],
         parent: Tuple[Optional[int], ...],
-        seeds: Sequence[int],
+        bends: Dict[int, Tuple[Key, ...]],
     ):
         self.source = source
         self.key = source.key
         self.dist = dist
         self.parent = parent
-        self.bends: Dict[int, Tuple[Key, ...]] = dict.fromkeys(seeds, (self.key,))
+        self.bends = bends
 
 
 def search_tree(C: SegmentComplex, p: Point) -> SearchTree:
-    """The search tree from p; PointNotOnComplex when p is off the union."""
+    """The search tree from p, with its bend table: the seeds hold the
+    source alone, and every other reached segment, in ascending distance
+    so its parent comes first, its parent's entry plus the bend where the
+    two meet. PointNotOnComplex when p is off the union."""
     seeds = incident_segments(C, p)
     dist, parent = _bfs(C, seeds)
-    return SearchTree(p, tuple(dist), tuple(parent), seeds)
+    bends = dict.fromkeys(seeds, (p.key,))
+    # the reached segments past the seeds (d >= 1), parents first
+    for s in sorted((s for s, d in enumerate(dist) if d), key=dist.__getitem__):
+        up = parent[s]
+        bends[s] = bends[up] + (_meet_point(C, up, s),)
+    return SearchTree(p, tuple(dist), tuple(parent), bends)
 
 
 def _lookup(tree: SearchTree, q: Key, through_q: Sequence[int]):
@@ -177,10 +184,8 @@ def link_region(C: SegmentComplex, p: Point, j: int) -> frozenset:
     through p."""
     if j < 1:
         raise ValueError("radius must be >= 1")
-    tree = search_tree(C, p)  # raises PointNotOnComplex
-    return frozenset(
-        i for i, d in enumerate(tree.dist) if d is not None and d <= j - 1
-    )
+    dist = _bfs(C, incident_segments(C, p))[0]  # raises PointNotOnComplex
+    return frozenset(i for i, d in enumerate(dist) if d is not None and d <= j - 1)
 
 
 def link_distance(C: SegmentComplex, p: Point, q: Point) -> Optional[int]:
@@ -221,22 +226,6 @@ def _meet_point(C: SegmentComplex, i: int, j: int) -> Key:
     return payload
 
 
-def _chain(C: SegmentComplex, tree: SearchTree, last: int) -> Tuple[Key, ...]:
-    """tree.bends[last], filled on first use: the walk up the parent chain
-    stops at the nearest memoized segment, and each segment passed gets
-    its parent's entry plus the bend where the two meet."""
-    bends, parent = tree.bends, tree.parent
-    walk = []
-    s = last
-    while s not in bends:
-        walk.append(s)
-        s = parent[s]
-    for s in reversed(walk):  # nearest the source first
-        up = parent[s]
-        bends[s] = bends[up] + (_meet_point(C, up, s),)
-    return bends[last]
-
-
 def tree_path(
     C: SegmentComplex,
     tree: SearchTree,
@@ -253,7 +242,7 @@ def tree_path(
         return None
     if links == 0:
         return PathCertificate((q,), 0)
-    cert = PathCertificate(_chain(C, tree, last) + (q,), links)
+    cert = PathCertificate(tree.bends[last] + (q,), links)
     if links > 1 and not certificate_valid(C, cert, n):
         raise VerificationFailed(
             f"path certificate {point_str(tree.source)} -> "

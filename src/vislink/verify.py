@@ -14,10 +14,9 @@ the least piece holding each segment (Construction.least_piece) and the
 targets' regions. A tuple point's key is read once: it locates the point,
 its incident segments assign it a piece with one min over that table, and
 it ends its path. Certifying the point is a lookup in the witness's tree
-plus the tree's bend memo (SearchTree.bends), which holds the source and
-bends of every path ending on one segment and walks a parent chain only
-the first time a path ends on it. Every multi-link path still passes the
-independent certificate_valid re-check.
+plus the tree's bend table (SearchTree.bends), which holds the source and
+bends of every path ending on one segment, built with the tree. Every
+multi-link path still passes the independent certificate_valid re-check.
 
 Negative claim: the k+1 distinguished targets (edge midpoints c_i when
 n = 2, outer tail endpoints otherwise) have no common viewer. This is
@@ -37,6 +36,7 @@ from typing import ClassVar, List, Optional, Sequence, Tuple
 
 from .complexes import (
     OneSet,
+    PointNotOnComplex,
     SegmentComplex,
     _through,
     intersection_fold,
@@ -50,10 +50,6 @@ from .rng import STREAM_TUPLES, Stream, derive
 
 class IndexOutOfRange(GeometryError):
     """Index outside 0..k."""
-
-
-class TupleNotOnComplex(GeometryError):
-    """A tuple point does not lie on the complex."""
 
 
 class WrongArity(GeometryError):
@@ -115,7 +111,7 @@ def verify_common_witness(
         key = x.key
         incident = _through(C, key)
         if not incident:
-            raise TupleNotOnComplex(f"{point_str(x)} is not on the complex")
+            raise PointNotOnComplex(f"{point_str(x)} is not on the complex")
         owners = [least[s] for s in incident if least[s] is not None]
         if not owners:
             raise PointOnNoPiece(

@@ -20,8 +20,8 @@ Fractions. reference_draw is the sampler's point draw as a Fraction lerp
 along the drawn segment, and reference_certificate_valid the certificate
 re-check on Points, with containment decided by on_segment over the
 maximal segments. reference_tree_path is the search tree's path lookup
-as it walked the parent chain on every call, before the tree memoized
-its bends. The shutter references work on Fraction pairs;
+as it walked the parent chain on every call, before the tree held a
+bend table. The shutter references work on Fraction pairs;
 planted_state builds the shutter state with a known viewer that both
 scans must detect, and reference_danger_scan is the shutter's per-step
 scan as it ran over every pair of sight lines, before its candidates
@@ -263,7 +263,7 @@ def _reference_lookup(tree, q, through_q):
 def reference_tree_path(C, tree, q, n, through_q):
     """tree_path as it walked the parent chain on every call, forming each
     bend anew; q is a Point. It reads the tree's source, dist and parent,
-    never its bend memo."""
+    never its bend table."""
     links, last = _reference_lookup(tree, q, through_q)
     if links is None or links > n:
         return None

@@ -355,7 +355,7 @@ def test_public_names_resolve_and_are_unique():
         "Point", "PointNotInT", "PointNotOnComplex", "PointOnNoPiece",
         "PolygonSpec", "RetryLimitExceeded", "SameSideInput", "Segment",
         "SegmentComplex", "ShutterState", "SideConditionFailed", "StepRecord",
-        "TupleNotOnComplex", "VerificationFailed", "WitnessReport", "WrongArity",
+        "VerificationFailed", "WitnessReport", "WrongArity",
         "advance", "build_family", "certificate_valid",
         "check_strong_general_position", "common_viewer", "contains_point",
         "contains_segment", "find_common_viewer", "gen_kset", "gen_tuples",

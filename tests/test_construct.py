@@ -16,6 +16,7 @@ from vislink.construct import (
     KTooSmall,
     NotConvex,
     PolygonSpec,
+    SideConditionFailed,
     build_family,
     check_strong_general_position,
     make_polygon,
@@ -338,18 +339,46 @@ def test_midpoints_clear_matches_reference_on_planted_diagonals(ts, i, v, plant)
         assert not got[0]
 
 
-@pytest.mark.parametrize("i, v", [(0, 2), (1, 4), (2, 0), (3, 5), (2, 7)])
-def test_planted_chord_through_a_matching_midpoint_is_the_witness(i, v):
+def _planted_octagon(i, v):
+    """A k = 3 spec on eight fixed circle points, planted so that the a-b
+    chord from vertex v passes through the midpoint of removed matching
+    diagonal i, and the index x of the vertex the planting replaced."""
     ts = ("-5", "-2", "-3/4", "-1/5", "1/3", "6/7", "7/3", "9")
     pts = sorted((_on_circle(Fraction(t)) for t in ts), key=_clockwise_key)
     planted = _plant_through_matching_midpoint(pts, 3, i, v)
     (x,) = [j for j in range(len(pts)) if planted[j] != pts[j]]
-    spec = hand_spec([(p.x, p.y) for p in planted], k=3)
+    return hand_spec([(p.x, p.y) for p in planted], k=3), x
+
+
+@pytest.mark.parametrize("i, v", [(0, 2), (1, 4), (2, 0), (3, 5), (2, 7)])
+def test_planted_chord_through_a_matching_midpoint_is_the_witness(i, v):
+    spec, x = _planted_octagon(i, v)
     match = tuple(sorted((2 * spec.partner(i), 2 * i + 1)))
     assert check_strong_general_position(spec) == (
         False, (match, tuple(sorted((v, x))))
     )
     assert not _reference_midpoints_clear(spec)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "i, v, covered",
+    [(0, 2, True), (1, 4, True), (2, 0, False), (3, 5, False), (2, 7, False)],
+)
+def test_build_refuses_a_fan_chord_through_a_removed_midpoint(i, v, covered, n):
+    # build_family's side check on the planted octagons: a fan chord
+    # through the midpoint still covers the removed diagonal there, while
+    # a chord that is itself a removed diagonal lies in no fan
+    spec, x = _planted_octagon(i, v)
+    removed = {tuple(sorted((2 * spec.partner(j), 2 * j + 1))) for j in range(4)}
+    assert (tuple(sorted((v, x))) in removed) is not covered
+    if covered:
+        with pytest.raises(
+            SideConditionFailed, match=f"^removed diagonal {i} is still covered$"
+        ):
+            build_family(spec, n)
+    else:
+        assert len(build_family(spec, n).complex) == 4 * 3 + 4 * (n - 2)
 
 
 @st.composite

@@ -22,7 +22,7 @@ from oracles import (
 from test_acceptance import GRID_SEED, build_grid
 from test_complexes import _complex_raws
 from vislink import Point, Segment, point
-from vislink.complexes import OneSet, contains_point, normalize
+from vislink.complexes import OneSet, PointNotOnComplex, contains_point, normalize
 from vislink.construct import build_family, make_polygon
 from vislink.cli import main
 from vislink.docio import construction_from_doc, construction_to_doc, read_doc
@@ -39,7 +39,6 @@ from vislink.verify import (
     EmptinessReport,
     IndexOutOfRange,
     PointOnNoPiece,
-    TupleNotOnComplex,
     VerificationFailed,
     WrongArity,
     _draw_on_complex,
@@ -135,7 +134,7 @@ def test_wrong_arity():
 
 def test_tuple_not_on_complex():
     c = build_family(make_polygon(2, seed=7))
-    with pytest.raises(TupleNotOnComplex):
+    with pytest.raises(PointNotOnComplex):
         verify_common_witness(c, [c.polygon.a(0), point(50, 50)])
 
 
@@ -206,10 +205,10 @@ def _interior_point(C, s):
 
 
 def test_bend_memo_matches_reference_chain_walk():
-    # every witness tree of every acceptance-grid cell: the memoized path
+    # every witness tree of every acceptance-grid cell: the tabled path
     # to a point inside each segment within graph distance n-1 of the
-    # witness is the one the per-call chain walk builds. Deep segments come first, so
-    # later lookups stop their walk at a segment already memoized.
+    # witness is the one the per-call chain walk builds, and the table,
+    # built with the tree, holds every segment the tree reaches.
     for (n, k), c in build_grid().items():
         C = c.complex
         # a generated family's pieces are disjoint; the copy shares fan 0
@@ -230,8 +229,10 @@ def test_bend_memo_matches_reference_chain_walk():
                 assert cert == reference_tree_path(C, tree, x, n, (s,)), (n, k, s)
                 assert cert.links == tree.dist[s] + 1
                 assert reference_certificate_valid(C, cert, n)
-            assert set(tree.bends) == set(reach)
-    # control: one memoized bend moved to a vertex off its segment
+            assert set(tree.bends) == {
+                s for s, d in enumerate(tree.dist) if d is not None
+            }
+    # control: one tabled bend moved to a vertex off its segment
     c = build_family(make_polygon(3, GRID_SEED), 4)
     C = c.complex
     tree = search_tree(C, c.polygon.a(0))
