@@ -11,32 +11,45 @@ Normalization and point location run on integers. A complex stores each
 maximal segment only as its endpoint keys (the predicate core's (xn, xd,
 yn, yd) tuples), lesser end first by _k.pt_cmp, the order Point defines;
 the merge compares points the same way. Beside them it keeps their
-canonical lines and a vertex index, its one index. Its Segments
-(maximal_segments) are a view, built on first read for callers that want
-Points. The vertices of the arrangement are the segment endpoints and the
-points where two maximal segments meet; the vertex index maps each to the
-segments through it. A point that is not a vertex lies on at most one
-maximal segment: two collinear maximal segments never touch (they would
-have merged), so two segments through one point meet only there, and
-that point is a vertex. Point location is therefore one lookup for a
-vertex and, for any other point, a scan that stops at the first segment
-through it; a query locates each of its points once. A point t lies on
-segment i exactly when it satisfies the integer line equation
-a*xn*yd + b*yn*xd == c*xd*yd of lines[i] and passes _on, the one
-in-segment test, which compares a single coordinate. Its lemma: a point
-on the line of a maximal segment stored lesser end first lies on the
-segment exactly when it lies between the endpoints along x, or along y
-when the segment is vertical (b == 0). On a line that is not vertical, x
-determines the point and the stored ends have px < qx; on a vertical
-one, px == qx and py < qy. normalize decides with the same test whether
-the crossing of two lines lies on both segments. A segment [p, q] lies
-in the union exactly when one maximal segment contains both endpoints, so
-segment membership is one point location plus that test: p is located,
-and q must lie on one of the segments through p. When p is a vertex,
-that is a lookup and at most deg(p) tests, with no scan. Naming a
-segment (a fan, a tail edge) reads the same index: both ends of a
-maximal segment are vertices, so segment_index compares endpoint keys
-with the segments through the first end.
+canonical lines and a vertex index. Its Segments (maximal_segments) are a
+view, built on first read for callers that want Points. The vertices of
+the arrangement are the segment endpoints and the points where two
+maximal segments meet; the vertex index maps each to the segments
+through it. A point that is not a vertex lies on at most one maximal
+segment: two collinear maximal segments never touch (they would have
+merged), so two segments through one point meet only there, and that
+point is a vertex. A point t lies on segment i exactly when it satisfies
+the integer line equation a*xn*yd + b*yn*xd == c*xd*yd of lines[i] and
+passes _on, the one in-segment test, which compares a single coordinate.
+Its lemma: a point on the line of a maximal segment stored lesser end
+first lies on the segment exactly when it lies between the endpoints
+along x, or along y when the segment is vertical (b == 0). On a line that
+is not vertical, x determines the point and the stored ends have px < qx;
+on a vertical one, px == qx and py < qy. normalize decides with the same
+test whether the crossing of two lines lies on both segments.
+
+Point location is one lookup for a vertex. Any other point is tested
+only against the segments its box masks admit (box_masks, built on first
+use). Per axis, a coordinate a = n/d has the floor key
+floor(a * 2**64) = (n << 64) // d, the shutter's axis key, and the masks
+hold, for each distinct key of a segment end and each open gap between
+two such keys, the segments whose range of end keys covers it. The
+masks of t's two keys are ANDed. The box lemma: floor is monotone, so a
+point between two ends along an axis has a key between theirs, and the
+segment through t is never masked out. Keys coarsen the box, so a point
+off the segment may pass the masks (a probe 2**-80 past an end shares
+that end's key); the exact test still rejects it. A query locates each
+of its points once.
+
+A segment [p, q] lies in the union exactly when one maximal segment
+contains both endpoints, so segment membership is one point location
+plus a test of q: p is located, and q must lie on one of the segments
+through p. When q is a vertex, its index entry lists every segment
+through it, and the test is whether that entry shares an index with p's;
+only a q that is not a vertex gets the arithmetic test, on at most
+deg(p) segments. Naming a segment (a fan, a tail edge) reads the vertex
+index too: both ends of a maximal segment are vertices, so segment_index
+compares endpoint keys with the segments through the first end.
 
 A viewer region of radius >= 1 is a union of whole maximal segments, so
 a region is a set of segment indices, and intersection_fold intersects
@@ -54,9 +67,12 @@ write its indices and keys directly.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key
+from itertools import accumulate
+from operator import xor
 from typing import (
     AbstractSet,
     Dict,
@@ -90,6 +106,7 @@ class PointNotOnComplex(GeometryError):
 
 Key = Tuple[int, int, int, int]
 LineKey = Tuple[int, int, int]
+AxisMasks = Tuple[List[int], Tuple[int, ...]]
 
 
 def _pair_cmp(a: Tuple[Key, Key], b: Tuple[Key, Key]) -> int:
@@ -144,17 +161,20 @@ class SegmentComplex:
     vertex_segments maps the key of every vertex (an endpoint, or a point
     where two maximal segments meet) to the ascending indices of the
     segments through it; every other point of the union lies on exactly
-    one maximal segment. This one location index answers point and
-    segment membership alike, and names a maximal segment
+    one maximal segment. The vertex index locates vertices, answers
+    segment membership between two of them, and names a maximal segment
     (segment_index): both its endpoints are vertices. lines and
     vertex_segments are derived from keys, so equality ignores them.
 
-    Two views are built on first read and then kept by the complex; as
+    Three views are built on first read and then kept by the complex; as
     cached properties they take no part in equality or repr.
     maximal_segments holds the Segment of every key pair, for callers
     that want Points. distances[i][j] is the graph distance from segment
     i to segment j, None when they lie in different components. Row i is
-    _bfs(C, (i,))[0], one BFS per maximal segment.
+    _bfs(C, (i,))[0], one BFS per maximal segment. box_masks holds the x
+    and then the y masks of _axis_masks, over the floor keys of the
+    segment ends; it is first read when a point that is not a vertex is
+    located, so vertex-only callers never build it.
     """
 
     keys: Tuple[Tuple[Key, Key], ...]
@@ -174,6 +194,32 @@ class SegmentComplex:
     @cached_property
     def distances(self) -> Tuple[Tuple[Optional[int], ...], ...]:
         return tuple(tuple(_bfs(self, (i,))[0]) for i in range(len(self)))
+
+    @cached_property
+    def box_masks(self) -> Tuple[AxisMasks, AxisMasks]:
+        # stored lesser end first, so px <= qx; y may run either way
+        xs = [((p[0] << 64) // p[1], (q[0] << 64) // q[1]) for p, q in self.keys]
+        ys = [
+            sorted(((p[2] << 64) // p[3], (q[2] << 64) // q[3])) for p, q in self.keys
+        ]
+        return _axis_masks(xs), _axis_masks(ys)
+
+
+def _axis_masks(ranges: Sequence[Sequence[int]]) -> AxisMasks:
+    """One axis of the box masks. ranges[i] holds the floor keys of the
+    ends of segment i, lesser first. Returns the sorted distinct keys and
+    one bitmask per slot: slot 2j+1 is keys[j], slot 2j the open gap below
+    it (below every key for j = 0, above every key for j = len(keys)).
+    Bit i is set in the slots from segment i's lesser key to its greater
+    one, so each segment toggles its bit on at its first slot and off
+    after its last, and a running XOR gives the masks."""
+    keys = sorted({k for r in ranges for k in r})
+    slot = {k: 2 * j + 1 for j, k in enumerate(keys)}
+    toggles = [0] * (2 * len(keys) + 1)
+    for i, (lo, hi) in enumerate(ranges):
+        toggles[slot[lo]] ^= 1 << i
+        toggles[slot[hi] + 1] ^= 1 << i
+    return keys, tuple(accumulate(toggles, xor))
 
 
 def _bfs(C: SegmentComplex, seeds: Sequence[int]):
@@ -281,14 +327,38 @@ def _containing(
             yield i
 
 
+def _box_mask(C: SegmentComplex, t: Key) -> int:
+    """Bitmask of the segments whose floor-key box holds the point t: the
+    AND of the x and y masks of t's floor keys. A key k falls in slot
+    bisect_left + bisect_right of the sorted keys: 2j+1 when it is
+    keys[j], else 2j for the gap below keys[j]. By the box lemma (module
+    docstring) every segment through t is set."""
+    (xk, xm), (yk, ym) = C.box_masks
+    kx = (t[0] << 64) // t[1]
+    ky = (t[2] << 64) // t[3]
+    return (
+        xm[bisect_left(xk, kx) + bisect_right(xk, kx)]
+        & ym[bisect_left(yk, ky) + bisect_right(yk, ky)]
+    )
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _through(C: SegmentComplex, t: Key) -> Tuple[int, ...]:
     """Ascending indices of the maximal segments through the point t: its
-    vertex index entry, else the first segment through it (a point that
-    is not a vertex lies on at most one)."""
+    vertex index entry, else the first segment through it among those its
+    box masks admit, in ascending order (a point that is not a vertex lies
+    on at most one)."""
     found = C.vertex_segments.get(t)
     if found is not None:
         return found
-    for i in _containing(C, t, range(len(C.lines))):
+    for i in _containing(C, t, _bits(_box_mask(C, t))):
         return (i,)
     return ()
 
@@ -317,10 +387,15 @@ def segment_index(C: SegmentComplex, s: Segment) -> Optional[int]:
 
 
 def _contains(C: SegmentComplex, p: Key, q: Key) -> bool:
-    """contains_segment on the keys of the two ends."""
+    """contains_segment on the keys of the two ends. A vertex q lies on
+    exactly the segments its index entry lists, so one segment holds p
+    and q exactly when that entry shares an index with p's segments; any
+    other q is tested on the segments through p. With p == q either way
+    answers whether p lies on the complex."""
     through_p = _through(C, p)
-    if p == q:
-        return bool(through_p)
+    through_q = C.vertex_segments.get(q)
+    if through_q is not None:
+        return not set(through_p).isdisjoint(through_q)
     return next(_containing(C, q, through_p), None) is not None
 
 
@@ -333,7 +408,8 @@ def contains_segment(C: SegmentComplex, p: Point, q: Point) -> bool:
     segments cover only isolated points of its line. A maximal segment is
     convex, so it contains [p, q] exactly when it passes through p and
     through q: p is located, and q must lie on one of the segments
-    through it.
+    through it, read from the vertex index when q is a vertex and tested
+    by its line equation otherwise.
     """
     return _contains(C, p.key, q.key)
 

@@ -28,7 +28,9 @@ scan as it ran over every pair of sight lines, before its candidates
 were bisected. full_general_position and full_midpoints_clear are the
 two halves of the polygon genericity check as they ran over every
 diagonal, a-a and b-b included, before they were restricted to the a-b
-chords the fans hold.
+chords the fans hold. reference_through is point location as it ran
+before box masks narrowed it: a vertex index lookup, else a scan of
+every maximal segment's line.
 """
 
 from collections import deque
@@ -39,6 +41,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from vislink import _pure as _k
 from vislink._pure import _other_coefs, norm2, orient
+from vislink.complexes import _containing
 from vislink.construct import PolygonSpec, _midpoint
 from vislink.kernel import Point, Segment, point_from_key, point_str
 from vislink.links import (
@@ -220,6 +223,18 @@ def reference_draw(C, stream):
     s = C.maximal_segments[stream.below(len(C.maximal_segments))]
     t = Fraction(stream.below(65537), 65536)
     return Point(s.p.x + t * (s.q.x - s.p.x), s.p.y + t * (s.q.y - s.p.y))
+
+
+def reference_through(C, t):
+    """complexes._through as it scanned every maximal segment's line for
+    a point t that is not a vertex, stopping at the first segment through
+    it."""
+    found = C.vertex_segments.get(t)
+    if found is not None:
+        return found
+    for i in _containing(C, t, range(len(C.lines))):
+        return (i,)
+    return ()
 
 
 def _contains_point(C, p):

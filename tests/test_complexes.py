@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import RegionReference, covered, on_segment, reference_merge, seg_meet
+from oracles import (
+    RegionReference,
+    covered,
+    on_segment,
+    reference_merge,
+    reference_through,
+    seg_meet,
+)
 from vislink import Segment, point
 from vislink import _pure as _k
 from vislink.complexes import (
@@ -14,7 +21,9 @@ from vislink.complexes import (
     OneSet,
     PointNotOnComplex,
     SegmentComplex,
+    _box_mask,
     _merge_collinear,
+    _through,
     contains_point,
     contains_segment,
     incident_segments,
@@ -24,7 +33,7 @@ from vislink.complexes import (
     segment_index,
 )
 from vislink.kernel import DegenerateSegment, point_from_key
-from vislink.links import _meet_point
+from vislink.links import _meet_point, common_viewer, link_distance
 from vislink.rng import Stream, derive
 
 
@@ -313,10 +322,33 @@ _probe = st.tuples(
 ).map(lambda t: point(Fraction(t[0], 2), Fraction(t[1], 2)))
 
 
-# lerp parameters of points on a segment's line just outside the segment
+# lerp parameters of points on a segment's line just outside the segment;
+# the box masks reject a probe 2**-40 past an end, while one 2**-80 past
+# it shares the end's floor key, so only the exact test rejects it
 _JUST_OUTSIDE = (
-    Fraction(-1, 3), Fraction(4, 3), -Fraction(1, 2**40), 1 + Fraction(1, 2**40)
+    Fraction(-1, 3),
+    Fraction(4, 3),
+    -Fraction(1, 2**40),
+    1 + Fraction(1, 2**40),
+    -Fraction(1, 2**80),
+    1 + Fraction(1, 2**80),
 )
+
+
+def _floor_keys(t):
+    return (t[0] << 64) // t[1], (t[2] << 64) // t[3]
+
+
+def _box_reference(C, t):
+    """The box mask by its definition: bit i is set when t's floor keys
+    lie between those of segment i's ends along both axes."""
+    kx, ky = _floor_keys(t)
+    mask = 0
+    for i, (p, q) in enumerate(C.keys):
+        (px, py), (qx, qy) = _floor_keys(p), _floor_keys(q)
+        if min(px, qx) <= kx <= max(px, qx) and min(py, qy) <= ky <= max(py, qy):
+            mask |= 1 << i
+    return mask
 
 
 def _brute_through(C, p):
@@ -344,12 +376,72 @@ def test_point_location_matches_brute_scan(raws, probes):
     probes += _meet_points(C)
     for p in probes:
         want = _brute_through(C, p)
+        assert _through(C, p.key) == reference_through(C, p.key)
+        assert _box_mask(C, p.key) == _box_reference(C, p.key)
         assert contains_point(C, p) == bool(want)
         if want:
             assert incident_segments(C, p) == want
         else:
             with pytest.raises(PointNotOnComplex):
                 incident_segments(C, p)
+
+
+def test_box_masks_on_axis_parallel_tiny_and_negative_segments():
+    tiny = Fraction(1, 2**70)
+    x0, y0 = Fraction(1, 3), Fraction(-7, 2)
+    edge = Fraction(1, 2**64)  # floor key exactly 1
+    raws = [
+        seg(0, -3, 0, 2),  # vertical
+        seg(-5, 5, -1, 5),  # horizontal
+        seg(-4, -4, -2, -1),  # negative coordinates only
+        Segment(point(x0, y0), point(x0 + tiny, y0 + tiny)),  # one floor key
+        Segment(point(edge, 7), point(2, 7)),  # an end on a key boundary
+        seg(-1, -1, 1, 1),  # through (edge, edge), no vertex there
+    ]
+    C = normalize(raws)
+    p, q = next(k for k in C.keys if k[0] == point(x0, y0).key)
+    assert _floor_keys(p) == _floor_keys(q)
+    on = [
+        point(0, Fraction(-1, 3)),
+        point(-3, 5),
+        point(-3, Fraction(-5, 2)),
+        point(x0 + tiny / 2, y0 + tiny / 2),
+        point(edge + Fraction(1, 2**80), 7),
+        point(edge, edge),
+    ]
+    off = [
+        point(Fraction(1, 2**80), 0),  # vertical's floor key, off its line
+        point(-5 - Fraction(1, 2**80), 5),
+        point(-2 + Fraction(1, 2**80), -1 + Fraction(3, 2**81)),
+        point(x0 + 2 * tiny, y0 + 2 * tiny),  # past the tiny end, same key
+        point(x0 - Fraction(1, 2**80), y0 - Fraction(1, 2**80)),
+        point(edge - Fraction(1, 2**80), 7),  # one key below the end
+        point(edge, edge + Fraction(1, 2**80)),
+    ]
+    for t in on + off:
+        want = _brute_through(C, t)
+        assert bool(want) == (t in on)
+        assert _through(C, t.key) == want == reference_through(C, t.key)
+        assert _box_mask(C, t.key) == _box_reference(C, t.key)
+        for i in want:
+            assert _box_mask(C, t.key) >> i & 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(_complex_raws)
+def test_vertex_only_queries_build_no_box_masks(raws):
+    # link_distance and common_viewer over vertices read the vertex index
+    # alone, so a caller that queries only vertices never builds the masks
+    C = normalize(raws)
+    vertices = [point_from_key(v) for v in C.vertex_segments]
+    for p in vertices:
+        for q in vertices:
+            link_distance(C, p, q)
+    for n in (1, 2):
+        common_viewer(C, vertices[:3], n)
+    assert "box_masks" not in C.__dict__
+    assert not contains_point(C, point(1000, Fraction(1, 7)))
+    assert "box_masks" in C.__dict__
 
 
 @settings(max_examples=200, deadline=None)
@@ -402,6 +494,15 @@ def test_contains_segment_matches_brute_scan(raws, pairs):
             want = any(on_segment(p, s) and on_segment(q, s) for s in segs)
         # contains_segment locates only its first point: try both orders
         assert contains_segment(C, p, q) == contains_segment(C, q, p) == want
+    # every pair of arrangement vertices, on one segment or on two: the
+    # answer is read from the vertex index, and it must be whether one
+    # segment holds both, not whether their segments share a vertex
+    vertices = [p for s in segs for p in (s.p, s.q)] + list(_meet_points(C))
+    through = {p: set(_brute_through(C, p)) for p in vertices}
+    for p in vertices:
+        for q in vertices:
+            want = not through[p].isdisjoint(through[q])
+            assert contains_segment(C, p, q) == want
 
 
 @settings(max_examples=200, deadline=None)

@@ -17,13 +17,20 @@ from oracles import (
     on_segment,
     reference_certificate_valid,
     reference_draw,
+    reference_through,
     reference_tree_path,
 )
 from test_acceptance import GRID_SEED, build_grid
 from test_complexes import _complex_raws
 from vislink import Point, Segment, point
-from vislink.complexes import OneSet, PointNotOnComplex, contains_point, normalize
-from vislink.construct import build_family, make_polygon
+from vislink.complexes import (
+    OneSet,
+    PointNotOnComplex,
+    _through,
+    contains_point,
+    normalize,
+)
+from vislink.construct import _midpoint, build_family, make_polygon
 from vislink.cli import main
 from vislink.docio import construction_from_doc, construction_to_doc, read_doc
 from vislink.kernel import parse_rat, rat_str
@@ -192,6 +199,22 @@ def test_witness_tree_certificates_match_fresh_searches():
             assert [t.source for t in c.witness_trees] == [
                 c.polygon.a(m) for m in range(k + 1)
             ]
+
+
+def test_grid_point_location_matches_full_scan():
+    # in every acceptance-grid cell, locating through the box masks gives
+    # the full line scan's answer on the tuple points a round certifies,
+    # on the removed diagonals' midpoints (off the complex) and on points
+    # 2**-80 past each segment end, which share that end's floor key
+    past = Fraction(1, 2**80)
+    for (n, k), c in build_grid().items():
+        C, p = c.complex, c.polygon
+        probes = [x for pts in sample_tuples(C, k, 50, seed=7) for x in pts]
+        probes += [_midpoint(p.a(p.partner(i)), p.b(i)) for i in range(k + 1)]
+        probes += [lerp(s, t) for s in C.maximal_segments for t in (-past, 1 + past)]
+        for x in probes:
+            assert _through(C, x.key) == reference_through(C, x.key), (n, k, x)
+        assert not any(contains_point(C, x) for x in probes[-2 * len(C) :])
 
 
 def _interior_point(C, s):
