@@ -5,22 +5,33 @@ coordinates as canonical rational strings "p/q". Serialization is
 canonical (sorted keys, fixed separators, trailing newline), so identical
 inputs produce byte-identical files; the determinism tests rely on this.
 
-doc_bytes is one hand-written writer with a byte contract: for every
-document of dicts with str keys, lists, tuples, str, int, bool and None
-it returns exactly
-json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
-encoded as ASCII (strings escaped by json's encode_basestring_ascii,
-empty containers as [] and {}), and it raises TypeError on a float, a
-non-str key or any other type. With indent set, json.dumps runs the
-pure-Python encoder; this writer joins whole lists of strings in one call
-instead. It yields the text in pieces: doc_bytes joins them, and
-write_doc writes them as they come, so a file never needs the whole text
-in memory (a 200-step k=3 audit log is about 32 MB). Audit logs are
-written from the shutter's integer scalars: the axis point with canonical
-abscissa (n, d) is ["n/d", "0/1"], the strings rat_str gives for it. A
-construction's segments, report regions and witness paths are written
-from the integer keys the complex and the certificates store, the same
-way: the point with key (xn, xd, yn, yd) is ["xn/xd", "yn/yd"].
+A document is plain data (dicts with str keys, lists, tuples, str, int,
+bool and None) plus three record types, held as the package made them:
+a report's WitnessReports and EmptinessReport, and an audit log's
+StepRecords. doc_bytes is the one writer, with a byte contract: it
+returns exactly
+json.dumps(ref, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+encoded as ASCII, where ref is the document with each record replaced by
+its reference form (the dict trees in tests/oracles.py); strings are
+escaped by json's encode_basestring_ascii, empty containers are [] and
+{}, and a float, a non-str key or any other type raises TypeError.
+
+_parts writes the plain data (a construction, a header, an input),
+joining a whole list of strings in one call, and hands each record to
+its template, which writes it from the record's own fields with no dict
+tree between. A point is written from its integer key: the point with
+key (xn, xd, yn, yd) is ["xn/xd", "yn/yd"], the strings rat_str gives.
+A report's paths and regions repeat the same few sources and bends, so
+each key's text is formatted once per document and depth, through a
+memo keyed on the integer key. An audit log's crossings are canonical
+scalars: the axis point with abscissa (n, d) is ["n/d", "0/1"], and
+each list of them is one %-format.
+
+The text comes in pieces, one per record (one per region of a fold):
+doc_bytes joins them, and write_doc writes them as they come, so a file
+never needs the whole text in memory (a 200-step k=3 audit log is about
+32 MB; its largest record, about 0.3 MB). A write that fails partway
+removes the file.
 
 Readers validate shape and reconstruct full domain objects from the
 serialized geometry alone. A construction document carries its complex
@@ -31,14 +42,16 @@ verify round-trip proves the format is complete.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .complexes import Key, OneSet, SegmentComplex, normalize, segment_index
 from .construct import Construction, PolygonSpec
 from .kernel import GeometryError, Point, Segment, parse_rat, rat_str
-from .links import PathCertificate
 from .shutter import Scalar, ShutterState, StepRecord
 from .verify import EmptinessReport, WitnessReport
 
@@ -81,19 +94,11 @@ def segment_from_doc(v: Any) -> Segment:
         raise DocumentError(str(e)) from None
 
 
-def _key_doc(k: Key) -> Tuple[str, str]:
-    """point_to_doc of the point with key k, as a pair (see _axis_doc): a
-    key is reduced with a positive denominator, as rat_str writes."""
+def _key_doc(k: Key) -> List[str]:
+    """point_to_doc of the point with key k: a key is reduced with a
+    positive denominator, as rat_str writes."""
     xn, xd, yn, yd = k
-    return (f"{xn}/{xd}", f"{yn}/{yd}")
-
-
-def oneset_to_doc(C: SegmentComplex, s: OneSet) -> Dict[str, Any]:
-    keys = C.keys
-    return {
-        "segments": [list(map(_key_doc, keys[i])) for i in s.segments],
-        "points": [_key_doc(v) for v in s.points],
-    }
+    return [f"{xn}/{xd}", f"{yn}/{yd}"]
 
 
 # ---------------------------------------------------------------------------
@@ -254,34 +259,6 @@ def tuples_from_doc(doc: Any) -> List[Tuple[Point, ...]]:
 # report documents
 
 
-def _certificate_to_doc(cert: PathCertificate) -> Dict[str, Any]:
-    return {
-        "vertices": [_key_doc(k) for k in cert.keys],
-        "links": cert.links,
-    }
-
-
-def witness_report_to_doc(r: WitnessReport) -> Dict[str, Any]:
-    return {
-        "tuple": [point_to_doc(p) for p in r.tuple],
-        "witness": point_to_doc(r.witness),
-        "method": r.method,
-        "paths": [_certificate_to_doc(c) for c in r.paths],
-    }
-
-
-def emptiness_report_to_doc(r: EmptinessReport) -> Dict[str, Any]:
-    C = r.complex
-    return {
-        "targets": [point_to_doc(p) for p in r.targets],
-        "n": r.n,
-        "per_target_regions": [oneset_to_doc(C, s) for s in r.per_target_regions],
-        "intersection_trace": [oneset_to_doc(C, s) for s in r.intersection_trace],
-        "final": oneset_to_doc(C, r.final),
-        "final_empty": r.final.is_empty(),
-    }
-
-
 def verify_report_doc(
     k: int,
     n: int,
@@ -295,10 +272,10 @@ def verify_report_doc(
         "k": k,
         "n": n,
         "seed": seed,
-        "no_common_viewer": emptiness_report_to_doc(emptiness),
+        "no_common_viewer": emptiness,
         "tuples_checked": len(witnesses),
         "formula_failures": 0,  # a formula miss raises; no report is written
-        "witnesses": [witness_report_to_doc(w) for w in witnesses],
+        "witnesses": list(witnesses),
     }
 
 
@@ -312,7 +289,7 @@ def drop_control_doc(
         "k": k,
         "n": n,
         "dropped_target": dropped,
-        "report": emptiness_report_to_doc(report),
+        "report": report,
         "nonempty": not report.final.is_empty(),
     }
 
@@ -346,29 +323,6 @@ def shutter_input_from_doc(
     return K, _tuples_field(doc) if "tuples" in doc else None
 
 
-def _axis_doc(scalars: Sequence[Scalar]) -> List[Tuple[str, str]]:
-    """point_to_doc of the axis points with these canonical abscissae, as
-    pairs: doc_bytes writes them as lists, and a tuple of strings leaves the
-    garbage collector's tracking, where 400k lists made the collector walk
-    them again and again (0.6 s of a 200-step k=3 log)."""
-    return [(f"{n}/{d}", "0/1") for n, d in scalars]
-
-
-def _step_record_to_doc(r: StepRecord) -> Dict[str, Any]:
-    return {
-        "step": r.step,
-        "tuple": [point_to_doc(p) for p in r.tuple],
-        "witness": point_to_doc(r.witness),
-        "z_new": r.z_new,
-        "b_added": _axis_doc(r.b_scalars),
-        "a_added": _axis_doc(r.a_scalars),
-        "a_size": r.a_size,
-        "b_size": r.b_size,
-        # a step whose scan finds a viewer raises; no record is written
-        "viewer_absent": True,
-    }
-
-
 def audit_to_doc(s: ShutterState, seed: int) -> Dict[str, Any]:
     return {
         "schema": SCHEMA_VERSION,
@@ -377,9 +331,9 @@ def audit_to_doc(s: ShutterState, seed: int) -> Dict[str, Any]:
         "K": [point_to_doc(p) for p in s.K],
         "steps": s.step,
         "b0_size": s.b0_size,
-        "a_final": _axis_doc(s.a_scalars),
+        "a_final": [_key_doc((n, d, 0, 1)) for n, d in s.a_scalars],
         "b_size_final": s.audit[-1].b_size,
-        "records": [_step_record_to_doc(r) for r in s.audit],
+        "records": list(s.audit),
         "seed": seed,
     }
 
@@ -388,10 +342,156 @@ def audit_to_doc(s: ShutterState, seed: int) -> Dict[str, Any]:
 # canonical bytes
 
 
-def _parts(o: Any, indent: str) -> Iterator[str]:
+def _point(k: Key, indent: str) -> str:
+    """The point with key k as a list; `indent` precedes its closing
+    bracket."""
+    xn, xd, yn, yd = k
+    inner = indent + " "
+    return f'[{inner}"{xn}/{xd}",{inner}"{yn}/{yd}"{indent}]'
+
+
+class _Memo(dict):
+    """A document's vertex-key texts, by depth: memo[indent][k] is
+    _point(k, indent), formatted on its first use."""
+
+    def __missing__(self, indent: str) -> _PointTexts:
+        texts = self[indent] = _PointTexts(indent)
+        return texts
+
+
+class _PointTexts(dict):
+    def __init__(self, indent: str) -> None:
+        super().__init__()
+        self.indent = indent
+
+    def __missing__(self, k: Key) -> str:
+        text = self[k] = _point(k, self.indent)
+        return text
+
+
+def _items(texts: Sequence[str], indent: str) -> str:
+    """A list of written items; `indent` precedes its closing bracket."""
+    if not texts:
+        return "[]"
+    inner = indent + " "
+    return "[" + inner + ("," + inner).join(texts) + indent + "]"
+
+
+def _axis(scalars: Sequence[Scalar], indent: str) -> str:
+    """The list of axis points with these canonical abscissae: the point
+    with abscissa (n, d) is ["n/d", "0/1"], the strings rat_str gives.
+    One %-format over the whole list: no string per point."""
+    if not scalars:
+        return "[]"
+    i1 = indent + " "
+    i2 = i1 + " "
+    point = f'{i1}[{i2}"%d/%d",{i2}"0/1"{i1}]'
+    return (
+        "[" + ",".join([point] * len(scalars)) % tuple(chain.from_iterable(scalars))
+        + indent + "]"
+    )
+
+
+def _witness_record(r: WitnessReport, indent: str, memo: _Memo) -> Iterator[str]:
+    i1 = indent + " "
+    i2 = i1 + " "
+    i3 = i2 + " "
+    vertex = memo[i3 + " "].__getitem__  # a path's vertices, one level deeper
+    paths = _items(
+        [
+            f'{{{i3}"links": {c.links},{i3}"vertices": '
+            f"{_items(list(map(vertex, c.keys)), i3)}{i2}}}"
+            for c in r.paths
+        ],
+        i1,
+    )
+    points = memo[i2]
+    tuple_ = _items([points[p.key] for p in r.tuple], i1)
+    yield (
+        f'{{{i1}"method": {_quote(r.method)},{i1}"paths": {paths},'
+        f'{i1}"tuple": {tuple_},{i1}"witness": {memo[i1][r.witness.key]}'
+        f"{indent}}}"
+    )
+
+
+def _region(C: SegmentComplex, s: OneSet, indent: str, memo: _Memo) -> str:
+    """A OneSet: its vertices, and its segments as their end points."""
+    i1 = indent + " "
+    i2 = i1 + " "
+    i3 = i2 + " "
+    points = _items(list(map(memo[i2].__getitem__, s.points)), i1)
+    ends = memo[i3]
+    segments = _items(
+        [
+            f"[{i3}{ends[p]},{i3}{ends[q]}{i2}]"
+            for p, q in map(C.keys.__getitem__, s.segments)
+        ],
+        i1,
+    )
+    return f'{{{i1}"points": {points},{i1}"segments": {segments}{indent}}}'
+
+
+def _emptiness_record(
+    r: EmptinessReport, indent: str, memo: _Memo
+) -> Iterator[str]:
+    """One piece per region: the fold can list many."""
+    C = r.complex
+    i1 = indent + " "
+    targets = _items([memo[i1 + " "][p.key] for p in r.targets], i1)
+    yield (
+        f'{{{i1}"final": {_region(C, r.final, i1, memo)},'
+        f'{i1}"final_empty": {"true" if r.final.is_empty() else "false"},'
+        f'{i1}"intersection_trace": '
+    )
+    yield from _regions(C, r.intersection_trace, i1, memo)
+    yield f',{i1}"n": {r.n},{i1}"per_target_regions": '
+    yield from _regions(C, r.per_target_regions, i1, memo)
+    yield f",{i1}\"targets\": {targets}{indent}}}"
+
+
+def _regions(
+    C: SegmentComplex, regions: Sequence[OneSet], indent: str, memo: _Memo
+) -> Iterator[str]:
+    if not regions:
+        yield "[]"
+        return
+    inner = indent + " "
+    lead = "[" + inner
+    for s in regions:
+        yield lead + _region(C, s, inner, memo)
+        lead = "," + inner
+    yield indent + "]"
+
+
+def _step_record(r: StepRecord, indent: str, memo: _Memo) -> Iterator[str]:
+    # its points are not vertices and seldom repeat, so they skip the
+    # memo; a step whose scan finds a viewer raises, so no record has
+    # viewer_absent false
+    i1 = indent + " "
+    tuple_ = _items([_point(p.key, i1 + " ") for p in r.tuple], i1)
+    yield (
+        f'{{{i1}"a_added": {_axis(r.a_scalars, i1)},{i1}"a_size": {r.a_size},'
+        f'{i1}"b_added": {_axis(r.b_scalars, i1)},{i1}"b_size": {r.b_size},'
+        f'{i1}"step": {r.step},{i1}"tuple": {tuple_},{i1}"viewer_absent": true,'
+        f'{i1}"witness": {_point(r.witness.key, i1)},{i1}"z_new": {r.z_new}'
+        f"{indent}}}"
+    )
+
+
+# the records a document may hold besides plain data, each with its
+# template: a generator of the record's text in pieces
+_RECORDS = {
+    WitnessReport: _witness_record,
+    EmptinessReport: _emptiness_record,
+    StepRecord: _step_record,
+}
+
+
+def _parts(o: Any, indent: str, memo: _Memo) -> Iterator[str]:
     """The indent=1 JSON text of o, in pieces; `indent` is the newline and
     indentation that precede o's closing bracket. A list of strings, and
-    each run of list items that are lists of strings, is one piece."""
+    each run of list items that are lists of strings, is one piece; a
+    record is written by its template."""
     if isinstance(o, dict):
         if not o:
             yield "{}"
@@ -400,7 +500,7 @@ def _parts(o: Any, indent: str) -> Iterator[str]:
         lead = "{" + inner
         for key in sorted(o):  # _quote raises TypeError on a non-str key
             yield lead + _quote(key) + ": "
-            yield from _parts(o[key], inner)
+            yield from _parts(o[key], inner, memo)
             lead = "," + inner
         yield indent + "}"
         return
@@ -433,7 +533,7 @@ def _parts(o: Any, indent: str) -> Iterator[str]:
                 run = []
                 lead = sep
             yield lead
-            yield from _parts(x, inner)
+            yield from _parts(x, inner, memo)
             lead = sep
         if run:
             yield lead + sep.join(run)
@@ -449,21 +549,29 @@ def _parts(o: Any, indent: str) -> Iterator[str]:
         yield "false"
     elif isinstance(o, int):
         yield int.__repr__(o)
+    elif o.__class__ in _RECORDS:
+        yield from _RECORDS[o.__class__](o, indent, memo)
     else:
         raise TypeError(f"cannot write a {type(o).__name__} into a document")
 
 
 def doc_bytes(doc: Dict[str, Any]) -> bytes:
     """Canonical bytes of a document (the contract: module docstring)."""
-    return ("".join(_parts(doc, "\n")) + "\n").encode("ascii")
+    return ("".join(_parts(doc, "\n", _Memo())) + "\n").encode("ascii")
 
 
 def write_doc(path: str, doc: Dict[str, Any]) -> None:
     """Write doc_bytes(doc) to path piece by piece, never holding the
-    whole text."""
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.writelines(_parts(doc, "\n"))
-        f.write("\n")
+    whole text. A write that fails partway removes the file."""
+    f = open(path, "w", encoding="ascii", newline="\n")
+    try:
+        with f:
+            f.writelines(_parts(doc, "\n", _Memo()))
+            f.write("\n")
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(path)
+        raise
 
 
 def read_doc(path: str) -> Dict[str, Any]:

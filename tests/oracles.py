@@ -30,19 +30,24 @@ two halves of the polygon genericity check as they ran over every
 diagonal, a-a and b-b included, before they were restricted to the a-b
 chords the fans hold. reference_through is point location as it ran
 before box masks narrowed it: a vertex index lookup, else a scan of
-every maximal segment's line.
+every maximal segment's line. The document references at the end are
+the dict trees docio built for a report's and an audit log's records
+before it wrote them through one template each; reference_form puts
+them in place of a document's records, and json.dumps of the result is
+the byte reference for docio.doc_bytes.
 """
 
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from vislink import _pure as _k
 from vislink._pure import _other_coefs, norm2, orient
 from vislink.complexes import _containing
 from vislink.construct import PolygonSpec, _midpoint
+from vislink.docio import point_to_doc
 from vislink.kernel import Point, Segment, point_from_key, point_str
 from vislink.links import (
     PathCertificate,
@@ -50,7 +55,8 @@ from vislink.links import (
     _meet_point,
     certificate_valid,
 )
-from vislink.shutter import ShutterState, _admit_crossing
+from vislink.shutter import ShutterState, StepRecord, _admit_crossing
+from vislink.verify import EmptinessReport, WitnessReport
 
 
 def in_box(t, p, q):
@@ -672,3 +678,83 @@ def full_midpoints_clear(p: PolygonSpec) -> bool:
             if d != match and a * u + b * v == c * w:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# document references: the records of reports and audit logs as dict trees
+
+
+def _key_doc(k):
+    xn, xd, yn, yd = k
+    return (f"{xn}/{xd}", f"{yn}/{yd}")
+
+
+def oneset_to_doc(C, s):
+    keys = C.keys
+    return {
+        "segments": [list(map(_key_doc, keys[i])) for i in s.segments],
+        "points": [_key_doc(v) for v in s.points],
+    }
+
+
+def certificate_to_doc(cert: PathCertificate) -> Dict[str, Any]:
+    return {
+        "vertices": [_key_doc(k) for k in cert.keys],
+        "links": cert.links,
+    }
+
+
+def witness_report_to_doc(r: WitnessReport) -> Dict[str, Any]:
+    return {
+        "tuple": [point_to_doc(p) for p in r.tuple],
+        "witness": point_to_doc(r.witness),
+        "method": r.method,
+        "paths": [certificate_to_doc(c) for c in r.paths],
+    }
+
+
+def emptiness_report_to_doc(r: EmptinessReport) -> Dict[str, Any]:
+    C = r.complex
+    return {
+        "targets": [point_to_doc(p) for p in r.targets],
+        "n": r.n,
+        "per_target_regions": [oneset_to_doc(C, s) for s in r.per_target_regions],
+        "intersection_trace": [oneset_to_doc(C, s) for s in r.intersection_trace],
+        "final": oneset_to_doc(C, r.final),
+        "final_empty": r.final.is_empty(),
+    }
+
+
+def _axis_doc(scalars):
+    return [(f"{n}/{d}", "0/1") for n, d in scalars]
+
+
+def step_record_to_doc(r: StepRecord) -> Dict[str, Any]:
+    return {
+        "step": r.step,
+        "tuple": [point_to_doc(p) for p in r.tuple],
+        "witness": point_to_doc(r.witness),
+        "z_new": r.z_new,
+        "b_added": _axis_doc(r.b_scalars),
+        "a_added": _axis_doc(r.a_scalars),
+        "a_size": r.a_size,
+        "b_size": r.b_size,
+        "viewer_absent": True,
+    }
+
+
+_REFERENCES = {
+    WitnessReport: witness_report_to_doc,
+    EmptinessReport: emptiness_report_to_doc,
+    StepRecord: step_record_to_doc,
+}
+
+
+def reference_form(o):
+    """A document with every record in it replaced by its dict tree."""
+    if isinstance(o, dict):
+        return {key: reference_form(v) for key, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [reference_form(x) for x in o]
+    ref = _REFERENCES.get(type(o))
+    return o if ref is None else ref(o)

@@ -1,22 +1,25 @@
 """Document round-trips, canonical bytes, and malformed-input rejection."""
 
+import dataclasses
 import json
+import os
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_form
 from test_acceptance import build_grid
 from vislink.complexes import segment_index
 from vislink.construct import build_family, make_polygon
 from vislink.docio import (
     DocumentError,
-    _certificate_to_doc,
     audit_to_doc,
     construction_from_doc,
     construction_to_doc,
     doc_bytes,
-    emptiness_report_to_doc,
+    drop_control_doc,
     point_from_doc,
     point_to_doc,
     read_doc,
@@ -24,10 +27,11 @@ from vislink.docio import (
     segment_to_doc,
     shutter_input_from_doc,
     shutter_input_to_doc,
+    verify_report_doc,
     write_doc,
 )
 from vislink.kernel import point, point_from_key
-from vislink.shutter import gen_tuples, run_schedule
+from vislink.shutter import gen_kset, gen_tuples, run_schedule
 from vislink.verify import sample_tuples, verify_common_witness, verify_targets_blocked
 
 K3 = (point(-1, -1), point(0, -2), point(1, -1))
@@ -128,11 +132,11 @@ def test_real_documents_match_json_dumps():
     c = small(3, 3, seed=5)
     s = run_schedule(K3, gen_tuples(2, 6, seed=2))
     for doc in (construction_to_doc(c), audit_to_doc(s, seed=2), shutter_input_to_doc(K3)):
-        assert doc_bytes(doc) == reference_bytes(doc)
+        assert doc_bytes(doc) == reference_bytes(reference_form(doc))
 
 
 def _points_route(r):
-    """emptiness_report_to_doc as written from Points: each region's
+    """An emptiness report as written from Points: each region's
     segments as maximal Segments and its vertex keys as Points."""
     segs = r.complex.maximal_segments
 
@@ -159,8 +163,8 @@ def test_region_writer_matches_points_route():
         reports = [verify_targets_blocked(c)]
         reports += [verify_targets_blocked(c, drop_index=d) for d in range(c.k + 1)]
         for r in reports:
-            got = doc_bytes(emptiness_report_to_doc(r))
-            assert got == doc_bytes(_points_route(r)), (c.k, c.n)
+            got = doc_bytes({"report": r})
+            assert got == doc_bytes({"report": _points_route(r)}), (c.k, c.n)
 
 
 def test_segment_and_path_writers_match_points_route():
@@ -173,12 +177,108 @@ def test_segment_and_path_writers_match_points_route():
         tuples = sample_tuples(c.complex, c.k, 5, seed=10 * c.n + c.k)
         tuples.append(tuple(c.polygon.a(i) for i in range(c.k)))  # 0-link paths
         for pts in tuples:
-            for cert in verify_common_witness(c, pts).paths:
-                want = {
-                    "vertices": [point_to_doc(v) for v in cert.vertices],
-                    "links": cert.links,
-                }
-                assert doc_bytes(_certificate_to_doc(cert)) == doc_bytes(want)
+            w = verify_common_witness(c, pts)
+            want = {
+                "tuple": [point_to_doc(p) for p in w.tuple],
+                "witness": point_to_doc(w.witness),
+                "method": w.method,
+                "paths": [
+                    {
+                        "vertices": [point_to_doc(v) for v in cert.vertices],
+                        "links": cert.links,
+                    }
+                    for cert in w.paths
+                ],
+            }
+            assert doc_bytes({"w": [w]}) == doc_bytes({"w": [want]})
+
+
+# ---------------------------------------------------------------------------
+# the record templates against the dict trees they replaced
+
+
+def assert_reference_bytes(doc):
+    assert doc_bytes(doc) == reference_bytes(reference_form(doc))
+
+
+def test_grid_reports_match_reference():
+    # every grid cell's verify report (with and without witnesses) and
+    # the drop-control report for every dropped target
+    seen = {"zero_links": 0, "no_points": 0, "points": 0}
+    for c in build_grid().values():
+        emptiness = verify_targets_blocked(c)
+        tuples = sample_tuples(c.complex, c.k, 10, seed=10 * c.n + c.k)
+        tuples.append(tuple(c.polygon.a(i) for i in range(c.k)))  # 0-link paths
+        witnesses = [verify_common_witness(c, t) for t in tuples]
+        seen["zero_links"] += sum(
+            p.links == 0 for w in witnesses for p in w.paths
+        )
+        report = verify_report_doc(c.k, c.n, 3, emptiness, witnesses)
+        assert_reference_bytes(report)
+        tuples0 = verify_report_doc(c.k, c.n, 3, emptiness, [])  # --tuples 0
+        assert b'"witnesses": []' in doc_bytes(tuples0)
+        assert_reference_bytes(tuples0)
+        for d in range(c.k + 1):
+            r = verify_targets_blocked(c, drop_index=d)
+            for X in r.per_target_regions + r.intersection_trace:
+                seen["points" if X.points else "no_points"] += 1
+            assert_reference_bytes(drop_control_doc(c.k, c.n, d, r))
+    # the edge cases occurred: 0-link paths, regions with and without points
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("k, steps", [(2, 40), (3, 70), (2, 0), (3, 0)])
+def test_audit_logs_match_reference(k, steps):
+    s = run_schedule(gen_kset(k, 7), gen_tuples(k, steps + 1, 7))
+    assert len(s.audit) == steps + 1
+    assert_reference_bytes(audit_to_doc(s, seed=7))
+
+
+def test_empty_added_lists_match_reference():
+    # a repeated tuple adds nothing; the first tuple again admits points
+    # but blocks none
+    t0, t1 = gen_tuples(2, 2, seed=2)
+    s = run_schedule(K3, [t0, t1, t1, t0])
+    assert [(bool(r.a_scalars), bool(r.b_scalars)) for r in s.audit[2:]] == [
+        (False, False),
+        (True, False),
+    ]
+    assert_reference_bytes(audit_to_doc(s, seed=2))
+
+
+def test_write_doc_streams_the_audit_log(tmp_path):
+    # one piece per record: the writer's peak stays a few records' size,
+    # far below the whole log
+    s = run_schedule(gen_kset(3, 7), gen_tuples(3, 71, 7))
+    doc = audit_to_doc(s, seed=7)
+    path = str(tmp_path / "audit.json")
+    tracemalloc.start()
+    try:
+        write_doc(path, doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = os.path.getsize(path)
+    assert size > 3_000_000
+    assert peak < size // 10, (peak, size)
+
+
+def test_write_doc_removes_a_partial_file(tmp_path):
+    path = tmp_path / "doc.json"
+    with pytest.raises(TypeError):
+        write_doc(str(path), {"a": "x", "b": 1.5})
+    assert not path.exists()
+    # a record that fails after the records before it were written
+    s = run_schedule(K3, gen_tuples(2, 40, seed=2))
+    doc = audit_to_doc(s, seed=2)
+    last = doc["records"][-1]
+    doc["records"][-1] = dataclasses.replace(last, b_scalars=(("1", 2),))
+    with pytest.raises(TypeError):
+        write_doc(str(path), doc)
+    assert not path.exists()
+    doc["records"][-1] = last
+    write_doc(str(path), doc)
+    assert path.read_bytes() == doc_bytes(doc)
 
 
 def test_write_read_round_trip(tmp_path):
@@ -304,7 +404,7 @@ def test_shutter_input_round_trip():
 
 def test_audit_document_shape():
     s = run_schedule(K3, gen_tuples(2, 4, seed=2))
-    doc = audit_to_doc(s, seed=2)
+    doc = json.loads(doc_bytes(audit_to_doc(s, seed=2)))
     assert doc["kind"] == "shutter-audit"
     assert doc["steps"] == 3
     assert len(doc["records"]) == 4
@@ -313,7 +413,6 @@ def test_audit_document_shape():
     assert doc["records"][0]["step"] == 0
     assert all(r["viewer_absent"] for r in doc["records"])
     assert len(doc["a_final"]) == doc["records"][-1]["a_size"]
-    doc_bytes(doc)  # serializable and canonical
 
 
 def test_read_doc_errors(tmp_path):
